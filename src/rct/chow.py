@@ -35,7 +35,6 @@ __all__ = [
     "is_suspension",
     "taffy",
     "det_action_check",
-    "is_real_form",
     "proportional",
 ]
 
@@ -386,11 +385,6 @@ def det_action_check(F: MHForm, A: Sequence[Sequence[Rational]]) -> bool:
     lhs = F.form.substitute(mapping)
     rhs = F.form * det ** F.d
     return lhs == rhs
-
-
-def is_real_form(F: MHForm) -> bool:
-    """All coefficients rational; the stand-in for being defined over R."""
-    return all(isinstance(c, Fraction) for c in F.form.terms.values())
 
 
 def proportional(F: MHForm, G: MHForm) -> bool:

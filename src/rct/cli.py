@@ -135,8 +135,8 @@ def _cmd_critical_gen(args) -> int:
 
 def _cmd_critical_test(args) -> int:
     coeffs = _rat_list(args.coeffs)
-    verdict = has_d_distinct_real_roots(coeffs, max(len(coeffs), D_MAX_DEFAULT))
-    member = in_S_n(coeffs, max(len(coeffs), D_MAX_DEFAULT))
+    verdict = has_d_distinct_real_roots(coeffs)
+    member = in_S_n(coeffs)
     _emit({"coefficients": [str(c) for c in coeffs],
            "critical_verdict": verdict.name,
            "all_roots_real_distinct": member}, args.format)

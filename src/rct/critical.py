@@ -27,12 +27,15 @@ bookkeeping is checked separately by exact specialization.
 
 The sign data of the chain is carried entirely by the signed primitive
 leading coefficients F_2..F_d (each equal to lc(f_j) times a positive
-square), which is what the d-distinct-real-roots test consumes:
-f has d distinct real roots exactly when every F_j is positive at the
-coefficient point, and a vanishing F_j marks a degenerate point where
-the generic chain does not specialize.
+square): f has d distinct real roots exactly when every F_j is positive
+at the coefficient point, and a vanishing F_j marks a degenerate point
+where the generic chain does not specialize.
 
-Internally the a-monomials are packed into single integers, 16 bits per
+Point verdicts never build the chain.  They read the leading principal
+minors of the Hankel matrix of Newton sums (Hermite's quadratic form),
+whose signs equal those of the F_j, so they work at every degree.
+
+Internally the a-monomials are packed into single integers, 8 bits per
 variable, so monomial products are integer additions.
 """
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .poly import (
@@ -913,35 +916,63 @@ def critical_polynomials(d: int, d_max: int = D_MAX_DEFAULT) -> CriticalSet:
     return _set_cache[d]
 
 
-def has_d_distinct_real_roots(coeffs: Sequence, d_max: int = D_MAX_DEFAULT) -> RootVerdict:
-    """Verdict for x^d + a1 x^(d-1) + ... + ad having d distinct real roots.
+def _hankel_verdict(b: Sequence[int]) -> RootVerdict:
+    """Verdict for x^d + b1 x^(d-1) + ... + bd with integer coefficients.
 
-    coeffs is (a1, ..., ad).  Degenerate means some F_j vanishes at the
-    point, where the generic chain does not specialize and the caller
-    should fall back to a direct Sturm count.
+    The k-th leading principal minor of the Hankel matrix (p_{i+j}) of
+    Newton sums is the sum over k-subsets of the roots of their squared
+    Vandermonde products; for k >= 2 its sign is the sign of F_k.  Bareiss
+    fraction-free elimination without pivoting produces these minors as
+    its successive pivots, so the first zero pivot is a degenerate point.
     """
-    coeffs = [as_rational(c) for c in coeffs]
-    d = len(coeffs)
-    cs = critical_polynomials(d, d_max)
-    point = {f"a{j}": c for j, c in enumerate(coeffs, start=1)}
+    d = len(b)
+    p = [d]
+    for k in range(1, 2 * d - 1):
+        s = k * b[k - 1] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            s += b[i - 1] * p[k - i]
+        p.append(-s)
+    m = [p[i:i + d] for i in range(d)]
     verdict = RootVerdict.TRUE
-    for F_j in cs.F:
-        val = F_j.evaluate(point)
-        if val == 0:
+    prev = 1
+    for k in range(d):
+        piv = m[k][k]
+        if piv == 0:
             return RootVerdict.DEGENERATE
-        if val < 0:
+        if piv < 0:
             verdict = RootVerdict.FALSE
+        for row in m[k + 1:]:
+            rk = row[k]
+            for j in range(k + 1, d):
+                row[j] = (row[j] * piv - rk * m[k][j]) // prev
+        prev = piv
     return verdict
 
 
-def in_S_n(coeffs: Sequence, d_max: int = D_MAX_DEFAULT) -> bool:
+def has_d_distinct_real_roots(coeffs: Sequence) -> RootVerdict:
+    """Verdict for x^d + a1 x^(d-1) + ... + ad having d distinct real roots.
+
+    coeffs is (a1, ..., ad), any d >= 2.  Degenerate means some F_j
+    vanishes at the point, where the generic chain does not specialize
+    and the caller should fall back to a direct Sturm count.
+    """
+    coeffs = [as_rational(c) for c in coeffs]
+    if len(coeffs) < 2:
+        raise ValueError("need d >= 2")
+    # a_i -> a_i q^i scales the roots by q > 0 and the j-th minor by
+    # q^(j(j-1)), so every sign survives
+    q = lcm(*(c.denominator for c in coeffs))
+    return _hankel_verdict([int(c * q ** i) for i, c in enumerate(coeffs, 1)])
+
+
+def in_S_n(coeffs: Sequence) -> bool:
     """Exact membership: does the monic polynomial split into d distinct real roots?
 
     Uses the critical predicate and falls back to a direct Sturm count at
     degenerate points, so the answer is always exact.
     """
     coeffs = [as_rational(c) for c in coeffs]
-    verdict = has_d_distinct_real_roots(coeffs, d_max)
+    verdict = has_d_distinct_real_roots(coeffs)
     if verdict is RootVerdict.TRUE:
         return True
     if verdict is RootVerdict.FALSE:

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 from .critical import (
     D_MAX_DEFAULT,
     RootVerdict,
+    _hankel_verdict,
     critical_polynomials,
-    has_d_distinct_real_roots,
 )
 from .poly import Rational, SparsePoly, as_rational
 from .sturm import count_distinct_roots_in, count_distinct_roots_total
@@ -260,18 +260,17 @@ def _compile_int_terms(p: SparsePoly):
 
 
 class _FiberChecker:
-    """Per-divisor sample loop: integer evaluation of p_i and F_j.
+    """Per-divisor sample loop: integer p_i, then the Hankel-minor verdict.
 
     The direction grid is integral, so after clearing the coefficient
-    denominators once (sign-safe: F_j is graded homogeneous, and scaling
-    a direction by Q > 0 scales a_i by Q^i) every sample runs in plain
-    int arithmetic with cached powers.
+    denominators once (sign-safe: scaling a_i by Q^i with Q > 0 scales the
+    roots by Q) every sample runs in plain int arithmetic with cached
+    powers.
     """
 
-    def __init__(self, D: Divisor, use_critical: bool):
+    def __init__(self, D: Divisor):
         self.D = D
         self.d = D.d
-        self.use_critical = use_critical
         ps = D.x0_coefficients()
         zero = SparsePoly.zero(D.f.vars[1:])
         compiled = [_compile_int_terms(ps.get(i, zero).with_vars(D.f.vars[1:]))
@@ -287,18 +286,6 @@ class _FiberChecker:
             for _, exps in terms:
                 for v in range(D.n):
                     self.x_maxexp[v] = max(self.x_maxexp[v], exps[v])
-        if use_critical:
-            cs = critical_polynomials(D.d)
-            self.f_terms = []
-            self.a_maxexp = [0] * D.d
-            avars = tuple(f"a{i}" for i in range(1, D.d + 1))
-            for F in cs.F:
-                terms, den = _compile_int_terms(F.with_vars(avars))
-                assert den == 1
-                self.f_terms.append(terms)
-                for _, exps in terms:
-                    for v in range(D.d):
-                        self.a_maxexp[v] = max(self.a_maxexp[v], exps[v])
 
     @staticmethod
     def _powers(vals, maxexp):
@@ -327,23 +314,11 @@ class _FiberChecker:
         return [self._eval(self.p_terms[i], pw) * self.p_mult[i]
                 for i in range(self.d)]
 
-    def critical_verdict(self, direction) -> RootVerdict:
-        a = self.coeff_point(direction)
-        pw = self._powers(a, self.a_maxexp)
-        verdict = RootVerdict.TRUE
-        for terms in self.f_terms:
-            val = self._eval(terms, pw)
-            if val == 0:
-                return RootVerdict.DEGENERATE
-            if val < 0:
-                verdict = RootVerdict.FALSE
-        return verdict
-
     def check(self, direction):
         """(fiber has d distinct real roots, certificate dict)."""
         cert: dict = {"direction": [str(c) for c in direction]}
-        if self.use_critical and all(int(c) == c for c in direction):
-            v = self.critical_verdict(direction)
+        if all(int(c) == c for c in direction):
+            v = _hankel_verdict(self.coeff_point(direction))
             if v is RootVerdict.TRUE:
                 cert["route"] = "critical"
                 return True, cert
@@ -370,8 +345,7 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
         return MembershipReport("E", "non_member", "exact",
                                 data={"reason": "divisor passes through the vertex"})
     D = norm
-    use_critical = D.d <= D_MAX_DEFAULT and D.d >= 2
-    checker = _FiberChecker(D, use_critical)
+    checker = _FiberChecker(D)
     if D.n == 1:
         good, cert = checker.check((1,))
         if good:

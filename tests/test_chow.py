@@ -12,7 +12,6 @@ from rct.chow import (
     det_action_check,
     eigenform_degree,
     group_var,
-    is_real_form,
     is_suspension,
     mul_cycles,
     proportional,
@@ -325,13 +324,6 @@ def test_det_action_rejects_singular():
     L = chow_of_linear([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
         det_action_check(L, [[1, 2], [2, 4]])
-
-
-def test_real_form_flag():
-    F = chow_of_points([(1, 2)])
-    assert is_real_form(F)
-    assert is_real_form(taffy(F)(Fraction(2, 7)))
-    assert is_real_form(mul_cycles(F, F))
 
 
 def test_mhform_validation():

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from rct.cli import build_parser, main, run_corpus
+from rct.poly import SparsePoly
+from rct.sturm import count_distinct_roots_total
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "corpus")
@@ -89,6 +91,26 @@ def test_exit_one_on_negative_verdicts(capsys):
     code, out, _ = run(capsys, "div", "in-div2", "--poly",
                        "x0^2 - 1/9*x1^2", "--n", "1")
     assert code == 0
+
+
+def test_critical_test_has_no_degree_cap(capsys):
+    # nine coefficients: point verdicts never build the d <= 8 chain
+    x = SparsePoly.variable("x")
+    cases = {"TRUE": [x - k for k in range(-4, 5)],
+             "FALSE": [x - k for k in range(-3, 4)] + [x ** 2 + 1],
+             "DEGENERATE": [x - k for k in range(-4, 4)] + [x - 1]}
+    for verdict, factors in cases.items():
+        f = SparsePoly.constant(1, ("x",))
+        for g in factors:
+            f = f * g
+        dense = f.dense_coeffs("x")
+        coeffs = ",".join(str(dense[9 - i]) for i in range(1, 10))
+        code, out, _ = run(capsys, "critical", "test", "--coeffs", coeffs)
+        data = json.loads(out)
+        want = count_distinct_roots_total(f, "x") == 9
+        assert code == (0 if want else 1)
+        assert data["all_roots_real_distinct"] is want
+        assert data["critical_verdict"] == verdict
 
 
 def test_critical_gen(capsys):

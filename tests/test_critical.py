@@ -161,6 +161,88 @@ def test_degree_bounds_enforced():
         critical_polynomials(9)
     with pytest.raises(ValueError):
         symbolic_sturm(1)
+    with pytest.raises(ValueError):
+        has_d_distinct_real_roots([1])
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _det(rows):
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def _hankel_minor_signs(coeffs):
+    """Signs of the leading principal minors 2..d of (p_{i+j}), with the
+    Newton sums taken as traces of powers of the companion matrix."""
+    d = len(coeffs)
+    C = [[Fraction(int(i == j + 1)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        C[i][d - 1] = -coeffs[d - 1 - i]
+    P = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    p = []
+    for _ in range(2 * d - 1):
+        p.append(sum(P[i][i] for i in range(d)))
+        P = [[sum(P[i][k] * C[k][j] for k in range(d)) for j in range(d)]
+             for i in range(d)]
+    return [_sign(_det([p[i:i + j] for i in range(j)]))
+            for j in range(2, d + 1)]
+
+
+def _monic_from_roots(roots):
+    c = [Fraction(1)]
+    for r in roots:
+        c = [a - r * b for a, b in zip(c + [0], [0] + c)]
+    return c[1:]
+
+
+def test_critical_polynomials_track_point_verdicts():
+    # the point route reads Hankel minors, not the symbolic F_j; both must
+    # carry the same sign at every index, including at repeated roots
+    rng = random.Random(45)
+    seen = set()
+    for d in range(2, 9):
+        cs = critical_polynomials(d)
+        for trial in range(12 if d <= 6 else 4):
+            kind = trial % 4
+            if kind == 0:
+                coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(d)]
+            elif kind == 1:
+                coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(d)]
+            else:
+                roots = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                         for _ in range(d)]
+                if kind == 3:
+                    roots[-1] = roots[0]
+                coeffs = _monic_from_roots(roots)
+            pt = {f"a{i}": c for i, c in enumerate(coeffs, start=1)}
+            signs = [_sign(F.evaluate(pt)) for F in cs.F]
+            assert signs == _hankel_minor_signs(coeffs), (d, coeffs)
+            if 0 in signs:
+                want = RootVerdict.DEGENERATE
+            elif -1 in signs:
+                want = RootVerdict.FALSE
+            else:
+                want = RootVerdict.TRUE
+            assert has_d_distinct_real_roots(coeffs) is want, (d, coeffs)
+            seen.add(want)
+    assert seen == set(RootVerdict)
 
 
 # ---- packed-exponent kernel ----

@@ -159,7 +159,7 @@ def test_fiber_checker_matches_sturm():
         Divisor(P("x0^3 - x0*x1^2 - 1/7*x2^3"), n=2),
     ]
     for D in divisors:
-        checker = _FiberChecker(D, use_critical=D.d >= 2)
+        checker = _FiberChecker(D)
         for _ in range(40):
             v = (rng.randint(-20, 20), rng.randint(-20, 20))
             if not any(v):
@@ -168,6 +168,15 @@ def test_fiber_checker_matches_sturm():
             fib = _fiber_poly(D, v)
             expect = count_distinct_roots_total(fib, "x0") == D.d
             assert good == expect
+
+
+def test_in_e_has_no_degree_cap():
+    # d = 10 lies beyond the symbolic chain's d <= 8; fibers need no chain
+    D = paper_family(1, 5)[0]
+    assert D.d == 10
+    rep = in_E(D)
+    assert (rep.verdict, rep.mode) == ("member", "exact")
+    assert rep.data["certificate"]["route"] == "critical"
 
 
 def test_e_certificate_forms_hand_value():
