@@ -54,7 +54,7 @@ from .poly import (
     as_rational,
     is_substitutable_homogeneous,
 )
-from .sturm import count_distinct_roots_total
+from .sturm import count_distinct_roots_total, sturm_sequence
 
 D_MAX_DEFAULT = 8
 
@@ -463,30 +463,6 @@ def _wp_eval(p: dict, vals: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _euclid_chain_frac(coeffs: Sequence[Fraction]):
-    """Strict-Euclid Sturm chain of a rational monic polynomial.
-
-    Coefficients ascending.  Returns None when any degree drops by more
-    than one or the chain stops early (non-generic input).
-    """
-    f = [Fraction(c) for c in coeffs]
-    chain = [f, [k * c for k, c in enumerate(f)][1:]]
-    while len(chain[-1]) > 1:
-        A = list(chain[-2])
-        B = chain[-1]
-        while len(A) >= len(B):
-            q = A[-1] / B[-1]
-            shift = len(A) - len(B)
-            for k, c in enumerate(B):
-                A[k + shift] -= q * c
-            while A and A[-1] == 0:
-                A.pop()
-        if len(A) != len(B) - 1:
-            return None
-        chain.append([-c for c in A])
-    return chain
-
-
 def _verify_chain(ch) -> bool:
     """Exact specialization check of a chain against direct Euclid."""
     d = ch.d
@@ -498,15 +474,15 @@ def _verify_chain(ch) -> bool:
         vals = [Fraction(j + 2 + trial, 1 + (j + trial) % 3)
                 for j in range(d)]
         coeffs = [vals[d - 1 - k] for k in range(d)] + [Fraction(1)]
-        ref = _euclid_chain_frac(coeffs)
-        if ref is None:
-            continue
+        ref = sturm_sequence(SparsePoly.from_dense("x", coeffs), "x").polys
+        if [len(p) for p in ref] != list(range(d + 1, 0, -1)):
+            continue  # chain degrees not d, d-1, ..., 0: non-generic point
         for i in range(d + 1):
             mult = Fraction(ch.signs[i]) * ch.scalars[i]
             for k, e in ch.expos[i].items():
                 mult *= _wp_eval(ch.prs[k][-1], vals) ** e
             got = [_wp_eval(c, vals) * mult for c in ch.prs[i]]
-            if got != ref[i]:
+            if tuple(got) != ref[i]:
                 return False
         return True
     return False

@@ -229,16 +229,24 @@ def sphere_grid(count: int, scale: int = 1000) -> list:
 
 
 def default_grid(n: int, count: Optional[int] = None) -> list:
-    """Direction grid for R^n minus the origin; deterministic for all n."""
+    """Direction grid for R^n minus the origin; deterministic for all n.
+
+    count defaults to DEFAULT_GRID_N2 for n = 2 and DEFAULT_GRID_N3 above;
+    a count below 1 raises ValueError.
+    """
+    if count is None:
+        count = DEFAULT_GRID_N2 if n == 2 else DEFAULT_GRID_N3
+    elif count < 1:
+        raise ValueError(f"grid count must be at least 1, got {count}")
     if n == 1:
         return [(1,)]
     if n == 2:
-        return circle_grid(count or DEFAULT_GRID_N2)
+        return circle_grid(count)
     if n == 3:
-        return sphere_grid(count or DEFAULT_GRID_N3)
+        return sphere_grid(count)
     rng = random.Random(0)
     out = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for _ in range(count or DEFAULT_GRID_N3):
+    for _ in range(count):
         v = tuple(rng.randint(-999, 999) for _ in range(n))
         if any(v):
             out.append(v)
@@ -347,7 +355,8 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     D = norm
     checker = _FiberChecker(D)
     if D.n == 1:
-        good, cert = checker.check((1,))
+        (direction,) = default_grid(1, grid_size)
+        good, cert = checker.check(direction)
         if good:
             return MembershipReport("E", "member", "exact",
                                     data={"certificate": cert})

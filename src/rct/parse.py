@@ -8,6 +8,8 @@
 VAR is [A-Za-z_][A-Za-z0-9_]*.  RATIONAL is an integer literal with an
 optional /denominator, e.g. 7 or -3/2 (the sign comes from the grammar,
 the slash from the token).  Multiplication is always explicit.
+Parentheses and unary minus signs nest at most MAX_DEPTH deep; deeper
+input raises PolyParseError.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import re
 from fractions import Fraction
 
 from .poly import SparsePoly
+
+MAX_DEPTH = 100
+"""Deepest nesting of parentheses and unary minus signs that parses.  Each
+level costs a few Python stack frames, so the cap keeps hostile input far
+from the interpreter's recursion limit."""
 
 
 class PolyParseError(ValueError):
@@ -56,6 +63,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -120,12 +128,17 @@ class _Parser:
             return SparsePoly.constant(val)
         if kind == "var":
             return SparsePoly.variable(val)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            self.expect_op(")")
+        if kind == "op" and val in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise PolyParseError(f"nesting deeper than {MAX_DEPTH}", pos)
+            if val == "(":
+                p = self.expr()
+                self.expect_op(")")
+            else:
+                p = -self.factor()
+            self.depth -= 1
             return p
-        if kind == "op" and val == "-":
-            return -self.factor()
         raise PolyParseError("expected a rational, variable, or parenthesis", pos)
 
 

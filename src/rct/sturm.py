@@ -1,26 +1,41 @@
 """Sturm sequences and exact real-root counting for rational polynomials.
 
-The chain is the plain Euclidean one: f0 = f, f1 = f', and each later
-entry is the negated remainder of the two before it.  No content is
-removed and no pseudo-remainders are taken, so every entry is the exact
-field remainder.  Sign changes are counted after deleting zeros; the
-difference of the counts at two non-root endpoints is the number of
-distinct real roots between them, multiplicities ignored.
+The chain is Euclid's: f0 = f, f1 = f', and each later entry is the
+negated remainder of the two before it.  It is built over the integers
+as a primitive pseudo-remainder sequence: denominators are cleared once,
+each pseudo-remainder lc^k * f_{i-1} mod f_i is negated (and negated
+once more when the multiplier lc^k is negative), and every entry is
+divided by its positive content.  Each integer entry is then a positive
+multiple of the Euclid entry, so both chains have the same signs
+everywhere.  The chain records each multiple exactly, as the content and
+the |lc|^k divided out at its step, and `SturmSeq.polys` rebuilds the
+Euclid chain from them on demand.
 
-Sign evaluation clears denominators once per chain and runs on plain
-integers, which keeps bisection refinement cheap.
+Sign changes are counted after deleting zeros; the difference of the
+counts at two non-root endpoints is the number of distinct real roots
+between them, multiplicities ignored.  Every query reads the integer
+chain.  Isolation refines an interval holding a single root on the sign
+of the squarefree part f / gcd(f, f') alone.
+
+Queries accept degrees up to MAX_DEGREE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import NEG_INF, SparsePoly, as_rational
 
 SignSeq = list  # of -1/0/+1
+
+MAX_DEGREE = 256
+"""Largest degree a Sturm query accepts.  Larger input raises ValueError
+before any dense coefficient list is built: the chain costs about the
+fourth power of the degree, seconds at 256 and close to a minute at 512."""
 
 
 class EndpointRootError(ValueError):
@@ -37,63 +52,157 @@ def _main_var(f: SparsePoly, var: str = None) -> str:
 
 
 def _dense(f: SparsePoly, var: str) -> list:
+    if var in f.vars and f.degree_in(var) > MAX_DEGREE:
+        raise ValueError(f"degree {f.degree_in(var)} exceeds the Sturm "
+                         f"degree cap {MAX_DEGREE}")
     coeffs = f.dense_coeffs(var)
     if len(coeffs) < 2:
         raise ValueError("need a non-constant polynomial")
     return coeffs
 
 
-def _dense_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Univariate (quotient, remainder) over Fraction, dense ascending lists."""
+def _primitive(cs: Sequence[int]):
+    """(g, cs / g) with g the positive content of cs."""
+    g = gcd(*cs)
+    return g, (list(cs) if g == 1 else [c // g for c in cs])
+
+
+def _int_dense(f: SparsePoly, var: str):
+    """Primitive integer coefficients of f (ascending) and (g, den) with
+    f = g/den * them, g and den positive."""
+    cs = _dense(f, var)
+    den = lcm(*(c.denominator for c in cs))
+    g, ints = _primitive([c.numerator * (den // c.denominator) for c in cs])
+    return ints, (g, den)
+
+
+def _neg_prem(a: Sequence[int], b: Sequence[int]):
+    """(r, |l|^k) with r = -sign(l^k) * prem(a, b), l = lc(b), k = deg a - deg b + 1.
+
+    Since l^k * a = q * b + prem(a, b), r is |l|^k times the negated
+    Euclid remainder -(a mod b).  Trailing zeros are stripped.
+    """
+    lb, nb = b[-1], len(b) - 1
+    k = len(a) - nb
     r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[i + k] -= c * bc
-        r.pop()
+    for e in range(k - 1, -1, -1):
+        c = r.pop()
+        if lb != 1:
+            r = [lb * x for x in r]
+        if c:
+            for i in range(nb):
+                r[i + e] -= c * b[i]
+    mult = lb ** k
+    if mult > 0:
+        r = [-x for x in r]
     while r and r[-1] == 0:
         r.pop()
-    return q, r
+    return r, abs(mult)
+
+
+def _signs_at(polys: Sequence[Sequence[int]], x: Fraction) -> SignSeq:
+    """Signs of integer polynomials at x; polys[0] has the largest degree."""
+    # sign(g(p/q)) = sign(sum_i g_i p^i q^(n-i)) since q > 0
+    p, q = x.numerator, x.denominator
+    qpow = [1]
+    for _ in range(len(polys[0]) - 1):
+        qpow.append(qpow[-1] * q)
+    out = []
+    for cs in polys:
+        acc = 0
+        for c, w in zip(reversed(cs), qpow):
+            acc = acc * p + c * w
+        out.append((acc > 0) - (acc < 0))
+    return out
+
+
+def _sign_at(g: Sequence[int], x: Fraction) -> int:
+    return _signs_at((g,), x)[0]
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list:
+    """a / b for integer polynomials where b divides a with an integer quotient."""
+    r = list(a)
+    lb, nb = b[-1], len(b) - 1
+    q = [0] * (len(a) - nb)
+    for e in range(len(q) - 1, -1, -1):
+        c = r.pop() // lb
+        q[e] = c
+        if c:
+            for i in range(nb):
+                r[i + e] -= c * b[i]
+    return q
 
 
 @dataclass(frozen=True)
 class SturmSeq:
-    """Euclidean sign chain of one polynomial.
+    """Euclidean sign chain of one polynomial, held over the integers.
 
-    polys[0] is the input, polys[1] its derivative, and the chain stops
-    at the last nonzero remainder (a gcd of f and f' up to scalar).
+    chain[i] is a primitive integer polynomial (ascending coefficients)
+    and a positive multiple of the Euclid entry polys[i]: polys[0] is the
+    input, polys[1] its derivative, each later entry the negated Euclid
+    remainder of the two before it, and the chain stops at the last
+    nonzero remainder (a gcd of f and f' up to scalar).
+
+    steps[i] = (num, den) records the multiple: polys[i] = scales[i] *
+    chain[i] with scales[0] = num/den, scales[1] = scales[0] * num/den and
+    scales[i] = scales[i - 2] * num/den.  Only the Euclid view reads it.
     """
 
     var: str
-    polys: tuple
+    chain: tuple
+    steps: tuple
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.chain)
+
+    @property
+    def scales(self) -> tuple:
+        out = []
+        for i, (num, den) in enumerate(self.steps):
+            base = out[i - 2] if i >= 2 else out[0] if i else 1
+            out.append(base * Fraction(num, den))
+        return tuple(out)
+
+    @cached_property
+    def polys(self) -> tuple:
+        return tuple(tuple(s * c for c in p)
+                     for s, p in zip(self.scales, self.chain))
 
     def as_sparse(self) -> tuple:
         return tuple(SparsePoly.from_dense(self.var, p) for p in self.polys)
 
+    def signs_at(self, x: Fraction) -> SignSeq:
+        return _signs_at(self.chain, x)
+
+    def signs_at_pos_inf(self) -> SignSeq:
+        return [1 if p[-1] > 0 else -1 for p in self.chain]
+
+    def signs_at_neg_inf(self) -> SignSeq:
+        return [s if (len(p) - 1) % 2 == 0 else -s
+                for s, p in zip(self.signs_at_pos_inf(), self.chain)]
+
+    def squarefree_part(self) -> list:
+        """f / gcd(f, f') as a primitive integer polynomial, up to sign."""
+        g = self.chain[-1]
+        return list(self.chain[0]) if len(g) == 1 else _exact_quotient(self.chain[0], g)
+
 
 def sturm_sequence(f: SparsePoly, var: str = None) -> SturmSeq:
-    """Build the Euclidean Sturm chain of a non-constant rational polynomial."""
+    """Build the Sturm chain of a non-constant rational polynomial."""
     var = _main_var(f, var)
-    f0 = _dense(f, var)
-    f1 = [c * k for k, c in enumerate(f0)][1:]
-    chain = [f0, f1]
-    while True:
-        _, r = _dense_divmod(chain[-2], chain[-1])
+    p0, step0 = _int_dense(f, var)
+    g1, p1 = _primitive([k * c for k, c in enumerate(p0)][1:])
+    chain, steps = [p0, p1], [step0, (g1, 1)]
+    while len(chain[-1]) > 1:
+        r, mult = _neg_prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
-    return SturmSeq(var=var, polys=tuple(tuple(p) for p in chain))
+        g, r = _primitive(r)
+        chain.append(r)
+        steps.append((g, mult))
+    return SturmSeq(var=var, chain=tuple(tuple(p) for p in chain),
+                    steps=tuple(steps))
 
 
 def sign_changes(signs: Iterable[int]) -> int:
@@ -102,68 +211,9 @@ def sign_changes(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
 
 
-# ---- integerized evaluation ----
-
-
-class _IntChain:
-    """Sturm chain with denominators cleared, for integer-only sign queries.
-
-    Scaling each entry by a positive constant changes no signs, so the
-    chain built here answers exactly the same queries as the Fraction one.
-    """
-
-    __slots__ = ("polys",)
-
-    def __init__(self, seq: SturmSeq):
-        polys = []
-        for p in seq.polys:
-            den = 1
-            for c in p:
-                den = den * c.denominator // gcd(den, c.denominator)
-            ip = [int(c * den) for c in p]
-            g = 0
-            for c in ip:
-                g = gcd(g, c)
-            if g > 1:
-                ip = [c // g for c in ip]
-            polys.append(ip)
-        self.polys = polys
-
-    def signs_at(self, x: Fraction) -> SignSeq:
-        # sign(f(p/q)) = sign(sum_i c_i p^i q^(n-i)) since q > 0
-        p, q = x.numerator, x.denominator
-        out = []
-        for cs in self.polys:
-            acc = 0
-            qpow = 1
-            for i in range(len(cs) - 1, -1, -1):
-                acc = acc * p + cs[i] * qpow
-                qpow *= q
-            out.append(0 if acc == 0 else (1 if acc > 0 else -1))
-        return out
-
-    def signs_at_pos_inf(self) -> SignSeq:
-        return [0 if p[-1] == 0 else (1 if p[-1] > 0 else -1) for p in self.polys]
-
-    def signs_at_neg_inf(self) -> SignSeq:
-        out = []
-        for p in self.polys:
-            s = 1 if p[-1] > 0 else -1
-            if (len(p) - 1) % 2:
-                s = -s
-            out.append(s)
-        return out
-
-    def changes_at(self, x: Fraction) -> int:
-        return sign_changes(self.signs_at(x))
-
-    def is_root(self, x: Fraction) -> bool:
-        return self.signs_at(x)[0] == 0
-
-
 def sign_sequence_at(seq: SturmSeq, x) -> SignSeq:
     """Signs of the chain at a rational point (zeros kept in place)."""
-    return _IntChain(seq).signs_at(as_rational(x))
+    return seq.signs_at(as_rational(x))
 
 
 def cauchy_root_bound(f: SparsePoly, var: str = None) -> Fraction:
@@ -184,10 +234,10 @@ def expand_endpoints_clear(f: SparsePoly, a, b, var: str = None):
     var = _main_var(f, var)
     a, b = as_rational(a), as_rational(b)
     step = cauchy_root_bound(f, var)
-    seq = _IntChain(sturm_sequence(f, var))
-    while seq.is_root(a):
+    ints = _int_dense(f, var)[0]
+    while _sign_at(ints, a) == 0:
         a -= step
-    while seq.is_root(b):
+    while _sign_at(ints, b) == 0:
         b += step
     return a, b
 
@@ -199,8 +249,7 @@ def count_distinct_roots_in(f: SparsePoly, a, b, var: str = None) -> int:
     if a >= b:
         raise ValueError(f"empty interval: ({a}, {b})")
     seq = sturm_sequence(f, var)
-    chain = _IntChain(seq)
-    sa, sb = chain.signs_at(a), chain.signs_at(b)
+    sa, sb = seq.signs_at(a), seq.signs_at(b)
     if sa[0] == 0:
         raise EndpointRootError(f"left endpoint {a} is a root; nudge endpoints first")
     if sb[0] == 0:
@@ -211,8 +260,25 @@ def count_distinct_roots_in(f: SparsePoly, a, b, var: str = None) -> int:
 def count_distinct_roots_total(f: SparsePoly, var: str = None) -> int:
     """Distinct real roots over the whole line, from the signs at both infinities."""
     var = _main_var(f, var)
-    chain = _IntChain(sturm_sequence(f, var))
-    return sign_changes(chain.signs_at_neg_inf()) - sign_changes(chain.signs_at_pos_inf())
+    seq = sturm_sequence(f, var)
+    return sign_changes(seq.signs_at_neg_inf()) - sign_changes(seq.signs_at_pos_inf())
+
+
+def _refine(sqf: Sequence[int], a: Fraction, b: Fraction, precision: Fraction):
+    """Bisect (a, b) to width <= precision.  It holds exactly one root of
+    the squarefree sqf, whose sign therefore differs at a and b.  A
+    midpoint that is the root gives [m, m]."""
+    s_a = _sign_at(sqf, a)
+    while b - a > precision:
+        m = (a + b) / 2
+        s_m = _sign_at(sqf, m)
+        if s_m == 0:
+            return m, m
+        if s_m == s_a:
+            a = m
+        else:
+            b = m
+    return a, b
 
 
 def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
@@ -227,7 +293,7 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     if precision <= 0:
         raise ValueError("precision must be positive")
     seq = sturm_sequence(f, var)
-    chain = _IntChain(seq)
+    sqf = seq.squarefree_part()
 
     bound = cauchy_root_bound(f, var)
     lo, hi = -bound, bound
@@ -236,13 +302,13 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
         # midpoint, shifted deterministically until it is not a root
         m = (a + b) / 2
         k = 3
-        while chain.is_root(m):
+        while _sign_at(sqf, m) == 0:
             m = a + (b - a) * Fraction(2 ** (k - 1) + 1, 2 ** k)
             k += 1
         return m
 
     out = []
-    va, vb = chain.changes_at(lo), chain.changes_at(hi)
+    va, vb = sign_changes(seq.signs_at(lo)), sign_changes(seq.signs_at(hi))
     stack = [(lo, va, hi, vb)]
     while stack:
         a, va, b, vb = stack.pop()
@@ -250,21 +316,10 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
         if n == 0:
             continue
         if n == 1:
-            while b - a > precision:
-                m = (a + b) / 2
-                sm = chain.signs_at(m)
-                if sm[0] == 0:
-                    a = b = m
-                    break
-                vm = sign_changes(sm)
-                if va - vm == 1:
-                    b, vb = m, vm
-                else:
-                    a, va = m, vm
-            out.append((a, b))
+            out.append(_refine(sqf, a, b, precision))
             continue
         m = split_point(a, b)
-        vm = chain.changes_at(m)
+        vm = sign_changes(seq.signs_at(m))
         stack.append((m, vm, b, vb))
         stack.append((a, va, m, vm))
     out.sort()

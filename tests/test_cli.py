@@ -66,6 +66,38 @@ def test_sturm_count_interval_and_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+def _one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1 \
+        and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sturm", "count", "(" * 3000 + "x" + ")" * 3000],
+    ["sturm", "count", "(" * 101 + "x" + ")" * 101],
+    ["sturm", "count", "0" + "-" * 3000 + "x"],
+    ["div", "in-e", "--poly", "x0^2 - x1^2 - x2^2", "--grid", "-5"],
+    ["div", "in-e", "--poly", "x0^2 - x1^2 - x2^2", "--grid", "0"],
+    ["div", "in-e", "--poly", "x0^2 - x1^2", "--n", "1", "--grid", "0"],
+    ["div", "in-div2", "--poly", "x0^2 - x1^2", "--n", "2", "--grid", "0"],
+    ["sturm", "count", "x^100000000 - 1"],
+    ["sturm", "isolate", "x^257 - x", "--precision", "1/2"],
+])
+def test_malformed_input_exits_two(capsys, argv):
+    # nesting depth, grid count and Sturm degree are capped inputs
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_line_error(err), err
+
+
+def test_limits_admit_their_boundary(capsys):
+    code, out, _ = run(capsys, "sturm", "count",
+                       "(" * 100 + "x^256 - 1" + ")" * 100)
+    assert code == 0 and json.loads(out)["count"] == 2
+    code, out, _ = run(capsys, "div", "in-e", "--poly", "x0^2 - x1^2 - x2^2",
+                       "--grid", "1")
+    assert code == 0 and json.loads(out)["grid_size"] == 3
+
+
 def test_sturm_isolate(capsys):
     code, out, _ = run(capsys, "sturm", "isolate", "x^2 - 2", "--var", "x",
                        "--precision", "1/1000000")

@@ -385,3 +385,20 @@ def test_cache_verification_rejects_wrong_chain(tmp_path, monkeypatch):
         assert crit._load_cached_chain(3) is None
     finally:
         crit._chain_cache.pop(3, None)
+
+
+def test_verify_chain_accepts_built_and_rejects_perturbed():
+    # every entry is checked against the Sturm chain of a specialization,
+    # so one changed integer coefficient anywhere is caught
+    import rct.critical as crit
+
+    for d in range(2, 7):
+        ch = critical_polynomials(d)._chain
+        assert crit._verify_chain(ch), d
+        for i in range(d + 1):
+            prs = [[dict(wp) for wp in entry] for entry in ch.prs]
+            key = next(iter(prs[i][0]))
+            prs[i][0][key] += 1
+            bad = crit._Chain._from_parts(d, prs, ch.signs, ch.scalars,
+                                          ch.expos)
+            assert not crit._verify_chain(bad), (d, i)

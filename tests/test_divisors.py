@@ -123,6 +123,11 @@ def test_grids_are_deterministic_and_nonzero():
     c = default_grid(4, 30)
     assert c == default_grid(4, 30)
     assert default_grid(1) == [(1,)]
+    assert len(default_grid(2, 1)) == 3  # the two axes plus one sample
+    for n in (1, 2, 3, 4):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="at least 1"):
+                default_grid(n, bad)
 
 
 def test_in_e_line_case_exact():

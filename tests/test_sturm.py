@@ -1,5 +1,6 @@
 """Sturm chains: construction rule, interval counts, isolation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from rct.parse import parse_poly
 from rct.poly import SparsePoly, poly_divmod
 from rct.sturm import (
+    MAX_DEGREE,
     EndpointRootError,
     cauchy_root_bound,
     count_distinct_roots_in,
@@ -136,3 +138,115 @@ def test_constant_and_linear_edge_cases():
     # constants carry no main variable and are rejected outright
     with pytest.raises(ValueError):
         count_distinct_roots_total(parse_poly("5"), "x")
+
+
+def _euclid_chain(f):
+    # reference chain from poly_divmod: f, f', then negated remainders
+    chain = [f, f.derivative("x")]
+    while True:
+        _, r = poly_divmod(chain[-2], chain[-1], "x")
+        if r.is_zero():
+            return chain
+        chain.append(-r)
+
+
+def test_integer_chain_view_equals_euclid_random():
+    rng = random.Random(34)
+    x = SparsePoly.variable("x")
+    fixed = [parse_poly("x^4 + 1"), parse_poly("-x^6 + 3*x^2 - 1/5"),
+             parse_poly("(x - 1)^3 * (x + 2)^2"), parse_poly("-7/3*x^5 + x")]
+    randoms = []
+    for _ in range(60):
+        f = SparsePoly.constant(Fraction(rng.choice([-5, -2, -1, 1, 3]),
+                                         rng.randint(1, 6)))
+        for _ in range(rng.randint(1, 3)):
+            f = f * (x - Fraction(rng.randint(-6, 6), rng.randint(1, 4))) \
+                ** rng.randint(1, 3)
+        if rng.random() < 0.5:
+            f = f * (x ** rng.choice([2, 4]) + rng.randint(1, 5))
+        randoms.append(f)
+    for f in fixed + randoms:
+        seq = sturm_sequence(f, "x")
+        assert list(seq.as_sparse()) == _euclid_chain(f), f
+        for s, p, ints in zip(seq.scales, seq.polys, seq.chain):
+            # each integer entry is primitive and a positive multiple
+            assert s > 0 and math.gcd(*ints) == 1
+            assert p == tuple(s * c for c in ints)
+    # x^4 + 1: f' = 4x^3 divides f - 1, so the chain drops from degree 3 to 0
+    assert [len(p) for p in sturm_sequence(fixed[0], "x").chain] == [5, 4, 1]
+
+
+def _sqrt_in(a, b, n):
+    # a <= sqrt(n) <= b for a positive integer n
+    return (a <= 0 or a * a <= n) and b >= 0 and b * b >= n
+
+
+def test_isolation_mixed_multiplicities():
+    # even and odd multiplicities: single-root intervals refine on the
+    # squarefree part, whose sign flips at every root of f
+    f = parse_poly("(x - 1)^2 * (x + 2)^3 * (x^2 - 2)")
+    prec = Fraction(1, 2 ** 30)
+    intervals = isolate_roots_bisection(f, prec)
+    assert len(intervals) == count_distinct_roots_total(f) == 4
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = intervals
+    assert a0 <= -2 <= b0
+    assert _sqrt_in(-b1, -a1, 2)
+    assert a2 <= 1 <= b2
+    assert _sqrt_in(a3, b3, 2)
+    for (a, b), (c, _) in zip(intervals, intervals[1:]):
+        assert b - a <= prec and b < c
+    g = parse_poly("x^4 * (x - 1/3)^3 * (x + 5)")
+    got = isolate_roots_bisection(g, prec)
+    assert len(got) == 3
+    for (a, b), r in zip(got, [-5, 0, Fraction(1, 3)]):
+        assert a <= r <= b and b - a <= prec
+
+
+# Isolating intervals at width 2^-20, frozen from the Fraction-Euclid
+# implementation; the integer chain must reproduce them exactly.
+LITERAL_INTERVALS = (
+    ("-x^4 - 11/2*x^3 + 5/2*x^2 + 77/2*x + 63/2",
+     [("-301989903/67108864", "-603979727/134217728"),
+      ("-177553369/67108864", "-355106659/134217728"),
+      ("-134217761/134217728", "-67108841/67108864"),
+      ("355106659/134217728", "177553369/67108864")]),
+    ("-x^4 - 5*x^3 + 6*x^2 + 30*x",
+     [("-671088713/134217728", "-1342177271/268435456"),
+      ("-328765013/134217728", "-657529871/268435456"),
+      ("-31/268435456", "31/67108864"),
+      ("657529809/268435456", "164382491/67108864")]),
+    ("-3/2*x^3 + 9/2*x^2 + 6*x - 18",
+     [("-33554443/16777216", "-16777215/8388608"),
+      ("16777215/8388608", "33554443/16777216"),
+      ("50331645/16777216", "25165829/8388608")]),
+    ("-3/2*x^6 + 15/4*x^5 + 87/8*x^4 - 219/16*x^3 - 39/2*x^2 - 21/4*x",
+     [("-8388611/4194304", "-134217713/67108864"),
+      ("-16777243/33554432", "-33554423/67108864"),
+      ("-7/8388608", "7/67108864"),
+      ("16777215/8388608", "134217769/67108864"),
+      ("234881017/67108864", "117440533/33554432")]),
+    ("-3/4*x^7 + 3/2*x^6 + 141/16*x^5 - 357/16*x^4 - 237/16*x^3"
+     " + 1149/16*x^2 - 105/2*x + 45/4",
+     [("-1610613117/536870912", "-805306365/268435456"),
+      ("-18757503/8388608", "-1200479805/536870912"),
+      ("268435197/536870912", "2097153/4194304"),
+      ("536870781/268435456", "1073741949/536870912"),
+      ("1200479805/536870912", "18757503/8388608")]),
+)
+
+
+@pytest.mark.parametrize("text,want", LITERAL_INTERVALS)
+def test_isolation_literal_intervals(text, want):
+    got = isolate_roots_bisection(parse_poly(text), Fraction(1, 2 ** 20), "x")
+    assert [(str(a), str(b)) for a, b in got] == list(want)
+
+
+def test_degree_cap():
+    # the cap fires on the sparse degree, before dense coefficients exist
+    f = parse_poly(f"x^{MAX_DEGREE + 1} - 1")
+    for query in (count_distinct_roots_total, sturm_sequence):
+        with pytest.raises(ValueError, match="degree cap"):
+            query(f, "x")
+    with pytest.raises(ValueError, match="degree cap"):
+        isolate_roots_bisection(f, Fraction(1, 2), "x")
+    assert count_distinct_roots_total(parse_poly(f"x^{MAX_DEGREE} - 1")) == 2
