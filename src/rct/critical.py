@@ -819,6 +819,16 @@ def _lead_coeff_fn(chain: _Chain, j: int) -> SubstRationalFn:
     return SubstRationalFn(scalar, _multiplier_factors(chain, j) + [(lead, 1)])
 
 
+def _check_chain_degree(d: int, d_max: int):
+    """Refuse d before any chain is built or loaded: a key packs one
+    _BITS-bit field per variable into a 64-bit machine word."""
+    if not 2 <= d <= d_max:
+        raise ValueError(f"d must be in 2..{d_max}")
+    if d * _BITS > 64:
+        raise ValueError(f"d = {d} needs {d * _BITS}-bit packed monomial keys;"
+                         f" the symbolic chain supports d <= {64 // _BITS}")
+
+
 def symbolic_sturm(d: int, d_max: int = D_MAX_DEFAULT) -> list:
     """Full symbolic Sturm chain of the generic monic degree-d polynomial.
 
@@ -826,8 +836,7 @@ def symbolic_sturm(d: int, d_max: int = D_MAX_DEFAULT) -> list:
     functions of a1..ad in factored form.  The chain always has length
     d + 1: a lost degree cannot happen for symbolic coefficients.
     """
-    if not 2 <= d <= d_max:
-        raise ValueError(f"d must be in 2..{d_max}")
+    _check_chain_degree(d, d_max)
     cached = _symbolic_cache.get(d)
     if cached is not None:
         return cached
@@ -865,8 +874,7 @@ def critical_polynomials(d: int, d_max: int = D_MAX_DEFAULT) -> CriticalSet:
 
     Memoized per process; safe under concurrent readers.
     """
-    if not 2 <= d <= d_max:
-        raise ValueError(f"d must be in 2..{d_max}")
+    _check_chain_degree(d, d_max)
     cs = _set_cache.get(d)
     if cs is not None:
         return cs

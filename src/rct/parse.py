@@ -9,13 +9,16 @@ VAR is [A-Za-z_][A-Za-z0-9_]*.  RATIONAL is an integer literal with an
 optional /denominator, e.g. 7 or -3/2 (the sign comes from the grammar,
 the slash from the token).  Multiplication is always explicit.
 Parentheses and unary minus signs nest at most MAX_DEPTH deep; deeper
-input raises PolyParseError.
+input raises PolyParseError.  So does a power whose expansion would pass
+MAX_POWER_DEGREE, MAX_POWER_TERMS or MAX_POWER_BITS; it is refused before
+anything is expanded.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb, prod
 
 from .poly import SparsePoly
 
@@ -23,6 +26,19 @@ MAX_DEPTH = 100
 """Deepest nesting of parentheses and unary minus signs that parses.  Each
 level costs a few Python stack frames, so the cap keeps hostile input far
 from the interpreter's recursion limit."""
+
+MAX_POWER_DEGREE = 512
+"""Largest total degree a power p^n may reach: twice the Sturm degree cap.
+Expanding (x + 1)^512 takes about half a second."""
+
+MAX_POWER_TERMS = 2048
+"""Largest term count a power may reach, bounded by the smaller of the
+number of products of n of p's terms and the box of exponents up to n
+times p's degree in each variable."""
+
+MAX_POWER_BITS = 16384
+"""Largest n * b for a power p^n whose coefficients have numerators and
+denominators of at most b bits (the size of c^n for a single term)."""
 
 
 class PolyParseError(ValueError):
@@ -47,8 +63,10 @@ def _tokenize(text: str):
                 break
             raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group("rat"):
-            lit = m.group("rat").replace(" ", "")
-            tokens.append(("rat", Fraction(lit), m.start()))
+            num, _, den = m.group("rat").replace(" ", "").partition("/")
+            if den and int(den) == 0:
+                raise PolyParseError("zero denominator", m.start())
+            tokens.append(("rat", Fraction(int(num), int(den or 1)), m.start()))
         elif m.group("var"):
             tokens.append(("var", m.group("var"), m.start()))
         else:
@@ -56,6 +74,27 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _check_power(p: SparsePoly, n: int, pos: int):
+    """Refuse p^n before expanding it if the result passes a MAX_POWER_* cap."""
+    if n < 2 or p.is_zero():
+        return
+    degree = n * p.degree()
+    if degree > MAX_POWER_DEGREE:
+        raise PolyParseError(f"power of degree {degree} exceeds the cap "
+                             f"{MAX_POWER_DEGREE}", pos)
+    bits = n * max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for c in p.terms.values())
+    if bits > MAX_POWER_BITS:
+        raise PolyParseError(f"power needs {bits}-bit coefficients, over the "
+                             f"cap {MAX_POWER_BITS}", pos)
+    t = len(p.terms)
+    box = prod(n * p.degree_in(v) + 1 for v in p.vars)
+    terms = min(comb(t + n - 1, t - 1), box)
+    if terms > MAX_POWER_TERMS:
+        raise PolyParseError(f"power may expand to {terms} terms, over the "
+                             f"cap {MAX_POWER_TERMS}", pos)
 
 
 class _Parser:
@@ -119,6 +158,7 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "rat" or val.denominator != 1 or val < 0:
                 raise PolyParseError("exponent must be a non-negative integer", pos)
+            _check_power(p, int(val), pos)
             p = p ** int(val)
         return p
 

@@ -198,6 +198,10 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        if len(self.terms) == 1:
+            # (c x^e)^n = c^n x^(n e), without the repeated squaring
+            (exp, c), = self.terms.items()
+            return SparsePoly(self.vars, {tuple(n * k for k in exp): c ** n})
         result = SparsePoly.constant(1, self.vars)
         base = self
         while n:

@@ -14,8 +14,18 @@ Euclid chain from them on demand.
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
 between them, multiplicities ignored.  Every query reads the integer
-chain.  Isolation refines an interval holding a single root on the sign
-of the squarefree part f / gcd(f, f') alone.
+chain.
+
+Isolation bisects from the Cauchy bound and splits until every interval
+holds one root.  A Fujiwara bound, rounded up to a power of two `far`,
+lies above the modulus of every complex root, so at a point x with
+|x| >= far the sign changes equal those at the infinity on x's side:
+the tree keeps every node, but the root-free descent from the Cauchy
+bound down to far reads the counts at infinity and evaluates nothing.
+An interval holding a single root is refined on the sign of the
+squarefree part f / gcd(f, f') alone, walking the integer index of the
+dyadic grid its bisection ends on (see `_refine`).  Both steps visit the
+same points as plain Fraction bisection, so the intervals are the same.
 
 Queries accept degrees up to MAX_DEGREE.
 """
@@ -264,21 +274,66 @@ def count_distinct_roots_total(f: SparsePoly, var: str = None) -> int:
     return sign_changes(seq.signs_at_neg_inf()) - sign_changes(seq.signs_at_pos_inf())
 
 
+def _fujiwara_far(cs: Sequence[int]) -> Fraction:
+    """A power of two 2^(E+1) above the modulus of every complex root of
+    the integer polynomial cs (ascending).
+
+    Fujiwara: |r| <= 2 max_i |c_{n-i} / c_n|^(1/i).  Since
+    |c_{n-i} / c_n| < 2^(bitlen c_{n-i} - bitlen c_n + 1), taking E as the
+    largest ceil((bitlen c_{n-i} - bitlen c_n + 1) / i) makes the bound
+    strict.  A monomial c x^n has only the root 0 and gets far = 1.
+    """
+    top = cs[-1].bit_length()
+    e = max((-((top - c.bit_length() - 1) // i)
+             for i, c in enumerate(reversed(cs[:-1]), 1) if c), default=-1)
+    return Fraction(2) ** (e + 1)
+
+
 def _refine(sqf: Sequence[int], a: Fraction, b: Fraction, precision: Fraction):
     """Bisect (a, b) to width <= precision.  It holds exactly one root of
     the squarefree sqf, whose sign therefore differs at a and b.  A
-    midpoint that is the root gives [m, m]."""
-    s_a = _sign_at(sqf, a)
-    while b - a > precision:
-        m = (a + b) / 2
-        s_m = _sign_at(sqf, m)
-        if s_m == 0:
+    midpoint that is the root gives [m, m].
+
+    Every midpoint of that bisection lies on the level-K dyadic grid
+    x_j = a + j (b - a) / 2^K, where K is the fewest halvings that bring
+    the width to <= precision, so the walk runs on the integer index j
+    alone.  The grid points are x_j = (A + j W) / Q with integers A, W and
+    Q, and sign(sqf(x_j)) = sign(sum_i c_i (A + j W)^i Q^(n-i)) since
+    Q > 0; the products c_i Q^(n-i) are formed once per root.  The walk
+    visits the same midpoints in the same order as bisecting the
+    Fractions themselves, so the returned Fractions are the same.
+    """
+    ratio = (b - a) / precision
+    k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    if k == 0:
+        return a, b
+    q = lcm(a.denominator, (b - a).denominator << k)
+    base = a.numerator * (q // a.denominator)
+    step = (b - a).numerator * (q // ((b - a).denominator << k))
+    qpow = 1
+    cq = []
+    for c in reversed(sqf):
+        cq.append(c * qpow)
+        qpow *= q
+
+    def sign(j: int) -> int:
+        p, acc = base + j * step, 0
+        for c in cq:
+            acc = acc * p + c
+        return (acc > 0) - (acc < 0)
+
+    lo, hi, s_lo = 0, 1 << k, sign(0)
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        s_mid = sign(mid)
+        if s_mid == 0:
+            m = Fraction(base + mid * step, q)
             return m, m
-        if s_m == s_a:
-            a = m
+        if s_mid == s_lo:
+            lo = mid
         else:
-            b = m
-    return a, b
+            hi = mid
+    return Fraction(base + lo * step, q), Fraction(base + hi * step, q)
 
 
 def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
@@ -297,19 +352,31 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
 
     bound = cauchy_root_bound(f, var)
     lo, hi = -bound, bound
+    # no root reaches far, so beyond it the counts are those at infinity
+    far = _fujiwara_far(seq.chain[0])
+    neg_far = -far
+    v_neg = sign_changes(seq.signs_at_neg_inf())
+    v_pos = sign_changes(seq.signs_at_pos_inf())
+
+    def changes(x: Fraction) -> int:
+        if x <= neg_far:
+            return v_neg
+        if x >= far:
+            return v_pos
+        return sign_changes(seq.signs_at(x))
 
     def split_point(a: Fraction, b: Fraction) -> Fraction:
         # midpoint, shifted deterministically until it is not a root
         m = (a + b) / 2
-        k = 3
-        while _sign_at(sqf, m) == 0:
-            m = a + (b - a) * Fraction(2 ** (k - 1) + 1, 2 ** k)
-            k += 1
+        if neg_far < m < far:
+            k = 3
+            while _sign_at(sqf, m) == 0:
+                m = a + (b - a) * Fraction(2 ** (k - 1) + 1, 2 ** k)
+                k += 1
         return m
 
     out = []
-    va, vb = sign_changes(seq.signs_at(lo)), sign_changes(seq.signs_at(hi))
-    stack = [(lo, va, hi, vb)]
+    stack = [(lo, changes(lo), hi, changes(hi))]
     while stack:
         a, va, b, vb = stack.pop()
         n = va - vb
@@ -319,7 +386,7 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
             out.append(_refine(sqf, a, b, precision))
             continue
         m = split_point(a, b)
-        vm = sign_changes(seq.signs_at(m))
+        vm = changes(m)
         stack.append((m, vm, b, vb))
         stack.append((a, va, m, vm))
     out.sort()

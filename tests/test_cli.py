@@ -80,10 +80,12 @@ def _one_line_error(err):
     ["div", "in-e", "--poly", "x0^2 - x1^2", "--n", "1", "--grid", "0"],
     ["div", "in-div2", "--poly", "x0^2 - x1^2", "--n", "2", "--grid", "0"],
     ["sturm", "count", "x^100000000 - 1"],
+    ["sturm", "count", "(x+1)^100000"],
+    ["sturm", "count", "3^1000000000"],
     ["sturm", "isolate", "x^257 - x", "--precision", "1/2"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # nesting depth, grid count and Sturm degree are capped inputs
+    # nesting depth, grid count, powers and Sturm degree are capped inputs
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -96,6 +98,28 @@ def test_limits_admit_their_boundary(capsys):
     code, out, _ = run(capsys, "div", "in-e", "--poly", "x0^2 - x1^2 - x2^2",
                        "--grid", "1")
     assert code == 0 and json.loads(out)["grid_size"] == 3
+    # a dense power of degree 256, and 2^8192 on the coefficient-bit cap
+    code, out, _ = run(capsys, "sturm", "count", "(x + 1)^256")
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, out, _ = run(capsys, "sturm", "count", "x^2 - 2^8192")
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
+def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):
+    # d = 9 needs 72-bit keys; the guard fires before a chain is built or loaded
+    import rct.critical as critical
+
+    def no_chain(d):
+        raise AssertionError(f"chain for d = {d} requested")
+
+    monkeypatch.setattr(critical, "_get_chain", no_chain)
+    code, out, err = run(capsys, "critical", "gen", "--d", "9")
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and "d <= 8" in err, err
+    with pytest.raises(ValueError, match="packed"):
+        critical.critical_polynomials(9, 9)
+    with pytest.raises(ValueError, match="packed"):
+        critical.symbolic_sturm(9, 9)
 
 
 def test_sturm_isolate(capsys):

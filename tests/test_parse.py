@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from rct.parse import PolyParseError, parse_poly, parse_rational
+from rct.parse import (
+    MAX_POWER_BITS,
+    MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
+    PolyParseError,
+    parse_poly,
+    parse_rational,
+)
 from rct.poly import SparsePoly, format_poly
 
 
@@ -51,6 +58,8 @@ def test_syntax_error_position():
         parse_poly("(x+1")
     with pytest.raises(PolyParseError):
         parse_poly("")
+    with pytest.raises(PolyParseError, match="zero denominator"):
+        parse_poly("x + 3/0")
 
 
 def _random_poly(rng, variables):
@@ -76,3 +85,20 @@ def test_format_parse_roundtrip_1000():
 def test_declare_on_first_use():
     p = parse_poly("alpha1*beta2")
     assert set(p.vars) == {"alpha1", "beta2"}
+
+
+def test_power_caps_admit_boundary_and_refuse_past_it():
+    x = SparsePoly.variable("x")
+    assert parse_poly(f"x^{MAX_POWER_DEGREE}") == x ** MAX_POWER_DEGREE
+    assert parse_poly(f"2^{MAX_POWER_BITS // 2}") == \
+        SparsePoly.constant(2 ** (MAX_POWER_BITS // 2))
+    assert len(parse_poly("(x + y + z + 1)^20").terms) == 1771 <= MAX_POWER_TERMS
+    for text in (f"x^{MAX_POWER_DEGREE + 1}", "(x + 1)^100000",
+                 f"((x + 1)^{MAX_POWER_DEGREE // 2})^3",
+                 f"2^{MAX_POWER_BITS // 2 + 1}", "3^1000000000",
+                 "(x + y + z + 1)^25"):  # 3276 terms
+        with pytest.raises(PolyParseError, match="cap"):
+            parse_poly(text)
+    # exponents 0 and 1 and a zero base pass whatever their size
+    text = "(x + y + z + w + 1)^1 * (x - x)^100000 + (x + 1)^0"
+    assert parse_poly(text) == SparsePoly.constant(1)

@@ -127,6 +127,33 @@ def test_coeffs_in():
     assert by_x[2] == SparsePoly.variable("y")
 
 
+def _pow_by_squaring(p, n):
+    # the general path of SparsePoly.__pow__
+    result, base = SparsePoly.constant(1, p.vars), p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def test_monomial_power_matches_squaring():
+    rng = random.Random(15)
+    bases = [SparsePoly.variable("x"), SparsePoly.constant(Fraction(-2, 3)),
+             SparsePoly.constant(Fraction(5), ("x", "y")),
+             SparsePoly.monomial(("a", "b", "c"), (0, 3, 1), Fraction(-7, 4))]
+    for _ in range(20):
+        e = tuple(rng.randint(0, 3) for _ in range(3))
+        c = Fraction(rng.choice([-5, -1, 1, 2, 9]), rng.randint(1, 6))
+        bases.append(SparsePoly.monomial(("x", "y", "z"), e, c))
+    for p in bases:
+        assert len(p.terms) == 1
+        for n in (0, 1, 2, 3, 7, 12):
+            got, want = p ** n, _pow_by_squaring(p, n)
+            assert got.vars == want.vars and got.terms == want.terms, (p, n)
+
+
 def test_derivative():
     x = SparsePoly.variable("x")
     p = x ** 3 - 2 * x

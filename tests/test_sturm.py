@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from rct.parse import parse_poly
-from rct.poly import SparsePoly, poly_divmod
+from rct.divisors import paper_family, scale_divisor
+from rct.poly import SparsePoly, divide_exact, poly_divmod
 from rct.sturm import (
     MAX_DEGREE,
     EndpointRootError,
+    _fujiwara_far,
     cauchy_root_bound,
     count_distinct_roots_in,
     count_distinct_roots_total,
@@ -140,11 +142,11 @@ def test_constant_and_linear_edge_cases():
         count_distinct_roots_total(parse_poly("5"), "x")
 
 
-def _euclid_chain(f):
+def _euclid_chain(f, var="x"):
     # reference chain from poly_divmod: f, f', then negated remainders
-    chain = [f, f.derivative("x")]
+    chain = [f, f.derivative(var)]
     while True:
-        _, r = poly_divmod(chain[-2], chain[-1], "x")
+        _, r = poly_divmod(chain[-2], chain[-1], var)
         if r.is_zero():
             return chain
         chain.append(-r)
@@ -250,3 +252,121 @@ def test_degree_cap():
     with pytest.raises(ValueError, match="degree cap"):
         isolate_roots_bisection(f, Fraction(1, 2), "x")
     assert count_distinct_roots_total(parse_poly(f"x^{MAX_DEGREE} - 1")) == 2
+
+
+def _oracle_isolate(f, precision, var):
+    # The isolator before the dyadic grid walk, kept as an oracle: the
+    # Fraction Euclid chain from poly_divmod, bisection from the Cauchy
+    # bound with every point evaluated, Fraction midpoints while refining.
+    f = SparsePoly.from_dense(var, f.dense_coeffs(var))
+    chain = [p.dense_coeffs(var) for p in _euclid_chain(f, var)]
+    sqf = divide_exact(f, SparsePoly.from_dense(var, chain[-1])).dense_coeffs(var)
+
+    def value(cs, x):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    seen = {}
+
+    def changes(x):
+        if x not in seen:
+            signs = [v > 0 for v in (value(cs, x) for cs in chain) if v]
+            seen[x] = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+        return seen[x]
+
+    lead = abs(chain[0][-1])
+    bound = 1 + max(abs(c) for c in chain[0][:-1]) / lead
+    out, stack = [], [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        n = changes(a) - changes(b)
+        if n == 1:
+            positive_at_a = value(sqf, a) > 0
+            while b - a > precision:
+                m = (a + b) / 2
+                v = value(sqf, m)
+                if v == 0:
+                    a = b = m
+                elif (v > 0) == positive_at_a:
+                    a = m
+                else:
+                    b = m
+            out.append((a, b))
+        elif n > 1:
+            m, k = (a + b) / 2, 3
+            while value(sqf, m) == 0:
+                m = a + (b - a) * Fraction(2 ** (k - 1) + 1, 2 ** k)
+                k += 1
+            stack += [(m, b), (a, m)]
+    return sorted(out)
+
+
+def _roots_shape(rng, n_lin, n_quad):
+    # monic with rational roots p/q and quadratic factors, as in the
+    # benchmark's roots workload: the Cauchy bound dwarfs the roots
+    x = SparsePoly.variable("x")
+    f, den = SparsePoly.constant(1), 1
+    for _ in range(n_lin):
+        q = rng.randint(1, 9)
+        f, den = f * (q * x - rng.randint(-12 * q, 12 * q)), den * q
+    for _ in range(n_quad):
+        f = f * (x ** 2 + rng.randint(-9, 9) * x + rng.randint(-20, 20))
+    return f / den
+
+
+def _oracle_cases():
+    rng = random.Random(35)
+    cases = [("x", _roots_shape(rng, 8, 2)), ("x", _roots_shape(rng, 4, 3)),
+             ("x", _roots_shape(rng, 7, 1)), ("x", _roots_shape(rng, 2, 4))]
+    for text in ("(x + 13/4)*(x + 1/4)*(x - 1/8)*(x - 3/8)",  # dyadic grid roots
+                 "(x - 1)*(x - 3)*(x - 15)",
+                 "(x + 3/8)*(x - 3/8)*(x - 2)",
+                 "x^3 - x", "x*(x^2 - 2)*(x - 1)^2",      # midpoint 0 is a root
+                 "1000000*x^2 - 1", "x^4 - 1/10^12"):      # far < 1
+        cases.append(("x", parse_poly(text)))
+    # fan fibers of the scaled paper family: tiny roots, one of them 0
+    for D, t, q in ((paper_family(2, 2)[0], Fraction(1, 10 ** 4), (1, 2)),
+                    (paper_family(2, 1)[1], Fraction(1, 3000), (Fraction(3, 7), -1)),
+                    (paper_family(2, 3)[0], Fraction(1, 50), (2, Fraction(1, 5)))):
+        f = scale_divisor(D, t).f.substitute({"x1": q[0], "x2": q[1]})
+        cases.append(("x0", f))
+    return cases
+
+
+@pytest.mark.parametrize("precision", [Fraction(1, 2 ** 20),
+                                       Fraction(1, 10 ** 12),
+                                       Fraction(1, 3), Fraction(10 ** 6)])
+def test_isolation_matches_oracle(precision):
+    cases = _oracle_cases()
+    for _, f in cases[:4]:
+        assert cauchy_root_bound(f, "x") > 1000 * _fujiwara_far(
+            sturm_sequence(f, "x").chain[0])
+    for var, f in cases:
+        got = isolate_roots_bisection(f, precision, var)
+        assert got == _oracle_isolate(f, precision, var), (f, precision)
+    if precision == Fraction(1, 2 ** 20):
+        hits = {a for var, f in cases[4:7]
+                for a, b in isolate_roots_bisection(f, precision, var) if a == b}
+        assert hits >= {Fraction(-13, 4), Fraction(-1, 4), Fraction(1, 8),
+                        Fraction(3, 8), 1, 3, 15, Fraction(-3, 8)}
+
+
+def test_fujiwara_far_bounds_every_root():
+    rng = random.Random(36)
+    x = SparsePoly.variable("x")
+    for _ in range(200):
+        # known roots: p/q from the linear factors, sqrt(c) from x^2 + c
+        f, moduli2 = SparsePoly.constant(rng.choice([1, -3, 7, 1000])), []
+        for _ in range(rng.randint(1, 4)):
+            p, q = rng.randint(-10 ** 6, 10 ** 6), rng.choice([1, 7, 10 ** 5])
+            f, moduli2 = f * (q * x - p), moduli2 + [Fraction(p, q) ** 2]
+        for _ in range(rng.randint(0, 2)):
+            c = Fraction(rng.randint(1, 10 ** 4), rng.choice([1, 10 ** 6]))
+            f, moduli2 = f * (x ** 2 + c), moduli2 + [c]
+        far = _fujiwara_far(sturm_sequence(f, "x").chain[0])
+        assert far > 0 and far.numerator & (far.numerator - 1) == 0
+        assert far.denominator & (far.denominator - 1) == 0
+        assert all(m2 < far * far for m2 in moduli2), (f, far)
+    assert _fujiwara_far([0, 0, 0, 5]) == 1  # 5 x^3: the only root is 0
