@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import chow as chowmod
 from .critical import (
-    D_MAX_DEFAULT,
     RootVerdict,
     critical_polynomials,
     has_d_distinct_real_roots,
@@ -123,12 +122,12 @@ def _cmd_sturm_isolate(args) -> int:
 
 
 def _cmd_critical_gen(args) -> int:
-    cs = critical_polynomials(args.d, max(args.d, D_MAX_DEFAULT))
+    cs = critical_polynomials(args.d)
     out = {"d": args.d,
            "F": {str(j): format_poly(cs.F[j - 2])
                  for j in range(2, args.d + 1)}}
     if args.verify_pairs:
-        out["pair_offsets"] = verify_pair_chain(args.d, max(args.d, D_MAX_DEFAULT))
+        out["pair_offsets"] = verify_pair_chain(args.d)
     _emit(out, args.format)
     return 0
 

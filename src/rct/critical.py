@@ -56,12 +56,13 @@ from .poly import (
 )
 from .sturm import count_distinct_roots_total, sturm_sequence
 
-D_MAX_DEFAULT = 8
-
 # 8 bits per exponent field keeps a d=8 key inside one machine word; chain
 # polynomials never reach per-variable exponent 256
 _BITS = 8
 _MASK = (1 << _BITS) - 1
+
+D_MAX_DEFAULT = 64 // _BITS
+"""Largest d of the symbolic chain: its packed keys must fit 64 bits."""
 
 try:
     import numpy as _np
@@ -819,24 +820,24 @@ def _lead_coeff_fn(chain: _Chain, j: int) -> SubstRationalFn:
     return SubstRationalFn(scalar, _multiplier_factors(chain, j) + [(lead, 1)])
 
 
-def _check_chain_degree(d: int, d_max: int):
+def _check_chain_degree(d: int):
     """Refuse d before any chain is built or loaded: a key packs one
     _BITS-bit field per variable into a 64-bit machine word."""
-    if not 2 <= d <= d_max:
-        raise ValueError(f"d must be in 2..{d_max}")
-    if d * _BITS > 64:
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    if d > D_MAX_DEFAULT:
         raise ValueError(f"d = {d} needs {d * _BITS}-bit packed monomial keys;"
-                         f" the symbolic chain supports d <= {64 // _BITS}")
+                         f" the symbolic chain supports d <= {D_MAX_DEFAULT}")
 
 
-def symbolic_sturm(d: int, d_max: int = D_MAX_DEFAULT) -> list:
+def symbolic_sturm(d: int) -> list:
     """Full symbolic Sturm chain of the generic monic degree-d polynomial.
 
     Entry j has degree d - j; its coefficients are exact rational
     functions of a1..ad in factored form.  The chain always has length
     d + 1: a lost degree cannot happen for symbolic coefficients.
     """
-    _check_chain_degree(d, d_max)
+    _check_chain_degree(d)
     cached = _symbolic_cache.get(d)
     if cached is not None:
         return cached
@@ -860,21 +861,21 @@ def symbolic_sturm(d: int, d_max: int = D_MAX_DEFAULT) -> list:
     return out
 
 
-def verify_pair_chain(d: int, d_max: int = D_MAX_DEFAULT) -> list:
+def verify_pair_chain(d: int) -> list:
     """Check both pair conditions on every consecutive chain pair; returns offsets."""
-    seq = symbolic_sturm(d, d_max)
+    seq = symbolic_sturm(d)
     offsets = []
     for a, b in zip(seq, seq[1:]):
         offsets.append(check_substitutable_pair(a, b))
     return offsets
 
 
-def critical_polynomials(d: int, d_max: int = D_MAX_DEFAULT) -> CriticalSet:
+def critical_polynomials(d: int) -> CriticalSet:
     """Critical polynomials F_2..F_d of the generic degree-d polynomial.
 
     Memoized per process; safe under concurrent readers.
     """
-    _check_chain_degree(d, d_max)
+    _check_chain_degree(d)
     cs = _set_cache.get(d)
     if cs is not None:
         return cs

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .critical import (
-    D_MAX_DEFAULT,
     RootVerdict,
     _hankel_verdict,
     critical_polynomials,
@@ -375,7 +374,7 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
                                   "samples_all_certified": True})
 
 
-def e_certificate_forms(D: Divisor, d_max: int = D_MAX_DEFAULT) -> list:
+def e_certificate_forms(D: Divisor) -> list:
     """The substituted critical polynomials H_j = F_j(p_1..p_d), j = 2..d.
 
     Membership in E is equivalent to all of these being positive on
@@ -387,8 +386,6 @@ def e_certificate_forms(D: Divisor, d_max: int = D_MAX_DEFAULT) -> list:
     if not ok:
         raise ValueError("divisor passes through the vertex")
     D = norm
-    if not 2 <= D.d <= d_max:
-        raise ValueError(f"degree must be in 2..{d_max}")
     cs = critical_polynomials(D.d)
     ps = D.x0_coefficients()
     zero = SparsePoly.zero(tuple(xvar(i) for i in range(1, D.n + 1)))

@@ -3,7 +3,9 @@
 A 0-cycle Z in P^{n+1} is suspended from the vertex x_inf = (1:0:...:0):
 each point q gives the line (s : q) in P^{n+2}.  Restricting the scaled
 divisor f_t to that line yields a monic degree-d polynomial in s whose
-d real roots are certified exactly by Sturm count before any numerics.
+d real roots are certified exactly before any numerics: Sturm isolation
+returns one interval per distinct real root, so the fiber's interval
+count is its Sturm count, and it must equal d.
 Each root point is pushed through the projection centered at
 x_11 = (1:1:0:...:0),
 
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 from .divisors import Divisor, in_div_double_prime, scale_divisor, xvar
 from .parallel import ordered_parallel_map
 from .poly import Rational, SparsePoly, as_rational
-from .sturm import count_distinct_roots_total, isolate_roots_bisection
+from .sturm import isolate_roots_bisection
 
 __all__ = [
     "ZeroCycle",
@@ -152,13 +154,6 @@ class FanResult:
         return out
 
 
-def _expand(cycle: ZeroCycle) -> list:
-    out = []
-    for coords, mult in cycle.points:
-        out.extend([coords] * mult)
-    return out
-
-
 def _unit(coords) -> tuple:
     norm = math.sqrt(sum(float(c) * float(c) for c in coords))
     return tuple(float(c) / norm for c in coords)
@@ -172,35 +167,51 @@ def _chordal(u, v) -> float:
 
 
 def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:
-    """Matching distance: greedy minimal assignment, largest pair wins."""
-    pa = [_unit(c) for c in _expand(A)]
-    pb = [_unit(c) for c in _expand(B)]
-    if len(pa) != len(pb):
-        raise ValueError(f"degree mismatch: {len(pa)} vs {len(pb)}")
+    """Matching distance: greedy minimal assignment, largest pair wins.
+
+    The greedy runs over distinct points with their multiplicities.  Pairs
+    (distance, i, j) of distinct points are visited in sorted order, and
+    each matches min(left_a[i], left_b[j]) copies at once.  This is the
+    value of the greedy over every copy of every point: copies of one point
+    sit at equal distances with adjacent indices, so each copy there takes
+    the first free copy of the lowest-index tied point, as the bulk min does.
+    """
+    if A.degree() != B.degree():
+        raise ValueError(f"degree mismatch: {A.degree()} vs {B.degree()}")
+    pa = [_unit(c) for c, _ in A.points]
+    pb = [_unit(c) for c, _ in B.points]
+    left_a = [m for _, m in A.points]
+    left_b = [m for _, m in B.points]
     pairs = sorted((_chordal(u, v), i, j)
                    for i, u in enumerate(pa) for j, v in enumerate(pb))
-    used_a, used_b = set(), set()
+    todo = A.degree()
     worst = 0.0
     for dist, i, j in pairs:
-        if i in used_a or j in used_b:
+        k = min(left_a[i], left_b[j])
+        if not k:
             continue
-        used_a.add(i)
-        used_b.add(j)
+        left_a[i] -= k
+        left_b[j] -= k
         worst = max(worst, dist)
-        if len(used_a) == len(pa):
+        todo -= k
+        if not todo:
             break
     return worst
 
 
 def _line_fiber(D_t: Divisor, q, d: int):
-    """Roots of the scaled divisor along the line (s : q), certified."""
+    """Roots of the scaled divisor along the line (s : q), certified.
+
+    One Sturm chain serves both the count and the roots: the isolating
+    intervals number exactly the distinct real roots, so their count is
+    the Sturm count recorded as `sturm_count`.
+    """
     point = {xvar(i + 1): as_rational(c) for i, c in enumerate(q)}
     g = D_t.f.substitute(point)
-    count = count_distinct_roots_total(g, xvar(0))
+    intervals = isolate_roots_bisection(g, BISECTION_WIDTH, xvar(0))
+    count = len(intervals)
     if count != d:
         raise FiberError(q, count, d)
-    intervals = isolate_roots_bisection(g, BISECTION_WIDTH, xvar(0))
-    assert len(intervals) == d
     roots = [(lo + hi) / 2 for lo, hi in intervals]
     cert = {"q": [str(c) for c in q],
             "sturm_count": count,
@@ -215,8 +226,8 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
 
     Z lives in P^{n+1} and D is a normalized divisor in x_0..x_{n+2};
     every line (s : q) then carries a monic degree-d polynomial in s.
-    Each fiber passes an exact Sturm gate (count = d) before bisection;
-    floats enter only at the final midpoint extraction.
+    Each fiber passes an exact Sturm gate: its isolating intervals must
+    number d.  Floats enter only at the final midpoint extraction.
     """
     t = as_rational(t)
     if not 0 < t <= 1:

@@ -10,8 +10,9 @@ optional /denominator, e.g. 7 or -3/2 (the sign comes from the grammar,
 the slash from the token).  Multiplication is always explicit.
 Parentheses and unary minus signs nest at most MAX_DEPTH deep; deeper
 input raises PolyParseError.  So does a power whose expansion would pass
-MAX_POWER_DEGREE, MAX_POWER_TERMS or MAX_POWER_BITS; it is refused before
-anything is expanded.
+MAX_POWER_DEGREE, MAX_POWER_TERMS or MAX_POWER_BITS, and a product whose
+expansion would pass MAX_POWER_DEGREE or MAX_POWER_TERMS; each is refused
+before anything is expanded or multiplied.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ level costs a few Python stack frames, so the cap keeps hostile input far
 from the interpreter's recursion limit."""
 
 MAX_POWER_DEGREE = 512
-"""Largest total degree a power p^n may reach: twice the Sturm degree cap.
-Expanding (x + 1)^512 takes about half a second."""
+"""Largest total degree a power p^n or a product p * q may reach: twice
+the Sturm degree cap.  Expanding (x + 1)^512 takes about half a second."""
 
 MAX_POWER_TERMS = 2048
-"""Largest term count a power may reach, bounded by the smaller of the
-number of products of n of p's terms and the box of exponents up to n
-times p's degree in each variable."""
+"""Largest term count a power or a product may reach.  For p^n it is
+bounded by the smaller of the number of products of n of p's terms and
+the box of exponents up to n times p's degree in each variable; for
+p * q, by the smaller of the product of the term counts and the box of
+exponents up to the sum of the two degrees in each variable."""
 
 MAX_POWER_BITS = 16384
 """Largest n * b for a power p^n whose coefficients have numerators and
@@ -97,6 +100,31 @@ def _check_power(p: SparsePoly, n: int, pos: int):
                              f"cap {MAX_POWER_TERMS}", pos)
 
 
+def _check_product(p: SparsePoly, p_degree, q: SparsePoly, pos: int):
+    """Refuse p * q before multiplying if the product passes
+    MAX_POWER_DEGREE or MAX_POWER_TERMS; return the product's degree.
+
+    The degree of a product is the sum of the factors' degrees, so the
+    caller carries p's along a chain of factors and only q's terms are
+    read.  The exponent box is read only when the product of the term
+    counts passes the cap.  A zero factor has degree -inf and passes.
+    """
+    degree = p_degree + q.degree()
+    if degree > MAX_POWER_DEGREE:
+        raise PolyParseError(f"product of degree {degree} exceeds the cap "
+                             f"{MAX_POWER_DEGREE}", pos)
+    terms = len(p.terms) * len(q.terms)
+    if terms > MAX_POWER_TERMS:
+        box = prod((p.degree_in(v) if v in p.vars else 0)
+                   + (q.degree_in(v) if v in q.vars else 0) + 1
+                   for v in set(p.vars) | set(q.vars))
+        terms = min(terms, box)
+        if terms > MAX_POWER_TERMS:
+            raise PolyParseError(f"product may expand to {terms} terms, over "
+                                 f"the cap {MAX_POWER_TERMS}", pos)
+    return degree
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -142,11 +170,14 @@ class _Parser:
 
     def term(self) -> SparsePoly:
         p = self.factor()
+        degree = p.degree()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                degree = _check_product(p, degree, q, pos)
+                p = p * q
             else:
                 return p
 

@@ -318,25 +318,64 @@ class SparsePoly:
         return total
 
     def substitute(self, mapping: Mapping[str, Union["SparsePoly", Scalar]]) -> "SparsePoly":
-        """Substitute polynomials or scalars for variables; unmapped vars stay."""
-        subs = {}
+        """Substitute polynomials or scalars for variables; unmapped vars stay.
+
+        Scalar values are folded into the coefficients first, with one x**k
+        per variable and exponent, and terms that then share their remaining
+        exponents are merged.  Only those folded terms are expanded through
+        the polynomial values.  The result's variables are the sorted union
+        of the unmapped variables that occur and of the variables of the
+        polynomial values substituted for variables that occur.
+        """
+        scalar_of, image_of = {}, {}
         for name, val in mapping.items():
             if isinstance(val, SparsePoly):
-                subs[name] = val
+                image_of[name] = val
             else:
-                subs[name] = SparsePoly.constant(as_rational(val))
-        result = SparsePoly.zero()
+                scalar_of[name] = as_rational(val)
+        scalars = [(i, v, scalar_of[v]) for i, v in enumerate(self.vars)
+                   if v in scalar_of]
+        keep = [i for i, v in enumerate(self.vars) if v not in scalar_of]
+        powers: dict = {}  # (variable, exponent) -> its value ** exponent
+        folded: dict = {}
         for e, c in self.terms.items():
-            term = SparsePoly.constant(c)
-            for v, k in zip(self.vars, e):
-                if not k:
-                    continue
-                if v in subs:
-                    term = term * subs[v] ** k
-                else:
-                    term = term * SparsePoly.monomial((v,), (k,))
-            result = result + term
-        return result
+            for i, v, x in scalars:
+                k = e[i]
+                if k:
+                    xk = powers.get((v, k))
+                    if xk is None:
+                        xk = powers[v, k] = x ** k
+                    c *= xk
+            key = tuple(e[i] for i in keep)
+            folded[key] = folded.get(key, 0) + c
+
+        used = [(slot, self.vars[i]) for slot, i in enumerate(keep)
+                if any(key[slot] for key in folded)]
+        names = set()
+        for _, v in used:
+            names.update(image_of[v].vars if v in image_of else (v,))
+        vs = tuple(sorted(names))
+        plain = [(slot, vs.index(v)) for slot, v in used if v not in image_of]
+        images = [(slot, v, image_of[v].with_vars(vs)) for slot, v in used
+                  if v in image_of]
+        out: dict = {}
+        for key, c in folded.items():
+            if c == 0:
+                continue
+            mono = [0] * len(vs)
+            for slot, n in plain:
+                mono[n] = key[slot]
+            term = SparsePoly(vs, {tuple(mono): c})
+            for slot, v, g in images:
+                k = key[slot]
+                if k:
+                    gk = powers.get((v, k))
+                    if gk is None:
+                        gk = powers[v, k] = g ** k
+                    term = term * gk
+            for e, t in term.terms.items():
+                out[e] = out.get(e, 0) + t
+        return SparsePoly(vs, out)
 
     def coeffs_in(self, var: str) -> dict:
         """Coefficient polynomials keyed by the power of `var`.
@@ -550,13 +589,8 @@ def substitute_graded(f: SparsePoly, replacements: Sequence[SparsePoly]) -> Spar
         w = var_weight(v)
         if any(e[f.vars.index(v)] for e in f.terms) and w not in mapping:
             raise ValueError(f"no replacement supplied for weight {w} ({v})")
-    out = SparsePoly.zero()
-    for e, c in f.terms.items():
-        term = SparsePoly.constant(c)
-        for v, k in zip(f.vars, e):
-            if k:
-                term = term * mapping[var_weight(v)] ** k
-        out = out + term
+    out = f.substitute({v: mapping[var_weight(v)] for v in f.vars
+                        if var_weight(v) in mapping})
     if not out.is_zero():
         assert out.is_homogeneous(), "graded substitution must return a form"
         if fs.kind == "value":

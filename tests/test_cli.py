@@ -82,10 +82,11 @@ def _one_line_error(err):
     ["sturm", "count", "x^100000000 - 1"],
     ["sturm", "count", "(x+1)^100000"],
     ["sturm", "count", "3^1000000000"],
+    ["sturm", "count", "*".join(["(x+1)^256"] * 4)],
     ["sturm", "isolate", "x^257 - x", "--precision", "1/2"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # nesting depth, grid count, powers and Sturm degree are capped inputs
+    # nesting depth, grid count, powers, products and Sturm degree are capped
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -117,9 +118,9 @@ def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert _one_line_error(err) and "d <= 8" in err, err
     with pytest.raises(ValueError, match="packed"):
-        critical.critical_polynomials(9, 9)
+        critical.critical_polynomials(9)
     with pytest.raises(ValueError, match="packed"):
-        critical.symbolic_sturm(9, 9)
+        critical.symbolic_sturm(9)
 
 
 def test_sturm_isolate(capsys):

@@ -1,5 +1,6 @@
 """The magic-fan demo: exact fibers, pushforward, limit behavior."""
 
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,8 @@ from rct.divisors import Divisor, paper_family, scale_divisor
 from rct.fan import (
     FiberError,
     ZeroCycle,
+    _chordal,
+    _unit,
     cycle_distance,
     default_demo,
     limit_check,
@@ -77,6 +80,70 @@ def test_cycle_distance_tracks_perturbation():
     A2 = ZeroCycle([((1, 2), 2)])
     B2 = ZeroCycle([(1, 2.01), (1, 1.99)])
     assert cycle_distance(A2, B2) < 0.01
+
+
+def _all_pairs_greedy(A, B):
+    """Reference: the greedy over every copy of every point."""
+    pa = [_unit(c) for c, m in A.points for _ in range(m)]
+    pb = [_unit(c) for c, m in B.points for _ in range(m)]
+    if len(pa) != len(pb):
+        raise ValueError(f"degree mismatch: {len(pa)} vs {len(pb)}")
+    pairs = sorted((_chordal(u, v), i, j)
+                   for i, u in enumerate(pa) for j, v in enumerate(pb))
+    used_a, used_b = set(), set()
+    worst = 0.0
+    for dist, i, j in pairs:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        worst = max(worst, dist)
+        if len(used_a) == len(pa):
+            break
+    return worst
+
+
+def test_cycle_distance_matches_all_pairs_greedy():
+    rng = random.Random(21)
+
+    def cycle(ambient, degree, coords):
+        pts = []
+        while degree:
+            m = rng.randint(1, min(3, degree))
+            pts.append((tuple(rng.choice(coords) for _ in range(ambient + 1)), m))
+            degree -= m
+            if not any(pts[-1][0]):
+                degree += pts.pop()[1]
+        return ZeroCycle(pts)
+
+    cases = []
+    for _ in range(150):
+        ambient, degree = rng.choice((1, 2)), rng.randint(1, 9)
+        # small symmetric coordinate sets give exact float ties; the odd
+        # value breaks the symmetry, so which tied partner wins matters
+        coords = rng.choice(((-1, 0, 1, 5), (-2, -1, 1, 2, 7),
+                             tuple(range(-9, 10))))
+        cases.append((cycle(ambient, degree, coords),
+                      cycle(ambient, degree, coords)))
+    # (1:0) lies at one distance from (10:1) and (10:-1); the greedy gives
+    # it the first of them, which leaves (1:5) the far one
+    for m in (1, 2):
+        cases.append((ZeroCycle([((1, 0), m), ((1, 5), 1)]),
+                      ZeroCycle([((10, 1), m), ((10, -1), 1)])))
+    cases.append((ZeroCycle([((1, 0), 3), ((0, 1), 1)]),
+                  ZeroCycle([((1, 1), 2), ((1, -1), 2)])))
+    Z, D = default_demo()
+    res = psi_demo(Z, D, Fraction(1, 5))
+    cases.append((res.output, Z.scaled(D.d)))
+    Z3 = ZeroCycle([((1, 2), 2), ((-3, 5), 1), ((7, 1), 3)])
+    D3 = scale_divisor(paper_family(2, 3)[0], Fraction(1, 3))
+    res = psi_demo(Z3, D3, Fraction(1, 20), check_divisor=False)
+    cases.append((res.output, Z3.scaled(D3.d)))
+    for A, B in cases:
+        assert cycle_distance(A, B) == _all_pairs_greedy(A, B), (A, B)
+        assert cycle_distance(B, A) == _all_pairs_greedy(B, A), (A, B)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        cycle_distance(ZeroCycle([((1, 2), 2)]), ZeroCycle([((1, 2), 3)]))
 
 
 def test_default_demo_shapes():
@@ -171,6 +238,41 @@ def test_psi_demo_deterministic_across_threads(monkeypatch):
     threaded = psi_demo(Z, D, Fraction(1, 7)).to_json_dict(verbose=True)
     assert json.dumps(base, sort_keys=True) == json.dumps(threaded,
                                                           sort_keys=True)
+
+
+def test_psi_demo_json_pinned():
+    # recorded before cycle_distance matched distinct points in bulk and
+    # before each fiber built one Sturm chain for its count and its roots
+    Z, D = default_demo()
+    got = psi_demo(Z, D, Fraction(1, 7)).to_json_dict(verbose=True)
+    assert json.dumps(got, sort_keys=True) == (
+        '{"certificates": [{"intervals": [["-25815118788629/242442313924608", '
+        '"-12907559394203/121221156962304"], ["12907559394203/121221156962304", '
+        '"25815118788629/242442313924608"]], "q": ["1", "2"], "sturm_count": 2}, '
+        '{"intervals": [["-226762703999/3367254360064", '
+        '"-32653829375413/484884627849216"], ["32653829375413/484884627849216", '
+        '"226762703999/3367254360064"]], "q": ["1", "-1"], "sturm_count": 2}], '
+        '"output": {"ambient": 1, "points": [{"coords": ["1.0", '
+        '"1.8075347361120526"], "mult": 1}, {"coords": ["1.0", '
+        '"2.238336823521163"], "mult": 1}, {"coords": ["1.0", '
+        '"-0.9369055015723253"], "mult": 1}, {"coords": ["1.0", '
+        '"-1.072206115739687"], "mult": 1}]}, "residual": 0.043487667719544876, '
+        '"t": "1/7"}')
+    # a k = 3 (d = 6) cycle with multiplicity 2
+    Z3 = ZeroCycle([((Fraction(1), Fraction(2)), 2),
+                    ((Fraction(-3), Fraction(5)), 1),
+                    ((Fraction(7), Fraction(1)), 2)])
+    D3 = scale_divisor(paper_family(2, 3)[0], Fraction(1, 3))
+    got = psi_demo(Z3, D3, Fraction(1, 50),
+                   check_divisor=False).to_json_dict(verbose=True)
+    assert got["residual"] == 0.010381146209225093
+    assert [c["sturm_count"] for c in got["certificates"]] == [6, 6, 6]
+    assert got["certificates"][0]["intervals"][:2] == [
+        ["-21291951116951/824633720832000", "-106459755581/4123168604160"],
+        ["-8692402644359/412316860416000", "-5794935095989/274877906944000"]]
+    digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "85dfa58bab0d9e04bc63da570e693778d896801c1c73d85640071580f2ee1bc8"
 
 
 def test_psi_demo_certificates():

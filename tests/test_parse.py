@@ -102,3 +102,28 @@ def test_power_caps_admit_boundary_and_refuse_past_it():
     # exponents 0 and 1 and a zero base pass whatever their size
     text = "(x + y + z + w + 1)^1 * (x - x)^100000 + (x + 1)^0"
     assert parse_poly(text) == SparsePoly.constant(1)
+
+
+def test_product_caps_admit_boundary_and_refuse_past_it():
+    x = SparsePoly.variable("x")
+    half = MAX_POWER_DEGREE // 2
+    assert parse_poly(f"x^{half} * x^{half}") == x ** MAX_POWER_DEGREE
+    assert parse_poly("*".join(["x"] * MAX_POWER_DEGREE)) == x ** MAX_POWER_DEGREE
+    # 2^11 terms from eleven binomials in distinct variables
+    binomials = [f"(x{i} + y{i})" for i in range(12)]
+    assert len(parse_poly("*".join(binomials[:11])).terms) == MAX_POWER_TERMS
+    # the exponent box, not 65 * 65, bounds the count of this product
+    assert len(parse_poly("(x + 1)^64 * (x + 1)^64").terms) == 129
+    for text in (f"x^{half} * x^{half + 1}",
+                 "*".join(["x"] * (MAX_POWER_DEGREE + 1)),
+                 "*".join(binomials),                    # 4096 terms
+                 "*".join(["(x+1)^256"] * 4),
+                 f"2 * (x^{half} * y) * x^{half}"):
+        with pytest.raises(PolyParseError, match="cap"):
+            parse_poly(text)
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x^300*x^300")
+    assert err.value.pos == 5  # at the '*'
+    # a zero factor passes whatever the other factors' size
+    text = f"(x - x) * x^{MAX_POWER_DEGREE} * x^{MAX_POWER_DEGREE}"
+    assert parse_poly(text) == SparsePoly.zero()

@@ -86,6 +86,66 @@ def test_substitute_matches_evaluate():
         assert composed.evaluate(pt) == direct
 
 
+def _termwise_substitute(f, mapping):
+    """Reference: expand every term through every value, one at a time."""
+    subs = {v: g if isinstance(g, SparsePoly) else SparsePoly.constant(g)
+            for v, g in mapping.items()}
+    out = SparsePoly.zero()
+    for e, c in f.terms.items():
+        term = SparsePoly.constant(c)
+        for v, k in zip(f.vars, e):
+            if k:
+                term = term * (subs[v] ** k if v in subs
+                               else SparsePoly.monomial((v,), (k,)))
+        out = out + term
+    return out
+
+
+def test_substitute_matches_termwise():
+    rng = random.Random(14)
+    names = ("a", "b", "x", "y", "z")
+
+    def value(kind):
+        if kind == "scalar":
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        if kind == "zero":
+            return rng.choice((0, Fraction(0), SparsePoly.zero(("t",))))
+        vs = tuple(rng.sample(names + ("t",), rng.randint(1, 3)))
+        return _random_poly(rng, vs, max_terms=3, max_exp=2, max_coeff=4)
+
+    cases = [
+        # scalar only, polynomial only, mixed, and every variable a scalar
+        (("x", "y"), {"x": Fraction(2, 3), "y": -1}),
+        (("y", "x"), {"x": SparsePoly.variable("t") + 1,
+                      "y": SparsePoly.variable("x")}),
+        (("x", "y", "z"), {"x": 3, "z": SparsePoly.variable("t") * 2}),
+        (("x", "y", "z"), {"x": 1, "y": Fraction(-1, 2), "z": 5}),
+        # zero values, an unmapped variable only, and an empty mapping
+        (("x", "y"), {"x": 0, "y": SparsePoly.zero(("t",))}),
+        (("x", "y"), {"z": 7}),
+        (("x",), {}),
+    ]
+    for _ in range(300):
+        vs = tuple(rng.sample(names, rng.randint(0, 4)))
+        mapping = {v: value(rng.choice(("scalar", "scalar", "poly", "zero")))
+                   for v in rng.sample(names, rng.randint(0, len(names)))}
+        cases.append((vs, mapping))
+    for vs, mapping in cases:
+        for f in (_random_poly(rng, vs), SparsePoly.zero(vs)):
+            got, want = f.substitute(mapping), _termwise_substitute(f, mapping)
+            assert got.vars == want.vars, (f, mapping)
+            assert got.terms == want.terms, (f, mapping)
+    # terms that cancel once the scalars are folded in keep their variables
+    f = SparsePoly(("w", "x", "y"), {(1, 1, 0): 1, (1, 0, 1): -1})
+    got = f.substitute({"x": 2, "y": 2})
+    assert got.is_zero() and got.vars == ("w",)
+    assert got.vars == _termwise_substitute(f, {"x": 2, "y": 2}).vars
+    every = _random_poly(rng, ("x", "y"))
+    const = every.substitute({"x": Fraction(1, 2), "y": 3})
+    assert const.vars == () and const.is_constant()
+    assert const.constant_value() == every.evaluate({"x": Fraction(1, 2), "y": 3})
+
+
 def test_degree_and_homogeneous():
     p = SparsePoly.monomial(("x", "y"), (2, 1)) + SparsePoly.monomial(("x", "y"), (0, 3))
     assert p.degree() == 3 and p.is_homogeneous()
