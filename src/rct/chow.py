@@ -110,8 +110,13 @@ class MHForm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MHForm":
-        return MHForm(int(data["N"]), int(data["r"]), int(data["d"]),
-                      int(data["m"]), SparsePoly.from_json_dict(data["form"]))
+        """Inverse of to_json_dict; a wrong shape raises ValueError."""
+        if not isinstance(data, dict) or "form" not in data \
+                or any(type(data.get(k)) is not int for k in "Nrdm"):
+            raise ValueError('a cycle form needs integers "N", "r", "d", "m" '
+                             'and a polynomial "form"')
+        return MHForm(data["N"], data["r"], data["d"], data["m"],
+                      SparsePoly.from_json_dict(data["form"]))
 
 
 def _as_point(coords: Sequence[Rational]) -> tuple:

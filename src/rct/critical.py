@@ -5,42 +5,61 @@ For the generic monic polynomial
 
     f = x^d + a1*x^(d-1) + ... + ad
 
-the Euclidean Sturm chain lives over the rational-function field in
-a1..ad.  Carried out naively the coefficients blow up, so the chain is
-computed in two coupled pieces:
+the Euclidean Sturm chain f_0 = f, f_1 = f', ..., f_d lives over the
+rational-function field in a1..ad.  It is kept in two pieces:
 
-  * an integer polynomial remainder sequence R_0, R_1, ..., R_d in
-    Z[a1..ad] with the classical exact content divisions (degree drops
-    of one at every step, which the generic chain always has), and
+  * an integer chain R_0, R_1, ..., R_d in Z[a1..ad][x], R_j of degree
+    d - j, and
   * an exact multiplier c_j in Q(a1..ad) with  f_j = c_j * R_j,
     maintained as a signed product of powers of the R_i leading
     coefficients.
 
-Every Euclidean step with a degree drop of one has the closed-form
-remainder
+The R_j are Hankel data.  Let p_0..p_{2d-2} be the Newton sums of f (the
+power sums of its roots, integer polynomials in the a_l by Newton's
+identities) and D_{j,m} the j x j minor of the Hankel matrix (p_{r+s})
+on rows 0..j-1 and columns 0..j-2, j-1+m, so D_{j,0} is the j-th leading
+principal minor.  Then, with a_0 = 1,
 
-    r_{i-2} = (p_i q0^2 - p0 q0 q_i - p1 q0 q_{i-1} + p0 q1 q_{i-1}) / q0^2,
+    R_j = (-1)^(j(j-1)/2) * sum_i x^(d-j-i) * sum_{l<=i} a_l * D_{j,i-l},
 
-and the pseudo-remainder below is computed literally from that
-numerator, so the step identity holds by construction; the multiplier
-bookkeeping is checked separately by exact specialization.
+the subresultant chain of f and f' written in Hankel minors
+(Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 9).
+R_0 = f and R_1 = f' by Newton's identities, and for d <= 8 the R_j
+equal, entry for entry, the reduced pseudo-remainder sequence
+R_{j+1} = prem(R_{j-1}, R_j) / lc(R_{j-1})^2.  One fraction-free
+(Bareiss) elimination of the symmetric d x d matrix (p_{r+s}) yields
+every D_{j,m}: after j - 1 steps, row j - 1 holds D_{j,m} at column
+j - 1 + m.  The Schur complements stay symmetric, so only entries on or
+above the diagonal are computed.
+
+The sign (-1)^(j(j-1)/2) is also the sign factor of c_j: the strict
+Euclid chain negates every remainder, so the signs run +1, +1, -1, -1,
++1, +1, ...  The rest of c_j is a positive rational times even powers of
+leading coefficients, so f_j is a positive multiple of the Hankel sum
+wherever it is defined, and lc(f_j) has the sign of D_{j,0}.
 
 The sign data of the chain is carried entirely by the signed primitive
-leading coefficients F_2..F_d (each equal to lc(f_j) times a positive
-square): f has d distinct real roots exactly when every F_j is positive
-at the coefficient point, and a vanishing F_j marks a degenerate point
-where the generic chain does not specialize.
+leading coefficients F_2..F_d: f has d distinct real roots exactly when
+every F_j is positive at the coefficient point, and a vanishing F_j
+marks a degenerate point where the generic chain does not specialize.
 
-Point verdicts never build the chain.  They read the leading principal
-minors of the Hankel matrix of Newton sums (Hermite's quadratic form),
-whose signs equal those of the F_j, so they work at every degree.
+Point verdicts never build the chain.  They run the same elimination on
+the integer Hankel matrix at the point (Hermite's quadratic form), whose
+pivots D_{j,0} carry the signs of the F_j, so they work at every degree.
 
-Internally the a-monomials are packed into single integers, 8 bits per
-variable, so monomial products are integer additions.
+Internally the a-monomials are packed into single Python integers, 8
+bits per variable, so monomial products are integer additions.  With
+a_l of weight l, p_k and D_{j,m} are weighted homogeneous of weights k
+and j(j-1) + m, every minor of the d x d matrix has weight at most
+d(d-1), and a Bareiss numerator, a product of two minors, at most
+2d(d-1) = 112 at d = 8.  The exponent of a_l is at most the weight over
+l, so no exponent field reaches 256 and no key addition carries between
+fields.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -56,21 +75,12 @@ from .poly import (
 )
 from .sturm import count_distinct_roots_total, sturm_sequence
 
-# 8 bits per exponent field keeps a d=8 key inside one machine word; chain
-# polynomials never reach per-variable exponent 256
 _BITS = 8
 _MASK = (1 << _BITS) - 1
 
-D_MAX_DEFAULT = 64 // _BITS
-"""Largest d of the symbolic chain: its packed keys must fit 64 bits."""
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional speedup
-    _np = None
-
-_NP_MIN_PAIRS = 1 << 14
-_NP_CHUNK = 1 << 21
+D_MAX_DEFAULT = 8
+"""Largest d of the symbolic chain, set by build time: a cold build takes
+0.6-0.9 s at d = 7 and 20-30 s at d = 8 on a 2-core host."""
 
 
 def _avars(d: int) -> tuple:
@@ -85,25 +95,9 @@ def _wp_to_sparse(p: Mapping[int, int], d: int) -> SparsePoly:
     return SparsePoly(_avars(d), {_unpack(k, d): Fraction(v) for k, v in p.items()})
 
 
-def _wp_shd(key: int, d: int) -> int:
-    return sum((j + 1) * ((key >> (_BITS * j)) & _MASK) for j in range(d))
-
-
 def _wp_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return {}
-    if _np is not None and len(a) * len(b) >= _NP_MIN_PAIRS:
-        ma = max(map(abs, a.values()))
-        mb = max(map(abs, b.values()))
-        # every output coefficient is a sum of at most len(a) products, so
-        # this bound keeps the int64 accumulation exact
-        if ma * mb * len(a) < 1 << 62:
-            return _wp_mul_np(a, b)
-        out = _wp_mul_np_split(a, b, ma, mb)
-        if out is not None:
-            return out
     out: dict = {}
     get = out.get
     for ka, va in a.items():
@@ -114,100 +108,6 @@ def _wp_mul(a: dict, b: dict) -> dict:
                 out[k] = s
             else:
                 out.pop(k, None)
-    return out
-
-
-def _np_chunk_reduce(kk, vv_list):
-    order = kk.argsort()
-    kk = kk[order]
-    starts = _np.flatnonzero(_np.concatenate(([True], kk[1:] != kk[:-1])))
-    return kk[starts], [_np.add.reduceat(v[order], starts) for v in vv_list]
-
-
-def _wp_mul_np(a: dict, b: dict) -> dict:
-    """int64 kernel: outer products grouped by sorted packed key.
-
-    Caller guarantees the coefficient bound; key sums cannot carry across
-    the 8-bit exponent fields because chain degrees stay tiny.  Chunks are
-    compressed individually, then merged in one final grouped reduction so
-    the only per-term Python work is the closing dict construction.
-    """
-    ka = _np.fromiter(a.keys(), dtype=_np.uint64, count=len(a))
-    va = _np.fromiter(a.values(), dtype=_np.int64, count=len(a))
-    kb = _np.fromiter(b.keys(), dtype=_np.uint64, count=len(b))
-    vb = _np.fromiter(b.values(), dtype=_np.int64, count=len(b))
-    rows = max(1, _NP_CHUNK // len(b))
-    kparts = []
-    vparts = []
-    for lo in range(0, len(a), rows):
-        kk = (ka[lo:lo + rows, None] + kb[None, :]).ravel()
-        vv = (va[lo:lo + rows, None] * vb[None, :]).ravel()
-        kk, (vv,) = _np_chunk_reduce(kk, [vv])
-        kparts.append(kk)
-        vparts.append(vv)
-    if len(kparts) > 1:
-        kk, (vv,) = _np_chunk_reduce(
-            _np.concatenate(kparts), [_np.concatenate(vparts)])
-    else:
-        kk, vv = kparts[0], vparts[0]
-    live = vv != 0
-    return dict(zip(kk[live].tolist(), vv[live].tolist()))
-
-
-def _wp_mul_np_split(a: dict, b: dict, ma: int, mb: int) -> dict | None:
-    """Like _wp_mul_np but splits coefficients c = hi*2^s + lo so the four
-    part products stay below int64 even when a single product would not.
-
-    Returns None when no split width is safe (astronomical coefficients);
-    the caller then falls back to the exact dict path.
-    """
-    mu = min(len(a), len(b))
-    s = (62 - mu.bit_length()) // 2
-    if s < 1:
-        return None
-    half = 1 << s
-    # part magnitudes: lo < 2^s, |hi| <= m >> s (+1 for the negative case)
-    ahi = (ma >> s) + 1
-    bhi = (mb >> s) + 1
-    if max(ahi * bhi, ahi * half, half * bhi) * mu >= 1 << 62:
-        return None
-    ka = _np.fromiter(a.keys(), dtype=_np.uint64, count=len(a))
-    kb = _np.fromiter(b.keys(), dtype=_np.uint64, count=len(b))
-    mask = half - 1
-    # v == (v >> s)*2^s + (v & mask) exactly, negatives included
-    alo = _np.fromiter((v & mask for v in a.values()),
-                       dtype=_np.int64, count=len(a))
-    ahi_a = _np.fromiter((v >> s for v in a.values()),
-                         dtype=_np.int64, count=len(a))
-    blo = _np.fromiter((v & mask for v in b.values()),
-                       dtype=_np.int64, count=len(b))
-    bhi_a = _np.fromiter((v >> s for v in b.values()),
-                         dtype=_np.int64, count=len(b))
-    rows = max(1, _NP_CHUNK // len(b))
-    kparts = []
-    vparts: list = []
-    for lo_i in range(0, len(a), rows):
-        sl = slice(lo_i, lo_i + rows)
-        kk = (ka[sl, None] + kb[None, :]).ravel()
-        vv = [(xa[sl][:, None] * xb[None, :]).ravel()
-              for xa, xb in ((ahi_a, bhi_a), (ahi_a, blo),
-                             (alo, bhi_a), (alo, blo))]
-        kk, vv = _np_chunk_reduce(kk, vv)
-        kparts.append(kk)
-        vparts.append(vv)
-    if len(kparts) > 1:
-        kk, (hh, hl, lh, ll) = _np_chunk_reduce(
-            _np.concatenate(kparts),
-            [_np.concatenate([v[i] for v in vparts]) for i in range(4)])
-    else:
-        kk, (hh, hl, lh, ll) = kparts[0], vparts[0]
-    out: dict = {}
-    s2 = 2 * s
-    for k, h2, m1, m2, l2 in zip(kk.tolist(), hh.tolist(), hl.tolist(),
-                                 lh.tolist(), ll.tolist()):
-        c = (h2 << s2) + ((m1 + m2) << s) + l2
-        if c:
-            out[k] = c
     return out
 
 
@@ -250,202 +150,123 @@ def _wp_divexact_int(a: dict, c: int) -> dict:
 def _wp_divexact(p: dict, d_poly: dict, nvars: int) -> dict:
     """Exact division of packed polynomials; raises when not divisible.
 
-    Keys at or above a moving threshold are divided with an ordinary heap
-    loop; each round's quotient block is then expanded against the divisor
-    in one aggregated multiply and only the below-threshold part of that
-    product is subtracted from the remainder.  Quotient terms always appear
-    in strictly descending key order, exactly as in the serial algorithm.
+    A heap yields the remainder's keys in descending order; each largest
+    key must be a monomial multiple of the divisor's leading key, and its
+    coefficient an integer multiple of the leading coefficient.
     """
-    import heapq
-
     if not d_poly:
         raise ZeroDivisionError("exact division by zero polynomial")
-    if not p:
-        return {}
     dlead = max(d_poly)
     dfields = _unpack(dlead, nvars)
     dc = d_poly[dlead]
-    dtail_desc = sorted(
-        ((k, v) for k, v in d_poly.items() if k != dlead), reverse=True)
+    dtail = [(k, v) for k, v in d_poly.items() if k != dlead]
     rem = dict(p)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
     quot: dict = {}
-    block = 8192
-    while rem:
-        if len(rem) <= block or _np is None:
-            kth = -1            # one full heap round
-        else:
-            keys = _np.fromiter(rem.keys(), dtype=_np.uint64, count=len(rem))
-            kth = int(_np.partition(keys, len(keys) - block)[len(keys) - block])
-        top = {k: v for k, v in rem.items() if k >= kth} if kth >= 0 else rem
-        if kth >= 0:
-            for k in top:
-                del rem[k]
-        else:
-            rem = {}
-        heap = [-k for k in top]
-        heapq.heapify(heap)
-        pending: dict = {}
-        while heap:
-            t = -heapq.heappop(heap)
-            v = top.pop(t, None)
-            if v is None:
-                continue
-            tf = _unpack(t, nvars)
-            if any(tf[i] < dfields[i] for i in range(nvars)):
-                raise ArithmeticError(
-                    "polynomial division not exact (monomial)")
-            c, r = divmod(v, dc)
-            if r:
-                raise ArithmeticError(
-                    "polynomial division not exact (coefficient)")
-            q = t - dlead
-            quot[q] = c
-            pending[q] = c
-            # apply tail hits that stay inside this round's key range
-            for tk, tv in dtail_desc:
-                nk = q + tk
-                if nk < kth:
-                    break
-                s = top.get(nk, 0) - c * tv
-                if s:
-                    if nk not in top:
-                        heapq.heappush(heap, -nk)
-                    top[nk] = s
-                else:
-                    top.pop(nk, None)
-        if kth >= 0 and pending:
-            # everything below the threshold in one aggregated product
-            prod = _wp_mul(pending, d_poly)
-            for k, v in prod.items():
-                if k >= kth:
-                    continue
-                s = rem.get(k, 0) - v
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
+    while heap:
+        t = -heapq.heappop(heap)
+        v = rem.pop(t, None)
+        if v is None:
+            continue
+        tf = _unpack(t, nvars)
+        if any(tf[i] < dfields[i] for i in range(nvars)):
+            raise ArithmeticError("polynomial division not exact (monomial)")
+        c, r = divmod(v, dc)
+        if r:
+            raise ArithmeticError("polynomial division not exact (coefficient)")
+        q = t - dlead
+        quot[q] = c
+        for tk, tv in dtail:
+            nk = q + tk
+            s = rem.get(nk, 0) - c * tv
+            if s:
+                if nk not in rem:
+                    heapq.heappush(heap, -nk)
+                rem[nk] = s
+            else:
+                rem.pop(nk, None)
     return quot
 
 
-def _xp_deg(xp: list) -> int:
-    return len(xp) - 1
-
-
-def _xp_trim(xp: list) -> list:
-    while xp and not xp[-1]:
-        xp.pop()
-    return xp
-
-
-def _prem_step(a: list, b: list, nvars: int) -> list:
-    """Pseudo-remainder of a by b for a degree drop of exactly one.
-
-    Coefficients ascending; a has degree n, b degree n-1.  Returns the
-    n-1 low coefficients of  q0^2*a - (p0*q0*x + (p1*q0 - p0*q1))*b,
-    which is the closed-form first remainder numerator at every index.
-    """
-    n = _xp_deg(a)
-    assert _xp_deg(b) == n - 1, "degree drop must be exactly one"
-    q0 = b[n - 1]
-    p0 = a[n]
-    p1 = a[n - 1]
-    q1 = b[n - 2] if n >= 2 else {}
-    q0q0 = _wp_mul(q0, q0)
-    u = _wp_mul(p0, q0)          # multiplies b[k-1] (the x-shifted part)
-    v = _wp_sub(_wp_mul(p1, q0), _wp_mul(p0, q1))
-    out = []
-    for k in range(n - 1):
-        t = _wp_mul(q0q0, a[k])
-        if k >= 1:
-            t = _wp_sub(t, _wp_mul(u, b[k - 1]))
-        t = _wp_sub(t, _wp_mul(v, b[k]))
-        out.append(t)
-    return _xp_trim(out)
+def _hankel_chain(d: int) -> list:
+    """R_0..R_d as ascending coefficient lists of packed polynomials."""
+    a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
+    # Newton's identities: p_k = -k a_k - sum_{0<i<k} a_i p_{k-i}
+    p = [{0: d}]
+    for k in range(1, 2 * d - 1):
+        s = _wp_scale(a[k], -k) if k <= d else {}
+        for i in range(1, min(k, d + 1)):
+            s = _wp_sub(s, _wp_mul(a[i], p[k - i]))
+        p.append(s)
+    # rows[r][c - r] is entry (r, c) of the Bareiss matrix, c >= r; entry
+    # (r, k) below the pivot row is read from (k, r) by symmetry
+    rows = [p[2 * r:r + d] for r in range(d)]
+    prev = {0: 1}
+    for k in range(d - 1):
+        top = rows[k]
+        piv = top[0]
+        for r in range(k + 1, d):
+            low = top[r - k]
+            rows[r] = [_wp_divexact(_wp_sub(_wp_mul(x, piv),
+                                            _wp_mul(low, top[c - k])), prev, d)
+                       for c, x in enumerate(rows[r], r)]
+        prev = piv
+    # minors[j][m] = D_{j,m}; D_0 is the empty minor, 1 at m = 0
+    minors = [[{0: 1}] + [{}] * d] + rows
+    prs = []
+    for j, D in enumerate(minors):
+        sign = -1 if j % 4 in (2, 3) else 1      # (-1)^(j(j-1)/2)
+        coeffs = []
+        for i in range(d - j + 1):
+            c: dict = {}
+            for l in range(i + 1):
+                c = _wp_sub(c, _wp_mul(a[l], D[i - l]))
+            coeffs.append(_wp_scale(c, -sign))
+        prs.append(coeffs[::-1])
+    return prs
 
 
 class _Chain:
-    """Integer remainder sequence plus strict-Euclid multipliers for one d."""
+    """Integer Hankel chain plus strict-Euclid multipliers for one d."""
 
     def __init__(self, d: int):
         if d < 2:
             raise ValueError("need d >= 2")
-        self.d = d
-        nv = d
-
-        # f ascending: coeff of x^k is a_{d-k}; lead 1
-        f = [{1 << (_BITS * (d - k - 1)): 1} for k in range(d)] + [{0: 1}]
-        fp = [_wp_scale(f[k + 1], k + 1) for k in range(d)]
-        prs = [f, _xp_trim(fp)]
+        prs = _hankel_chain(d)
 
         # c_j = sign_j * scalar_j * prod lc(R_i)^expo_j[i]; constants folded
         signs = [1, 1]
         scalars = [Fraction(1), Fraction(1)]
         expos = [{}, {}]
-
-        while _xp_deg(prs[-1]) > 0:
-            i = len(prs) - 1
-            A, B = prs[-2], prs[-1]
-            if _xp_deg(A) - _xp_deg(B) != 1:
-                raise AssertionError(
-                    "generic chain lost a degree; cannot happen for symbolic input")
-            R = _prem_step(A, B, nv)
-            if not R:
-                raise AssertionError("generic chain terminated early")
-            if i >= 2:
-                # divide by lc(A)^2 in two passes; quotients against the
-                # un-squared divisor are far cheaper on sparse graded input
-                lcA = A[-1]
-                R = _xp_trim([
-                    _wp_divexact(_wp_divexact(c, lcA, nv), lcA, nv) if c else {}
-                    for c in R])
-            if _xp_deg(R) != _xp_deg(B) - 1:
-                raise AssertionError("generic chain lost a degree after division")
-            prs.append(R)
-
-            # f_{i+1} = -f_{i-1} mod f_i = -c_{i-1} * divisor_i / lc(R_i)^2 * R_{i+1}
-            sign = -signs[i - 1]
+        for i in range(1, d):
+            # f_{i+1} = -f_{i-1} mod f_i = -c_{i-1} lc(R_{i-1})^2 / lc(R_i)^2 * R_{i+1}
             scalar = scalars[i - 1]
             expo = dict(expos[i - 1])
-            if i >= 2:
-                lcA2 = A[-1]
-                if len(lcA2) == 1 and 0 in lcA2:
-                    scalar = scalar * Fraction(lcA2[0]) ** 2
+            for k, e in ((i - 1, 2), (i, -2)):
+                lc = prs[k][-1]
+                if lc.keys() == {0}:
+                    scalar *= Fraction(lc[0]) ** e
                 else:
-                    expo[i - 1] = expo.get(i - 1, 0) + 2
-            lcB = B[-1]
-            if len(lcB) == 1 and 0 in lcB:
-                scalar = scalar / Fraction(lcB[0]) ** 2
-            else:
-                expo[i] = expo.get(i, 0) - 2
-            expo = {k: e for k, e in expo.items() if e}
-            signs.append(sign)
+                    expo[k] = expo.get(k, 0) + e
+            signs.append(-signs[i - 1])
             scalars.append(scalar)
-            expos.append(expo)
+            expos.append({k: e for k, e in expo.items() if e})
+        self._set(d, prs, signs, scalars, expos)
 
-        if len(prs) != d + 1:
-            raise AssertionError(f"chain length {len(prs)}, expected {d + 1}")
-        for expo in expos:
-            assert all(e % 2 == 0 for e in expo.values()), "multiplier not a square"
-
+    def _set(self, d, prs, signs, scalars, expos):
+        self.d = d
         self.prs = prs
         self.signs = signs
         self.scalars = scalars
         self.expos = expos
-        self.lc_sparse = {}
-        for i, xp in enumerate(prs):
-            if i >= 2:
-                self.lc_sparse[i] = _wp_to_sparse(xp[-1], d)
+        self.lc_sparse = {i: _wp_to_sparse(xp[-1], d)
+                          for i, xp in enumerate(prs) if i >= 2}
 
     @classmethod
     def _from_parts(cls, d, prs, signs, scalars, expos):
         ch = object.__new__(cls)
-        ch.d = d
-        ch.prs = prs
-        ch.signs = signs
-        ch.scalars = scalars
-        ch.expos = expos
-        ch.lc_sparse = {i: _wp_to_sparse(xp[-1], d)
-                        for i, xp in enumerate(prs) if i >= 2}
+        ch._set(d, prs, signs, scalars, expos)
         return ch
 
 
@@ -469,7 +290,7 @@ def _verify_chain(ch) -> bool:
     d = ch.d
     if len(ch.prs) != d + 1 or len(ch.signs) != d + 1:
         return False
-    if any(_xp_deg(xp) != d - i for i, xp in enumerate(ch.prs)):
+    if any(len(xp) != d + 1 - i for i, xp in enumerate(ch.prs)):
         return False
     for trial in range(5):
         vals = [Fraction(j + 2 + trial, 1 + (j + trial) % 3)
@@ -682,36 +503,6 @@ class SymbolicSturmPoly:
         vals = [c.evaluate(point) for c in self.coeffs]
         return list(reversed(vals))
 
-    def to_sparse(self, var: str = "x") -> SparsePoly:
-        """Expanded form over Q(a) is only possible when denominators clear;
-        here each coefficient is returned as num/den pair via SubstRationalFn,
-        so this helper builds the polynomial with expanded num coefficients
-        over the common denominator.  Intended for small d."""
-        out = SparsePoly.zero((var,))
-        xv = SparsePoly.variable(var)
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            term = c.num * xv ** (self.degree - i)
-            den = c.den
-            if not den.is_constant():
-                raise ValueError("coefficient has a polynomial denominator; "
-                                 "use evaluate_coeffs or the factored form")
-            out = out + term * (Fraction(1) / den.constant_value())
-        return out
-
-
-class SubstitutablePair:
-    """Verified pair (A, B) with the two weighted-degree conditions."""
-
-    __slots__ = ("a", "b", "offset")
-
-    def __init__(self, a: SymbolicSturmPoly, b: SymbolicSturmPoly, offset: int):
-        self.a = a
-        self.b = b
-        self.offset = offset
-
-
 def check_substitutable_pair(a: SymbolicSturmPoly, b: SymbolicSturmPoly):
     """Verify both pair conditions, returning the constant offset.
 
@@ -821,13 +612,12 @@ def _lead_coeff_fn(chain: _Chain, j: int) -> SubstRationalFn:
 
 
 def _check_chain_degree(d: int):
-    """Refuse d before any chain is built or loaded: a key packs one
-    _BITS-bit field per variable into a 64-bit machine word."""
+    """Refuse d before any chain is built or loaded."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if d > D_MAX_DEFAULT:
-        raise ValueError(f"d = {d} needs {d * _BITS}-bit packed monomial keys;"
-                         f" the symbolic chain supports d <= {D_MAX_DEFAULT}")
+        raise ValueError(f"the symbolic chain supports d <= {D_MAX_DEFAULT}"
+                         f" (20-30 s to build at d = 8), got d = {d}")
 
 
 def symbolic_sturm(d: int) -> list:
@@ -846,7 +636,7 @@ def symbolic_sturm(d: int) -> list:
     for j, xp in enumerate(chain.prs):
         scalar = chain.signs[j] * chain.scalars[j]
         base_factors = _multiplier_factors(chain, j)
-        deg = _xp_deg(xp)
+        deg = len(xp) - 1
         coeffs = []
         for k in range(deg, -1, -1):
             wp = xp[k]

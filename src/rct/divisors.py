@@ -112,7 +112,11 @@ class Divisor:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Divisor":
-        return Divisor(SparsePoly.from_json_dict(data["f"]), int(data["n"]))
+        """Inverse of to_json_dict; a wrong shape raises ValueError."""
+        if not isinstance(data, dict) or "f" not in data \
+                or type(data.get("n")) is not int:
+            raise ValueError('a divisor needs a polynomial "f" and an integer "n"')
+        return Divisor(SparsePoly.from_json_dict(data["f"]), data["n"])
 
 
 @dataclass

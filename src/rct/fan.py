@@ -123,14 +123,27 @@ class ZeroCycle:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ZeroCycle":
+        """Inverse of to_json_dict; a wrong shape raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+            raise ValueError('a cycle needs a "points" list')
+        ambient = data.get("ambient")
+        if ambient is not None and type(ambient) is not int:
+            raise ValueError('the cycle\'s "ambient" must be an integer')
         pts = []
         for entry in data["points"]:
+            if not isinstance(entry, dict) \
+                    or not isinstance(entry.get("coords"), list) \
+                    or type(entry.get("mult", 1)) is not int:
+                raise ValueError('each point needs a "coords" list and an '
+                                 'integer "mult"')
             coords = tuple(_coord_in(c) for c in entry["coords"])
-            pts.append((coords, int(entry.get("mult", 1))))
-        return ZeroCycle(pts, data.get("ambient"))
+            pts.append((coords, entry.get("mult", 1)))
+        return ZeroCycle(pts, ambient)
 
 
 def _coord_in(text):
+    if type(text) not in (int, float, str):
+        raise ValueError(f"not a coordinate: {text!r}")
     try:
         return Fraction(str(text))
     except ValueError:

@@ -153,20 +153,33 @@ class _Parser:
         return p
 
     def expr(self) -> SparsePoly:
+        """A signed sum of terms, added up in one dict.  The variables are
+        those of the terms when all share them, else their sorted union,
+        as in the left-to-right chain of SparsePoly sums."""
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            p = -self.term()
+            parts = [(-1, self.term())]
         else:
-            p = self.term()
+            parts = [(1, self.term())]
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                break
+            self.take()
+            parts.append((1 if val == "+" else -1, self.term()))
+        vs = parts[0][1].vars
+        if any(p.vars != vs for _, p in parts):
+            vs = tuple(sorted({v for _, p in parts for v in p.vars}))
+        acc: dict = {}
+        for sign, p in parts:
+            for e, c in (p.terms if p.vars == vs else p._remap(vs)).items():
+                s = acc.get(e, 0) + sign * c
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        return SparsePoly(vs, acc)
 
     def term(self) -> SparsePoly:
         p = self.factor()

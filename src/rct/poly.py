@@ -436,11 +436,27 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
+        """Inverse of to_json_dict; a wrong shape raises ValueError."""
+        if not isinstance(data, Mapping) or not isinstance(data.get("vars"), list) \
+                or not isinstance(data.get("terms"), list):
+            raise ValueError('a polynomial needs a "vars" list and a "terms" list')
+        if not all(isinstance(v, str) for v in data["vars"]):
+            raise ValueError("polynomial variables must be strings")
         vs = tuple(data["vars"])
         terms = {}
         for t in data["terms"]:
-            e = tuple(int(k) for k in t["exp"])
-            c = Fraction(t["coeff"])
+            if not isinstance(t, Mapping) or "coeff" not in t \
+                    or not isinstance(t.get("exp"), list) \
+                    or len(t["exp"]) != len(vs) \
+                    or not all(type(k) is int for k in t["exp"]):
+                raise ValueError('each term needs a "coeff" and an "exp" list '
+                                 f'of {len(vs)} integers')
+            try:
+                c = Fraction(t["coeff"])
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(f"not a rational coefficient: {t['coeff']!r}") \
+                    from None
+            e = tuple(t["exp"])
             terms[e] = terms.get(e, 0) + c
         return cls(vs, terms)
 

@@ -84,9 +84,16 @@ def _one_line_error(err):
     ["sturm", "count", "3^1000000000"],
     ["sturm", "count", "*".join(["(x+1)^256"] * 4)],
     ["sturm", "isolate", "x^257 - x", "--precision", "1/2"],
+    ["div", "in-e", "--divisor", '{"n": 2}'],
+    ["div", "in-e", "--divisor",
+     '{"n": 2, "f": {"vars": ["x0", "x1", "x2"], "terms": [[1, [2, 0, 0]]]}}'],
+    ["fan", "demo", "--cycle", "[]"],
+    ["fan", "demo", "--cycle", '{"points": 3}'],
+    ["chow", "eigen", "--form", "{}"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # nesting depth, grid count, powers, products and Sturm degree are capped
+    # nesting depth, grid count, powers, products and Sturm degree are
+    # capped; JSON arguments of the wrong shape are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -107,7 +114,8 @@ def test_limits_admit_their_boundary(capsys):
 
 
 def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):
-    # d = 9 needs 72-bit keys; the guard fires before a chain is built or loaded
+    # d = 9 is past the build-time cap; the guard fires before a chain is
+    # built or loaded
     import rct.critical as critical
 
     def no_chain(d):
@@ -117,9 +125,9 @@ def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):
     code, out, err = run(capsys, "critical", "gen", "--d", "9")
     assert code == 2 and out == ""
     assert _one_line_error(err) and "d <= 8" in err, err
-    with pytest.raises(ValueError, match="packed"):
+    with pytest.raises(ValueError, match="supports d <= 8"):
         critical.critical_polynomials(9)
-    with pytest.raises(ValueError, match="packed"):
+    with pytest.raises(ValueError, match="supports d <= 8"):
         critical.symbolic_sturm(9)
 
 

@@ -1,6 +1,9 @@
 """Symbolic Sturm chain, critical polynomials, and the packed kernels."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,22 +287,6 @@ def test_wp_mul_small():
         assert _wp_mul(a, b) == _dict_mul(a, b)
 
 
-def test_wp_mul_vectorized_paths():
-    rng = random.Random(52)
-    # large enough to cross the numpy threshold; int64-safe coefficients
-    a = _rand_wp(rng, 4, 160, max_exp=5, max_coeff=10 ** 4)
-    b = _rand_wp(rng, 4, 160, max_exp=5, max_coeff=10 ** 4)
-    assert _wp_mul(a, b) == _dict_mul(a, b)
-    # coefficients near 2^45 force the split kernel
-    big_a = {k: v * (2 ** 41 + 7) for k, v in a.items()}
-    big_b = {k: v * (2 ** 41 + 13) for k, v in b.items()}
-    assert _wp_mul(big_a, big_b) == _dict_mul(big_a, big_b)
-    # beyond the split bound: exact dict fallback
-    huge_a = {k: v * (2 ** 61 + 3) for k, v in a.items()}
-    huge_b = {k: v * (2 ** 61 + 9) for k, v in b.items()}
-    assert _wp_mul(huge_a, huge_b) == _dict_mul(huge_a, huge_b)
-
-
 def test_wp_mul_identity_and_zero():
     rng = random.Random(53)
     a = _rand_wp(rng, 3, 8)
@@ -331,6 +318,95 @@ def test_wp_divexact_large_roundtrip():
     b = _rand_wp(rng, 4, 40, max_exp=5, max_coeff=10 ** 6)
     prod = _wp_mul(a, b)
     assert _wp_divexact(prod, b, 4) == a
+
+
+# ---- Hankel construction against the reduced PRS ----
+
+
+def _wp_sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) - v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _prem_step(a, b):
+    """Pseudo-remainder of a by b (ascending, degrees n and n - 1): the n - 1
+    low coefficients of q0^2*a - (p0*q0*x + (p1*q0 - p0*q1))*b."""
+    n = len(a) - 1
+    q0, p0, p1 = b[n - 1], a[n], a[n - 1]
+    q1 = b[n - 2] if n >= 2 else {}
+    q0q0 = _dict_mul(q0, q0)
+    u = _dict_mul(p0, q0)
+    v = _wp_sub(_dict_mul(p1, q0), _dict_mul(p0, q1))
+    out = []
+    for k in range(n - 1):
+        t = _dict_mul(q0q0, a[k])
+        if k >= 1:
+            t = _wp_sub(t, _dict_mul(u, b[k - 1]))
+        out.append(_wp_sub(t, _dict_mul(v, b[k])))
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _reduced_prs(d):
+    """The reduced PRS R_{i+1} = prem(R_{i-1}, R_i) / lc(R_{i-1})^2 from f
+    and f', with the strict-Euclid multiplier of every entry."""
+    f = [{1 << (_BITS * (d - k - 1)): 1} for k in range(d)] + [{0: 1}]
+    prs = [f, [{key: v * (k + 1) for key, v in f[k + 1].items()}
+               for k in range(d)]]
+    signs, scalars, expos = [1, 1], [Fraction(1), Fraction(1)], [{}, {}]
+    while len(prs[-1]) > 1:
+        i = len(prs) - 1
+        A, B = prs[-2], prs[-1]
+        R = _prem_step(A, B)
+        if i >= 2:
+            R = [_wp_divexact(_wp_divexact(c, A[-1], d), A[-1], d) if c else {}
+                 for c in R]
+        assert len(R) == len(B) - 1
+        prs.append(R)
+        scalar, expo = scalars[i - 1], dict(expos[i - 1])
+        if i >= 2:
+            if A[-1].keys() == {0}:
+                scalar *= Fraction(A[-1][0]) ** 2
+            else:
+                expo[i - 1] = expo.get(i - 1, 0) + 2
+        if B[-1].keys() == {0}:
+            scalar /= Fraction(B[-1][0]) ** 2
+        else:
+            expo[i] = expo.get(i, 0) - 2
+        signs.append(-signs[i - 1])
+        scalars.append(scalar)
+        expos.append({k: e for k, e in expo.items() if e})
+    return prs, signs, scalars, expos
+
+
+def test_hankel_chain_equals_reduced_prs():
+    import rct.critical as crit
+
+    for d in range(2, 7):
+        ch = crit._Chain(d)
+        prs, signs, scalars, expos = _reduced_prs(d)
+        assert ch.prs == prs, d
+        assert ch.signs == signs, d
+        assert ch.scalars == scalars, d
+        assert ch.expos == expos, d
+
+
+def test_import_leaves_numpy_out():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    code = "import rct, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---- chain disk cache ----

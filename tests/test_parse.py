@@ -127,3 +127,40 @@ def test_product_caps_admit_boundary_and_refuse_past_it():
     # a zero factor passes whatever the other factors' size
     text = f"(x - x) * x^{MAX_POWER_DEGREE} * x^{MAX_POWER_DEGREE}"
     assert parse_poly(text) == SparsePoly.zero()
+
+
+def _chain_sum(signed_terms):
+    """Left-to-right SparsePoly sums of separately parsed terms."""
+    (sign, text), *rest = signed_terms
+    p = -parse_poly(text) if sign == "-" else parse_poly(text)
+    for sign, text in rest:
+        q = parse_poly(text)
+        p = p + q if sign == "+" else p - q
+    return p
+
+
+def test_sum_matches_left_to_right_chain():
+    rng = random.Random(2025)
+    cases = []
+    for _ in range(200):
+        # roots-shaped: descending powers of x with integer coefficients
+        deg = rng.randint(1, 24)
+        terms = [("+", f"{rng.randint(1, 99)}*x^{k}" if k else
+                  str(rng.randint(1, 99)))
+                 for k in range(deg, -1, -1) if rng.random() < 0.7]
+        cases.append([(rng.choice("+-"), t) for _, t in terms] or [("+", "x")])
+    pool = ["x", "y", "7", "1/2", "x*y", "y*x", "3*x^2", "(x + 1)^2", "x0*x1",
+            "(y - x)", "0", "(x - x)"]
+    for _ in range(300):
+        # cancelling terms and constants mixed with variables
+        terms = [(rng.choice("+-"), rng.choice(pool))
+                 for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            terms += [("-" if s == "+" else "+", t) for s, t in terms]
+        cases.append(terms)
+    for terms in cases:
+        text = " ".join(f"{s} {t}" for s, t in terms).lstrip("+ ")
+        got = parse_poly(text)
+        want = _chain_sum(terms)
+        assert got.vars == want.vars, text
+        assert list(got.terms.items()) == list(want.terms.items()), text
