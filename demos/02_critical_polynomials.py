@@ -46,7 +46,7 @@ banner("Weighted degrees")
 # give a_i weight i and every F_j is homogeneous of weight j(j-1)
 for d in (4, 5, 6):
     cs = critical_polynomials(d)
-    degs = [shd(F).value for F in cs.F]
+    degs = [shd(F) for F in cs.F]
     print(f"d = {d}: shd(F_2..F_{d}) = {degs}")
     assert degs == [j * (j - 1) for j in range(2, d + 1)]
 

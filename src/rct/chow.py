@@ -86,9 +86,6 @@ class MHForm:
                     "form is not homogeneous of the stated degree in "
                     "every variable group")
 
-    def with_m(self, m: int) -> "MHForm":
-        return MHForm(self.N, self.r, self.d, m, self.form)
-
     def evaluate(self, hyperplanes: Sequence[Sequence[Rational]]) -> Fraction:
         """Value at u^i = hyperplanes[i]; zero means common incidence."""
         if len(hyperplanes) != self.r + 1:
@@ -249,12 +246,6 @@ class TExpansion:
 
     def nonzero_indices(self) -> list:
         return [i for i, g in enumerate(self.coefficients) if not g.is_zero()]
-
-    def coefficient_form(self, i: int) -> MHForm:
-        g = self.coefficients[i]
-        if g.is_zero():
-            raise ValueError(f"g_{i} is zero")
-        return MHForm(self.N, self.r, self.d, self.m, g)
 
     def recombine(self, t: Rational) -> SparsePoly:
         t = as_rational(t)

@@ -66,13 +66,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .poly import (
-    SHD_ANY,
-    ShdValue,
-    SparsePoly,
-    as_rational,
-    is_substitutable_homogeneous,
-)
+from .poly import SparsePoly, as_rational, shd
 from .sturm import count_distinct_roots_total, sturm_sequence
 
 _BITS = 8
@@ -260,8 +254,6 @@ class _Chain:
         self.signs = signs
         self.scalars = scalars
         self.expos = expos
-        self.lc_sparse = {i: _wp_to_sparse(xp[-1], d)
-                          for i, xp in enumerate(prs) if i >= 2}
 
     @classmethod
     def _from_parts(cls, d, prs, signs, scalars, expos):
@@ -316,8 +308,6 @@ _CACHE_FORMAT = 1
 def _chain_cache_path(d: int):
     import os
 
-    if os.environ.get("RCT_NO_CACHE"):
-        return None
     base = os.environ.get("RCT_CACHE_DIR")
     if not base:
         root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
@@ -332,7 +322,7 @@ def _load_cached_chain(d: int):
     import os
 
     path = _chain_cache_path(d)
-    if path is None or not os.path.exists(path):
+    if not os.path.exists(path):
         return None
     try:
         with gzip.open(path, "rt", encoding="utf-8") as fh:
@@ -358,8 +348,6 @@ def _store_cached_chain(ch) -> None:
     import tempfile
 
     path = _chain_cache_path(ch.d)
-    if path is None:
-        return
     data = {
         "format": _CACHE_FORMAT, "bits": _BITS, "d": ch.d,
         "signs": ch.signs,
@@ -393,11 +381,11 @@ class SubstRationalFn:
     """Quotient of substitutable-homogeneous polynomials, kept factored.
 
     Value = scalar * prod(poly_k ^ exp_k) with integer exponents of either
-    sign.  num and den expand the positive and negative parts on demand;
-    shd and point evaluation never force the expansion.
+    sign.  The weighted degree and point values are read off the factors,
+    so the quotient is never expanded.
     """
 
-    __slots__ = ("scalar", "factors", "_num", "_den")
+    __slots__ = ("scalar", "factors")
 
     def __init__(self, scalar: Fraction, factors: Sequence = ()):
         self.scalar = Fraction(scalar)
@@ -407,9 +395,7 @@ class SubstRationalFn:
                 continue
             if not isinstance(p, SparsePoly):
                 raise TypeError("factors must be SparsePoly")
-            v = is_substitutable_homogeneous(p)
-            if not v.is_homogeneous():
-                raise ValueError("factor is not substitutable homogeneous")
+            shd(p)  # raises ValueError unless substitutable homogeneous
             if p.is_zero():
                 if e < 0:
                     raise ZeroDivisionError("zero factor with negative exponent")
@@ -418,44 +404,16 @@ class SubstRationalFn:
                 break
             kept.append((p, int(e)))
         self.factors = tuple(kept)
-        self._num = None
-        self._den = None
 
     def is_zero(self) -> bool:
         return self.scalar == 0
 
     @property
-    def shd_value(self) -> ShdValue:
+    def weight(self):
+        """Weighted degree of the quotient, or None when it is zero."""
         if self.is_zero():
-            return SHD_ANY
-        total = 0
-        for p, e in self.factors:
-            v = is_substitutable_homogeneous(p)
-            total += e * v.value
-        return ShdValue("value", total)
-
-    @property
-    def num(self) -> SparsePoly:
-        if self._num is None:
-            self._expand()
-        return self._num
-
-    @property
-    def den(self) -> SparsePoly:
-        if self._den is None:
-            self._expand()
-        return self._den
-
-    def _expand(self):
-        num = SparsePoly.constant(Fraction(self.scalar.numerator))
-        den = SparsePoly.constant(Fraction(self.scalar.denominator))
-        for p, e in self.factors:
-            if e > 0:
-                num = num * p ** e
-            else:
-                den = den * p ** (-e)
-        self._num = num
-        self._den = den
+            return None
+        return sum(e * shd(p) for p, e in self.factors)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         val = self.scalar
@@ -469,18 +427,6 @@ class SubstRationalFn:
                 return Fraction(0)
             val *= base ** e
         return val
-
-    def __mul__(self, other):
-        if isinstance(other, SubstRationalFn):
-            return SubstRationalFn(self.scalar * other.scalar,
-                                   self.factors + other.factors)
-        return SubstRationalFn(self.scalar * as_rational(other), self.factors)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "SubstRationalFn(0)"
-        fac = " * ".join(f"({p})^{e}" for p, e in self.factors)
-        return f"SubstRationalFn({self.scalar}{' * ' + fac if fac else ''})"
 
 
 class SymbolicSturmPoly:
@@ -503,6 +449,7 @@ class SymbolicSturmPoly:
         vals = [c.evaluate(point) for c in self.coeffs]
         return list(reversed(vals))
 
+
 def check_substitutable_pair(a: SymbolicSturmPoly, b: SymbolicSturmPoly):
     """Verify both pair conditions, returning the constant offset.
 
@@ -516,12 +463,12 @@ def check_substitutable_pair(a: SymbolicSturmPoly, b: SymbolicSturmPoly):
     def base_and_ladder(poly: SymbolicSturmPoly):
         base = None
         for i, c in enumerate(poly.coeffs):
-            v = c.shd_value
-            if v.kind == "any":
+            w = c.weight
+            if w is None:
                 continue
             if base is None:
-                base = v.value - i
-            elif v.value - i != base:
+                base = w - i
+            elif w - i != base:
                 raise AssertionError("coefficient ladder violates shd(p_i) = i + shd(p_0)")
         return base
 
@@ -531,46 +478,33 @@ def check_substitutable_pair(a: SymbolicSturmPoly, b: SymbolicSturmPoly):
         raise ValueError("zero polynomial in pair")
     offset = base_b - base_a
     for i in range(b.degree + 1):
-        va = a.coeffs[i].shd_value
-        vb = b.coeffs[i].shd_value
-        if va.kind == "any" or vb.kind == "any":
+        wa = a.coeffs[i].weight
+        wb = b.coeffs[i].weight
+        if wa is None or wb is None:
             continue
-        if vb.value - va.value != offset:
+        if wb - wa != offset:
             raise AssertionError("pair offset is not constant across coefficients")
     return offset
 
 
 class CriticalSet:
-    """Signed primitive leading data of the symbolic chain for one d.
+    """The critical polynomials of the symbolic chain for one d.
 
     F[k] is the critical polynomial F_{k+2} for k = 0..d-2: a primitive
     integer substitutable-homogeneous polynomial whose sign at any
     non-degenerate coefficient point equals the sign of the leading
-    coefficient of the chain entry f_{k+2}.
-
-    The exact relation is  lc(f_j) = F_j * w_scale2[j] * w_factor[j]^2
-    with w_scale2[j] a positive rational and w_factor[j] a quotient of
-    leading coefficients; the square and the positive scalar carry no
-    sign information.  (A plain polynomial w with lc = F/w^2 does not
-    exist in general: contents like the 2 in d = 3 are not squares.)
+    coefficient of the chain entry f_{k+2}.  Exactly, lc(f_j) is F_j times
+    a positive rational times the square of a quotient of leading
+    coefficients of earlier entries, so neither extra factor carries sign
+    information.  (The positive rational need not be a square: at d = 3 it
+    is 2/9 for F_2.)
     """
 
-    __slots__ = ("d", "F", "w_scale2", "w_factor", "_chain")
+    __slots__ = ("d", "F")
 
-    def __init__(self, d: int, F, w_scale2, w_factor, chain):
+    def __init__(self, d: int, F):
         self.d = d
         self.F = tuple(F)
-        self.w_scale2 = tuple(w_scale2)
-        self.w_factor = tuple(w_factor)
-        self._chain = chain
-
-    def f_poly(self, j: int) -> SparsePoly:
-        """F_j for j in 2..d."""
-        return self.F[j - 2]
-
-    def lead_coeff(self, j: int) -> SubstRationalFn:
-        """Exact leading coefficient of the chain entry f_j, factored."""
-        return _lead_coeff_fn(self._chain, j)
 
 
 _phase_lock = threading.Lock()
@@ -598,19 +532,6 @@ def _get_chain(d: int) -> _Chain:
     return chain
 
 
-def _multiplier_factors(chain: _Chain, j: int) -> list:
-    out = []
-    for i, e in sorted(chain.expos[j].items()):
-        out.append((chain.lc_sparse[i], e))
-    return out
-
-
-def _lead_coeff_fn(chain: _Chain, j: int) -> SubstRationalFn:
-    lead = _wp_to_sparse(chain.prs[j][-1], chain.d)
-    scalar = chain.signs[j] * chain.scalars[j]
-    return SubstRationalFn(scalar, _multiplier_factors(chain, j) + [(lead, 1)])
-
-
 def _check_chain_degree(d: int):
     """Refuse d before any chain is built or loaded."""
     if d < 2:
@@ -632,10 +553,12 @@ def symbolic_sturm(d: int) -> list:
     if cached is not None:
         return cached
     chain = _get_chain(d)
+    lcs = {i: _wp_to_sparse(chain.prs[i][-1], d)
+           for ex in chain.expos for i in ex}
     out = []
     for j, xp in enumerate(chain.prs):
         scalar = chain.signs[j] * chain.scalars[j]
-        base_factors = _multiplier_factors(chain, j)
+        base_factors = [(lcs[i], e) for i, e in sorted(chain.expos[j].items())]
         deg = len(xp) - 1
         coeffs = []
         for k in range(deg, -1, -1):
@@ -643,7 +566,7 @@ def symbolic_sturm(d: int) -> list:
             if not wp:
                 coeffs.append(SubstRationalFn(Fraction(0)))
             else:
-                core = _wp_to_sparse(wp, chain.d)
+                core = _wp_to_sparse(wp, d)
                 coeffs.append(SubstRationalFn(scalar, base_factors + [(core, 1)]))
         out.append(SymbolicSturmPoly(deg, coeffs))
     with _phase_lock:
@@ -671,21 +594,13 @@ def critical_polynomials(d: int) -> CriticalSet:
         return cs
     chain = _get_chain(d)
     F = []
-    w_scale2 = []
-    w_factor = []
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
-        cont = _wp_content(lead)
-        prim = _wp_to_sparse(_wp_divexact_int(lead, cont), chain.d)
         sigma = chain.signs[j] * (1 if chain.scalars[j] > 0 else -1)
-        F_j = prim * sigma
-        v = is_substitutable_homogeneous(F_j)
-        assert v.is_homogeneous(), "critical polynomial must be substitutable homogeneous"
+        F_j = _wp_to_sparse(_wp_divexact_int(lead, sigma * _wp_content(lead)), d)
+        shd(F_j)  # raises ValueError unless substitutable homogeneous
         F.append(F_j)
-        w_scale2.append(abs(chain.scalars[j]) * cont)
-        half = [(chain.lc_sparse[i], e // 2) for i, e in sorted(chain.expos[j].items())]
-        w_factor.append(SubstRationalFn(Fraction(1), half))
-    cs = CriticalSet(d, F, w_scale2, w_factor, chain)
+    cs = CriticalSet(d, F)
     with _phase_lock:
         _set_cache.setdefault(d, cs)
     return _set_cache[d]

@@ -30,7 +30,7 @@ from .critical import (
     critical_polynomials,
 )
 from .poly import Rational, SparsePoly, as_rational
-from .sturm import count_distinct_roots_in, count_distinct_roots_total
+from .sturm import MAX_DEGREE, count_distinct_roots_in, count_distinct_roots_total
 
 __all__ = [
     "Divisor",
@@ -48,10 +48,21 @@ __all__ = [
     "default_grid",
     "DEFAULT_GRID_N2",
     "DEFAULT_GRID_N3",
+    "MAX_GRID",
+    "MAX_N",
 ]
 
 DEFAULT_GRID_N2 = 2000
 DEFAULT_GRID_N3 = 20000
+
+MAX_GRID = 100000
+"""Largest direction-grid count: five times the n >= 3 default.  A larger
+count raises ValueError before the grid is built; at the cap a degree-2
+in_E check takes about 2 s on a 2-core host."""
+
+MAX_N = 16
+"""Largest ambient index n of a divisor in x_0..x_n.  A larger n raises
+ValueError before the polynomial is widened to n + 1 variables."""
 
 
 def xvar(i: int) -> str:
@@ -77,7 +88,11 @@ class Divisor:
             n = max(seen, 1)
         elif seen > n:
             raise ValueError(f"variable x{seen} exceeds stated n={n}")
+        if n > MAX_N:
+            raise ValueError(f"divisors support n <= {MAX_N}, got n = {n}")
         d = f.degree()
+        if d > MAX_DEGREE:
+            raise ValueError(f"divisors support degree <= {MAX_DEGREE}, got {d}")
         allvars = tuple(xvar(i) for i in range(n + 1))
         self.f = f.with_vars(allvars)
         self.n = n
@@ -183,6 +198,11 @@ def paper_family(n: int, k: int):
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if n > MAX_N:
+        raise ValueError(f"divisors support n <= {MAX_N}, got n = {n}")
+    if 2 * k + 1 > MAX_DEGREE:
+        raise ValueError(f"the family has degree 2k+1 <= {MAX_DEGREE}, "
+                         f"so k <= {(MAX_DEGREE - 1) // 2}, got k = {k}")
     allvars = tuple(xvar(i) for i in range(n + 1))
     x0sq = SparsePoly.monomial(allvars,
                                tuple(2 if i == 0 else 0 for i in range(n + 1)))
@@ -235,12 +255,14 @@ def default_grid(n: int, count: Optional[int] = None) -> list:
     """Direction grid for R^n minus the origin; deterministic for all n.
 
     count defaults to DEFAULT_GRID_N2 for n = 2 and DEFAULT_GRID_N3 above;
-    a count below 1 raises ValueError.
+    a count below 1 or above MAX_GRID raises ValueError.
     """
     if count is None:
         count = DEFAULT_GRID_N2 if n == 2 else DEFAULT_GRID_N3
     elif count < 1:
         raise ValueError(f"grid count must be at least 1, got {count}")
+    elif count > MAX_GRID:
+        raise ValueError(f"grid count must be at most {MAX_GRID}, got {count}")
     if n == 1:
         return [(1,)]
     if n == 2:

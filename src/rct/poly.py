@@ -503,46 +503,15 @@ def format_poly(p: SparsePoly) -> str:
     return " ".join(parts)
 
 
-# ---- substituted homogeneous degree ----
+# ---- weighted degree ----
 #
 # Variables carry integer weights read off their names: the trailing
 # digits.  a1, a2, ..., ad get weights 1..d, so the monomial
-# a1^i1 * ... * ad^id has weighted degree 1*i1 + 2*i2 + ... + d*id.
-
-
-class ShdValue:
-    """Weighted-degree verdict: a value, 'any' (zero poly), or 'mixed'."""
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: str, value=None):
-        if kind not in ("value", "any", "mixed"):
-            raise ValueError(kind)
-        self.kind = kind
-        self.value = value
-
-    def is_homogeneous(self) -> bool:
-        return self.kind != "mixed"
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            # 'any' matches every concrete weighted degree
-            return self.kind == "any" or (self.kind == "value" and self.value == other)
-        if isinstance(other, ShdValue):
-            return self.kind == other.kind and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
-
-    def __repr__(self):
-        if self.kind == "value":
-            return f"ShdValue({self.value})"
-        return f"ShdValue({self.kind!r})"
-
-
-SHD_ANY = ShdValue("any")
-SHD_MIXED = ShdValue("mixed")
+# a1^i1 * ... * ad^id has weighted degree 1*i1 + 2*i2 + ... + d*id.  A
+# polynomial whose terms share one weighted degree is substitutable
+# homogeneous: plugging a degree-i form into each weight-i variable gives
+# a form of that degree.  shd(p) is the shared weight; the zero
+# polynomial has none and reports None.
 
 
 def var_weight(name: str) -> int:
@@ -555,14 +524,13 @@ def var_weight(name: str) -> int:
     return int(name[i:])
 
 
-def shd_monomial(variables: Sequence[str], exponents: Sequence[int]) -> int:
-    return sum(var_weight(v) * k for v, k in zip(variables, exponents) if k)
+def shd(p: SparsePoly):
+    """Common weighted degree of p's terms, or None for the zero polynomial.
 
-
-def is_substitutable_homogeneous(p: SparsePoly) -> ShdValue:
-    """All terms share one weighted degree.  Zero reports 'any'."""
+    Raises ValueError when the terms have different weighted degrees.
+    """
     if p.is_zero():
-        return SHD_ANY
+        return None
     weights = [var_weight(v) for v in p.vars]
     seen = None
     for e in p.terms:
@@ -570,16 +538,8 @@ def is_substitutable_homogeneous(p: SparsePoly) -> ShdValue:
         if seen is None:
             seen = s
         elif s != seen:
-            return SHD_MIXED
-    return ShdValue("value", seen)
-
-
-def shd(p: SparsePoly) -> ShdValue:
-    """Weighted degree of a substitutable-homogeneous polynomial."""
-    v = is_substitutable_homogeneous(p)
-    if v.kind == "mixed":
-        raise ValueError("polynomial is not substitutable homogeneous")
-    return v
+            raise ValueError("polynomial is not substitutable homogeneous")
+    return seen
 
 
 def substitute_graded(f: SparsePoly, replacements: Sequence[SparsePoly]) -> SparsePoly:
@@ -589,9 +549,7 @@ def substitute_graded(f: SparsePoly, replacements: Sequence[SparsePoly]) -> Spar
     homogeneous of total degree exactly i, or zero.  When f has weighted
     degree s, the result is homogeneous of degree s (or zero).
     """
-    fs = is_substitutable_homogeneous(f)
-    if fs.kind == "mixed":
-        raise ValueError("input is not substitutable homogeneous")
+    fs = shd(f)
     mapping = {}
     for i, g in enumerate(replacements, start=1):
         if not isinstance(g, SparsePoly):
@@ -609,8 +567,7 @@ def substitute_graded(f: SparsePoly, replacements: Sequence[SparsePoly]) -> Spar
                         if var_weight(v) in mapping})
     if not out.is_zero():
         assert out.is_homogeneous(), "graded substitution must return a form"
-        if fs.kind == "value":
-            assert out.degree() == fs.value
+        assert out.degree() == fs
     return out
 
 

@@ -221,11 +221,6 @@ def sign_changes(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
 
 
-def sign_sequence_at(seq: SturmSeq, x) -> SignSeq:
-    """Signs of the chain at a rational point (zeros kept in place)."""
-    return seq.signs_at(as_rational(x))
-
-
 def cauchy_root_bound(f: SparsePoly, var: str = None) -> Fraction:
     """1 + max |c_i| / |c_lead|; every real root lies strictly inside."""
     var = _main_var(f, var)

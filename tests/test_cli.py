@@ -66,6 +66,12 @@ def test_sturm_count_interval_and_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+def _json_divisor(n, degree):
+    """x0^degree - x1^degree as divisor JSON, past the parser's power caps."""
+    return json.dumps({"n": n, "f": {"vars": ["x0", "x1"], "terms": [
+        {"coeff": 1, "exp": [degree, 0]}, {"coeff": -1, "exp": [0, degree]}]}})
+
+
 def _one_line_error(err):
     return err.startswith("error: ") and err.count("\n") == 1 \
         and "Traceback" not in err
@@ -90,10 +96,17 @@ def _one_line_error(err):
     ["fan", "demo", "--cycle", "[]"],
     ["fan", "demo", "--cycle", '{"points": 3}'],
     ["chow", "eigen", "--form", "{}"],
+    ["div", "in-e", "--divisor", _json_divisor(1, 100000000)],
+    ["div", "in-e", "--poly", "x0^2 - x1^2", "--n", "100000000"],
+    ["div", "in-e", "--divisor", _json_divisor(100000000, 2)],
+    ["div", "family", "--n", "100000000", "--k", "1"],
+    ["div", "family", "--n", "2", "--k", "1000000"],
+    ["div", "in-e", "--poly", "x0^2 - 9*x1^2 - 9*x2^2", "--grid", "1000000000"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # nesting depth, grid count, powers, products and Sturm degree are
-    # capped; JSON arguments of the wrong shape are refused
+    # nesting depth, grid count, powers, products, Sturm degree and the
+    # divisor's n and degree are capped; JSON arguments of the wrong shape
+    # are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -111,6 +124,16 @@ def test_limits_admit_their_boundary(capsys):
     assert code == 0 and json.loads(out)["count"] == 1
     code, out, _ = run(capsys, "sturm", "count", "x^2 - 2^8192")
     assert code == 0 and json.loads(out)["count"] == 2
+    # divisors: n = 16, degree 256, the family at k = 127, a grid of 100000
+    code, out, _ = run(capsys, "div", "family", "--n", "16", "--k", "1")
+    assert code == 0 and json.loads(out)["even"]["d"] == 2
+    code, out, _ = run(capsys, "div", "family", "--n", "1", "--k", "127")
+    assert code == 0 and json.loads(out)["odd"]["d"] == 255
+    code, out, _ = run(capsys, "div", "in-e", "--divisor", _json_divisor(1, 256))
+    assert code == 1 and json.loads(out)["verdict"] == "non_member"
+    code, out, _ = run(capsys, "div", "in-e", "--poly", "x0^2 - x1^2", "--n", "1",
+                       "--grid", "100000")
+    assert code == 0 and json.loads(out)["verdict"] == "member"
 
 
 def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):

@@ -6,12 +6,9 @@ from fractions import Fraction
 import pytest
 
 from rct.poly import (
-    SHD_ANY,
-    SHD_MIXED,
     SparsePoly,
     divide_exact,
     format_poly,
-    is_substitutable_homogeneous,
     poly_divmod,
     shd,
     substitute_graded,
@@ -245,11 +242,11 @@ def test_var_weight():
 
 def test_shd_values():
     a1, a2 = SparsePoly.variable("a1"), SparsePoly.variable("a2")
-    assert shd(a1 ** 2).value == 2
-    assert shd(a1 ** 2 - 4 * a2).value == 2
-    assert shd(SparsePoly.constant(5)).value == 0
-    assert shd(SparsePoly.zero()) is SHD_ANY
-    assert is_substitutable_homogeneous(a1 + a2) is SHD_MIXED
+    assert shd(a1 ** 2) == 2
+    assert shd(a1 ** 2 - 4 * a2) == 2
+    assert shd(SparsePoly.constant(5)) == 0
+    assert shd(SparsePoly.zero()) is None
+    assert shd(SparsePoly.zero(("x",))) is None  # no weight is read
     with pytest.raises(ValueError):
         shd(a1 + a2)
 
