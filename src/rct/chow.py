@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import comb, factorial, prod
+from typing import Iterable, Sequence
 
+from .parse import MAX_POWER_DEGREE, MAX_POWER_TERMS
 from .poly import Rational, SparsePoly, as_rational
 
 __all__ = [
@@ -68,6 +70,8 @@ class MHForm:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("degree must be at least 1")
+        if self.d > MAX_POWER_DEGREE:
+            raise ValueError(f"degree {self.d} exceeds the cap {MAX_POWER_DEGREE}")
         if not 0 <= self.m <= self.N:
             raise ValueError("split index m must satisfy 0 <= m <= N")
         if self.form.is_zero():
@@ -148,13 +152,25 @@ def chow_of_points(points: Iterable, m: int = 0) -> MHForm:
         factors.append((pt, mult))
     if N is None:
         raise ValueError("need at least one point")
+    degree = sum(mult for _, mult in factors)
+    if degree > MAX_POWER_DEGREE:
+        raise ValueError(f"the cycle has degree {degree}, over the cap "
+                         f"{MAX_POWER_DEGREE}")
+    # the smaller of the product of the powers' term counts and the number
+    # of monomials of this degree in the coordinates used
+    powers = prod(comb(sum(1 for c in pt if c) + k - 1, k) for pt, k in factors)
+    support = sum(1 for cs in zip(*(pt for pt, _ in factors)) if any(cs))
+    terms = min(powers, comb(support + degree - 1, degree))
+    if terms > MAX_POWER_TERMS:
+        raise ValueError(f"the cycle form may have {terms} terms, over the "
+                         f"cap {MAX_POWER_TERMS}")
     vs = tuple(group_var(0, j) for j in range(N + 1))
     form = SparsePoly.constant(1, vs)
     for pt, mult in factors:
         lin = SparsePoly(vs, {tuple(1 if k == j else 0 for k in range(N + 1)): c
                               for j, c in enumerate(pt) if c != 0})
         form = form * lin ** mult
-    return MHForm(N, 0, sum(mult for _, mult in factors), m, form)
+    return MHForm(N, 0, degree, m, form)
 
 
 def _rank(rows: list) -> int:
@@ -207,6 +223,12 @@ def chow_of_linear(span: Sequence[Sequence[Rational]], m: int = 0) -> MHForm:
     r = len(pts) - 1
     if r > N:
         raise ValueError("too many spanning points for the ambient space")
+    # the incidence determinant has a term for every injective choice of
+    # one coordinate per group
+    terms = comb(N + 1, r + 1) * factorial(r + 1)
+    if terms > MAX_POWER_TERMS:
+        raise ValueError(f"the linear cycle's form has {terms} terms, over "
+                         f"the cap {MAX_POWER_TERMS}")
     if _rank(pts) != r + 1:
         raise ValueError("spanning points are linearly dependent")
     allvars = tuple(group_var(i, j) for i in range(r + 1) for j in range(N + 1))
@@ -272,7 +294,7 @@ def t_expand(F: MHForm) -> TExpansion:
     top = max(buckets)
     bound = (F.m + 1) * F.d
     if top > bound:
-        raise AssertionError(
+        raise ValueError(
             f"t-degree {top} exceeds the cycle bound {bound}; "
             "input is not the Chow form of a cycle with this split index")
     coeffs = tuple(SparsePoly(F.form.vars, buckets.get(i, {}))

@@ -6,13 +6,16 @@ For the generic monic polynomial
     f = x^d + a1*x^(d-1) + ... + ad
 
 the Euclidean Sturm chain f_0 = f, f_1 = f', ..., f_d lives over the
-rational-function field in a1..ad.  It is kept in two pieces:
+rational-function field in a1..ad.  It is kept as an integer chain R_0,
+R_1, ..., R_d in Z[a1..ad][x], R_j of degree d - j, with f_j = c_j * R_j.
+The strict Euclid recursion f_{j+1} = -(f_{j-1} mod f_j) gives
+c_{j+1} = -c_{j-1} * lc(R_{j-1})^2 / lc(R_j)^2 with c_0 = c_1 = 1, whose
+closed form is
 
-  * an integer chain R_0, R_1, ..., R_d in Z[a1..ad][x], R_j of degree
-    d - j, and
-  * an exact multiplier c_j in Q(a1..ad) with  f_j = c_j * R_j,
-    maintained as a signed product of powers of the R_i leading
-    coefficients.
+    c_j = (-1)^(j(j-1)/2) * prod_{i<j} lc(R_i)^(2 * (-1)^(j-i)),
+
+where lc(R_0) = 1 and lc(R_1) = d are constants.  So the multipliers are
+code, not data: the chain record is the R_j alone.
 
 The R_j are Hankel data.  Let p_0..p_{2d-2} be the Newton sums of f (the
 power sums of its roots, integer polynomials in the a_l by Newton's
@@ -32,11 +35,11 @@ every D_{j,m}: after j - 1 steps, row j - 1 holds D_{j,m} at column
 j - 1 + m.  The Schur complements stay symmetric, so only entries on or
 above the diagonal are computed.
 
-The sign (-1)^(j(j-1)/2) is also the sign factor of c_j: the strict
-Euclid chain negates every remainder, so the signs run +1, +1, -1, -1,
-+1, +1, ...  The rest of c_j is a positive rational times even powers of
-leading coefficients, so f_j is a positive multiple of the Hankel sum
-wherever it is defined, and lc(f_j) has the sign of D_{j,0}.
+The sign (-1)^(j(j-1)/2) is also the sign of c_j: the strict Euclid
+chain negates every remainder, so the signs run +1, +1, -1, -1, +1, +1,
+...  The rest of c_j is a positive rational times even powers of leading
+coefficients, so f_j is a positive multiple of the Hankel sum wherever
+it is defined, and lc(f_j) has the sign of D_{j,0}.
 
 The sign data of the chain is carried entirely by the signed primitive
 leading coefficients F_2..F_d: f has d distinct real roots exactly when
@@ -221,45 +224,27 @@ def _hankel_chain(d: int) -> list:
     return prs
 
 
-class _Chain:
-    """Integer Hankel chain plus strict-Euclid multipliers for one d."""
+def _multiplier(d: int, j: int) -> tuple:
+    """c_j as (scalar, {i: e}) with c_j = scalar * prod_i lc(R_i)^e.
 
-    def __init__(self, d: int):
+    The closed form of the module docstring, with the constants
+    lc(R_0) = 1 and lc(R_1) = d folded into the scalar.
+    """
+    if j < 2:
+        return Fraction(1), {}
+    sign = -1 if j % 4 in (2, 3) else 1      # (-1)^(j(j-1)/2)
+    return (sign * Fraction(d) ** (2 if j % 2 else -2),
+            {i: 2 if (j - i) % 2 == 0 else -2 for i in range(2, j)})
+
+
+class _Chain:
+    """The integer Hankel chain R_0..R_d for one d."""
+
+    def __init__(self, d: int, prs=None):
         if d < 2:
             raise ValueError("need d >= 2")
-        prs = _hankel_chain(d)
-
-        # c_j = sign_j * scalar_j * prod lc(R_i)^expo_j[i]; constants folded
-        signs = [1, 1]
-        scalars = [Fraction(1), Fraction(1)]
-        expos = [{}, {}]
-        for i in range(1, d):
-            # f_{i+1} = -f_{i-1} mod f_i = -c_{i-1} lc(R_{i-1})^2 / lc(R_i)^2 * R_{i+1}
-            scalar = scalars[i - 1]
-            expo = dict(expos[i - 1])
-            for k, e in ((i - 1, 2), (i, -2)):
-                lc = prs[k][-1]
-                if lc.keys() == {0}:
-                    scalar *= Fraction(lc[0]) ** e
-                else:
-                    expo[k] = expo.get(k, 0) + e
-            signs.append(-signs[i - 1])
-            scalars.append(scalar)
-            expos.append({k: e for k, e in expo.items() if e})
-        self._set(d, prs, signs, scalars, expos)
-
-    def _set(self, d, prs, signs, scalars, expos):
         self.d = d
-        self.prs = prs
-        self.signs = signs
-        self.scalars = scalars
-        self.expos = expos
-
-    @classmethod
-    def _from_parts(cls, d, prs, signs, scalars, expos):
-        ch = object.__new__(cls)
-        ch._set(d, prs, signs, scalars, expos)
-        return ch
+        self.prs = _hankel_chain(d) if prs is None else prs
 
 
 def _wp_eval(p: dict, vals: Sequence[Fraction]) -> Fraction:
@@ -280,7 +265,7 @@ def _wp_eval(p: dict, vals: Sequence[Fraction]) -> Fraction:
 def _verify_chain(ch) -> bool:
     """Exact specialization check of a chain against direct Euclid."""
     d = ch.d
-    if len(ch.prs) != d + 1 or len(ch.signs) != d + 1:
+    if len(ch.prs) != d + 1:
         return False
     if any(len(xp) != d + 1 - i for i, xp in enumerate(ch.prs)):
         return False
@@ -292,8 +277,8 @@ def _verify_chain(ch) -> bool:
         if [len(p) for p in ref] != list(range(d + 1, 0, -1)):
             continue  # chain degrees not d, d-1, ..., 0: non-generic point
         for i in range(d + 1):
-            mult = Fraction(ch.signs[i]) * ch.scalars[i]
-            for k, e in ch.expos[i].items():
+            mult, expo = _multiplier(d, i)
+            for k, e in expo.items():
                 mult *= _wp_eval(ch.prs[k][-1], vals) ** e
             got = [_wp_eval(c, vals) * mult for c in ch.prs[i]]
             if tuple(got) != ref[i]:
@@ -330,15 +315,12 @@ def _load_cached_chain(d: int):
         if data.get("format") != _CACHE_FORMAT or data.get("bits") != _BITS \
                 or data.get("d") != d:
             return None
-        prs = [[{int(k): int(v) for k, v in c.items()} for c in xp]
-               for xp in data["prs"]]
-        ch = _Chain._from_parts(
-            d, prs, [int(s) for s in data["signs"]],
-            [Fraction(s) for s in data["scalars"]],
-            [{int(k): int(e) for k, e in ex.items()} for ex in data["expos"]])
-    except (OSError, ValueError, KeyError, TypeError):
+        ch = _Chain(d, [[{int(k): int(v) for k, v in c.items()} for c in xp]
+                        for xp in data["prs"]])
+        return ch if _verify_chain(ch) else None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError):
         return None
-    return ch if _verify_chain(ch) else None
 
 
 def _store_cached_chain(ch) -> None:
@@ -348,14 +330,9 @@ def _store_cached_chain(ch) -> None:
     import tempfile
 
     path = _chain_cache_path(ch.d)
-    data = {
-        "format": _CACHE_FORMAT, "bits": _BITS, "d": ch.d,
-        "signs": ch.signs,
-        "scalars": [str(s) for s in ch.scalars],
-        "expos": [{str(k): e for k, e in ex.items()} for ex in ch.expos],
-        "prs": [[{str(k): v for k, v in c.items()} for c in xp]
-                for xp in ch.prs],
-    }
+    data = {"format": _CACHE_FORMAT, "bits": _BITS, "d": ch.d,
+            "prs": [[{str(k): v for k, v in c.items()} for c in xp]
+                    for xp in ch.prs]}
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -553,12 +530,11 @@ def symbolic_sturm(d: int) -> list:
     if cached is not None:
         return cached
     chain = _get_chain(d)
-    lcs = {i: _wp_to_sparse(chain.prs[i][-1], d)
-           for ex in chain.expos for i in ex}
+    lcs = {i: _wp_to_sparse(chain.prs[i][-1], d) for i in range(2, d)}
     out = []
     for j, xp in enumerate(chain.prs):
-        scalar = chain.signs[j] * chain.scalars[j]
-        base_factors = [(lcs[i], e) for i, e in sorted(chain.expos[j].items())]
+        scalar, expo = _multiplier(d, j)
+        base_factors = [(lcs[i], e) for i, e in sorted(expo.items())]
         deg = len(xp) - 1
         coeffs = []
         for k in range(deg, -1, -1):
@@ -596,7 +572,7 @@ def critical_polynomials(d: int) -> CriticalSet:
     F = []
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
-        sigma = chain.signs[j] * (1 if chain.scalars[j] > 0 else -1)
+        sigma = 1 if _multiplier(d, j)[0] > 0 else -1
         F_j = _wp_to_sparse(_wp_divexact_int(lead, sigma * _wp_content(lead)), d)
         shd(F_j)  # raises ValueError unless substitutable homogeneous
         F.append(F_j)

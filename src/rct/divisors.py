@@ -29,6 +29,7 @@ from .critical import (
     _hankel_verdict,
     critical_polynomials,
 )
+from .parse import MAX_POWER_TERMS
 from .poly import Rational, SparsePoly, as_rational
 from .sturm import MAX_DEGREE, count_distinct_roots_in, count_distinct_roots_total
 
@@ -203,6 +204,11 @@ def paper_family(n: int, k: int):
     if 2 * k + 1 > MAX_DEGREE:
         raise ValueError(f"the family has degree 2k+1 <= {MAX_DEGREE}, "
                          f"so k <= {(MAX_DEGREE - 1) // 2}, got k = {k}")
+    # G has a term for every monomial of degree k in x_0^2, ..., x_n^2
+    terms = math.comb(n + k, n)
+    if terms > MAX_POWER_TERMS:
+        raise ValueError(f"the family has C(n+k, n) = {terms} terms, over "
+                         f"the cap {MAX_POWER_TERMS}")
     allvars = tuple(xvar(i) for i in range(n + 1))
     x0sq = SparsePoly.monomial(allvars,
                                tuple(2 if i == 0 else 0 for i in range(n + 1)))
@@ -285,9 +291,7 @@ def _fiber_poly(D: Divisor, direction: Sequence[Rational]) -> SparsePoly:
 
 def _compile_int_terms(p: SparsePoly):
     """(term list with integer coefficients, cleared denominator)."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     terms = [(int(c * den), exps) for exps, c in p.sorted_terms()]
     return terms, den
 
@@ -308,9 +312,7 @@ class _FiberChecker:
         zero = SparsePoly.zero(D.f.vars[1:])
         compiled = [_compile_int_terms(ps.get(i, zero).with_vars(D.f.vars[1:]))
                     for i in range(1, D.d + 1)]
-        Q = 1
-        for _, den in compiled:
-            Q = Q * den // math.gcd(Q, den)
+        Q = math.lcm(*(den for _, den in compiled))
         self.p_terms = [t for t, _ in compiled]
         self.p_mult = [Q ** i // compiled[i - 1][1]
                        for i in range(1, D.d + 1)]
@@ -348,17 +350,15 @@ class _FiberChecker:
                 for i in range(self.d)]
 
     def check(self, direction):
-        """(fiber has d distinct real roots, certificate dict)."""
+        """(fiber along an integer direction has d distinct real roots,
+        certificate dict)."""
         cert: dict = {"direction": [str(c) for c in direction]}
-        if all(int(c) == c for c in direction):
-            v = _hankel_verdict(self.coeff_point(direction))
-            if v is RootVerdict.TRUE:
-                cert["route"] = "critical"
-                return True, cert
-            cert["route"] = "critical" if v is RootVerdict.FALSE \
-                else "critical-degenerate"
-        else:
-            cert["route"] = "sturm"
+        v = _hankel_verdict(self.coeff_point(direction))
+        if v is RootVerdict.TRUE:
+            cert["route"] = "critical"
+            return True, cert
+        cert["route"] = "critical" if v is RootVerdict.FALSE \
+            else "critical-degenerate"
         count = count_distinct_roots_total(_fiber_poly(self.D, direction),
                                            xvar(0))
         cert["sturm_count"] = count

@@ -54,19 +54,17 @@ class FiberError(ValueError):
 
 
 def _normalize_coords(coords):
-    """Scale so the first coordinate of large modulus becomes 1."""
-    pivot = None
-    biggest = 0.0
-    for c in coords:
-        m = abs(float(c))
-        if m > biggest:
-            biggest = m
-    if biggest == 0.0:
+    """Scale so the first coordinate of modulus at least 1e-9 times the
+    largest becomes 1.  Magnitudes compare exactly, and exact coordinates
+    stay exact."""
+    mags = [abs(c) for c in coords]
+    biggest = max(mags, default=0)
+    if not biggest:
         raise ValueError("zero coordinate vector")
-    for c in coords:
-        if abs(float(c)) >= biggest * 1e-9:
-            pivot = c
-            break
+    floor = biggest * Fraction(1, 10 ** 9)
+    pivot = next(c for c, m in zip(coords, mags) if m >= floor)
+    if isinstance(pivot, int):
+        pivot = Fraction(pivot)
     return tuple(c / pivot for c in coords)
 
 
@@ -142,12 +140,13 @@ class ZeroCycle:
 
 
 def _coord_in(text):
-    if type(text) not in (int, float, str):
-        raise ValueError(f"not a coordinate: {text!r}")
-    try:
-        return Fraction(str(text))
-    except ValueError:
-        return float(text)
+    """An exact coordinate from a JSON number or a decimal or p/q string."""
+    if type(text) in (int, float, str):
+        try:
+            return Fraction(str(text))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a coordinate: {text!r}")
 
 
 @dataclass
@@ -240,8 +239,13 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
     Z lives in P^{n+1} and D is a normalized divisor in x_0..x_{n+2};
     every line (s : q) then carries a monic degree-d polynomial in s.
     Each fiber passes an exact Sturm gate: its isolating intervals must
-    number d.  Floats enter only at the final midpoint extraction.
+    number d.  Z's coordinates must be exact (int or Fraction), so each
+    certificate is for the line over Z's own point; floats enter only at
+    the final midpoint extraction.
     """
+    if not all(isinstance(c, (int, Fraction)) for q, _ in Z.points for c in q):
+        raise ValueError("psi_demo needs exact cycle coordinates "
+                         "(int or Fraction), not floats")
     t = as_rational(t)
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
@@ -257,14 +261,8 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
 
     def fiber(entry):
         coords, mult = entry
-        q = [as_rational(c) if isinstance(c, (int, Fraction)) else c
-             for c in coords]
-        if all(isinstance(c, Fraction) for c in q):
-            roots, cert = _line_fiber(D_t, q, d)
-        else:
-            qr = [Fraction(float(c)).limit_denominator(10 ** 9) for c in q]
-            roots, cert = _line_fiber(D_t, qr, d)
-            q = qr
+        q = [as_rational(c) for c in coords]
+        roots, cert = _line_fiber(D_t, q, d)
         outs = []
         for s in roots:
             x = (s,) + tuple(q)  # the fiber point (s : q) in P^{n+2}

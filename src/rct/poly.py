@@ -13,8 +13,7 @@ exponent vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -288,8 +287,8 @@ class SparsePoly:
         """Positive rational c with self/c integer primitive; 0 for the zero poly."""
         if not self.terms:
             return Fraction(0)
-        num = reduce(gcd, (abs(c.numerator) for c in self.terms.values()))
-        den = reduce(_lcm, (c.denominator for c in self.terms.values()))
+        num = gcd(*(c.numerator for c in self.terms.values()))
+        den = lcm(*(c.denominator for c in self.terms.values()))
         return Fraction(num, den)
 
     def primitive_integer(self) -> "SparsePoly":
@@ -465,10 +464,6 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({format_poly(self)!r})"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _format_rational(c: Fraction) -> str:

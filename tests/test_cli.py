@@ -72,6 +72,17 @@ def _json_divisor(n, degree):
         {"coeff": 1, "exp": [degree, 0]}, {"coeff": -1, "exp": [0, degree]}]}})
 
 
+def _unit_span(N, count):
+    """The first `count` unit vectors of P^N as span JSON."""
+    return json.dumps([[int(i == j) for i in range(N + 1)] for j in range(count)])
+
+
+def _chow_form(d):
+    """u0_0^d * u1_1^d as form JSON, past the parser's power caps."""
+    return json.dumps({"N": 1, "r": 1, "d": d, "m": 0, "form": {
+        "vars": ["u0_0", "u1_1"], "terms": [{"coeff": 1, "exp": [d, d]}]}})
+
+
 def _one_line_error(err):
     return err.startswith("error: ") and err.count("\n") == 1 \
         and "Traceback" not in err
@@ -102,10 +113,25 @@ def _one_line_error(err):
     ["div", "family", "--n", "100000000", "--k", "1"],
     ["div", "family", "--n", "2", "--k", "1000000"],
     ["div", "in-e", "--poly", "x0^2 - 9*x1^2 - 9*x2^2", "--grid", "1000000000"],
+    ["div", "family", "--n", "2", "--k", "127"],
+    ["div", "family", "--n", "16", "--k", "20"],
+    ["div", "family", "--n", "2", "--k", "63"],
+    ["chow", "points", "--points", "[[[1,2], 100000000]]"],
+    ["chow", "points", "--points", "[[[1,1], 513]]"],
+    ["chow", "points", "--points", json.dumps([[1, 2, 3, 4, 5, 6, 7, 8]] * 8)],
+    ["chow", "line", "--span", _unit_span(20, 11)],
+    ["chow", "line", "--span", _unit_span(6, 6)],
+    ["chow", "line", "--span", _unit_span(45, 2)],
+    ["chow", "taffy", "--form", _chow_form(100000000)],
+    ["chow", "detcheck", "--form", _chow_form(100000000), "--matrix", "[[1,1],[0,1]]"],
+    ["chow", "eigen", "--form", _chow_form(513)],
+    ["fan", "demo", "--cycle", '{"points": [{"coords": ["infinity", 1]}]}'],
+    ["fan", "demo", "--cycle", '{"points": [{"coords": ["nan", 1]}]}'],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # nesting depth, grid count, powers, products, Sturm degree and the
-    # divisor's n and degree are capped; JSON arguments of the wrong shape
+    # nesting depth, grid count, powers, products, Sturm degree, the
+    # divisor's n and degree, the family's and the cycle forms' sizes are
+    # capped; JSON arguments of the wrong shape and non-finite coordinates
     # are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -134,6 +160,35 @@ def test_limits_admit_their_boundary(capsys):
     code, out, _ = run(capsys, "div", "in-e", "--poly", "x0^2 - x1^2", "--n", "1",
                        "--grid", "100000")
     assert code == 0 and json.loads(out)["verdict"] == "member"
+    # the family at C(n+k, n) = 2016 terms (n = 2, k = 62)
+    code, out, _ = run(capsys, "div", "family", "--n", "2", "--k", "62")
+    assert code == 0 and json.loads(out)["odd"]["d"] == 125
+    # cycle forms: degree 512, 1716 terms of degree 6 in 8 coordinates, and
+    # a line in P^44 with 44 * 45 = 1980 terms
+    code, out, _ = run(capsys, "chow", "points", "--points", "[[[1,1], 512]]")
+    assert code == 0 and len(json.loads(out)["form"]["terms"]) == 513
+    code, out, _ = run(capsys, "chow", "points", "--points",
+                       json.dumps([[1, 2, 3, 4, 5, 6, 7, 8]] * 6))
+    assert code == 0 and len(json.loads(out)["form"]["terms"]) == 1716
+    span = json.dumps([[1] * 45, list(range(45))])
+    code, out, _ = run(capsys, "chow", "line", "--span", span)
+    assert code == 0 and len(json.loads(out)["form"]["terms"]) == 1980
+    code, out, _ = run(capsys, "chow", "eigen", "--form", _chow_form(512))
+    assert code == 0 and json.loads(out)["s"] == 512
+
+
+def test_cycle_coordinates_stay_exact(capsys):
+    # tiny and huge exact coordinates normalize without floats
+    def demo(coords):
+        return run(capsys, "fan", "demo", "--cycle",
+                   json.dumps({"points": [{"coords": coords}]}))
+
+    base = demo([1, 2])
+    assert base[0] == 0
+    assert demo(["1e-400", "2e-400"]) == base
+    code, out, err = demo(["1e400", 1])
+    assert code == 0 and err == ""
+    assert json.loads(out)["output"]["points"][0]["coords"][0] == "1.0"
 
 
 def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Symbolic Sturm chain, critical polynomials, and the packed kernels."""
 
+import gzip
+import json
 import os
 import random
 import subprocess
@@ -395,9 +397,9 @@ def test_hankel_chain_equals_reduced_prs():
         ch = crit._Chain(d)
         prs, signs, scalars, expos = _reduced_prs(d)
         assert ch.prs == prs, d
-        assert ch.signs == signs, d
-        assert ch.scalars == scalars, d
-        assert ch.expos == expos, d
+        for j in range(d + 1):
+            assert crit._multiplier(d, j) == (signs[j] * scalars[j], expos[j]), \
+                (d, j)
 
 
 def test_import_leaves_numpy_out():
@@ -427,8 +429,6 @@ def test_chain_cache_roundtrip(tmp_path, monkeypatch):
         loaded = crit._load_cached_chain(3)
         assert loaded is not None
         assert loaded.prs == ch.prs
-        assert loaded.signs == ch.signs
-        assert loaded.scalars == ch.scalars
         # corruption is detected and discarded, never trusted
         files[0].write_bytes(b"not gzip json")
         assert crit._load_cached_chain(3) is None
@@ -445,12 +445,11 @@ def test_cache_verification_rejects_wrong_chain(tmp_path, monkeypatch):
     crit._chain_cache.pop(3, None)
     try:
         ch = crit._get_chain(3)
-        tampered = crit._Chain._from_parts(
+        tampered = crit._Chain(
             3,
             [[{k: v + (1 if i == 2 and j == 0 else 0)
                for k, v in wp.items()} or wp for j, wp in enumerate(entry)]
-             for i, entry in enumerate(ch.prs)],
-            ch.signs, ch.scalars, ch.expos)
+             for i, entry in enumerate(ch.prs)])
         crit._store_cached_chain(tampered)
         assert crit._load_cached_chain(3) is None
     finally:
@@ -469,6 +468,54 @@ def test_verify_chain_accepts_built_and_rejects_perturbed():
             prs = [[dict(wp) for wp in entry] for entry in ch.prs]
             key = next(iter(prs[i][0]))
             prs[i][0][key] += 1
-            bad = crit._Chain._from_parts(d, prs, ch.signs, ch.scalars,
-                                          ch.expos)
+            bad = crit._Chain(d, prs)
             assert not crit._verify_chain(bad), (d, i)
+
+
+def _read_record(crit, d):
+    with gzip.open(crit._chain_cache_path(d), "rt", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_record(crit, d, record):
+    path = crit._chain_cache_path(d)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(record, fh)
+
+
+def test_cache_record_is_prs_only_and_legacy_keys_still_load(tmp_path, monkeypatch):
+    # a record holds format, bits, d and prs; one that still carries the
+    # multiplier lists of format 1 loads too, and they are never read
+    import rct.critical as crit
+
+    monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
+    ch = crit._Chain(4)
+    crit._store_cached_chain(ch)
+    record = _read_record(crit, 4)
+    assert sorted(record) == ["bits", "d", "format", "prs"]
+    loaded = crit._load_cached_chain(4)
+    assert loaded is not None and loaded.prs == ch.prs
+    assert sorted(vars(loaded)) == ["d", "prs"]
+
+    _, signs, scalars, expos = _reduced_prs(4)
+    record.update(signs=signs, scalars=[str(s) for s in scalars],
+                  expos=[{str(k): e for k, e in ex.items()} for ex in expos])
+    _write_record(crit, 4, record)
+    loaded = crit._load_cached_chain(4)
+    assert loaded is not None and loaded.prs == ch.prs
+    # the legacy lists are not trusted either: wrong ones change nothing
+    record.update(signs=[7] * 5, scalars=["0"] * 5, expos=[{}] * 5)
+    _write_record(crit, 4, record)
+    assert crit._load_cached_chain(4) is not None
+
+
+def test_cache_rejects_malformed_records(tmp_path, monkeypatch):
+    import rct.critical as crit
+
+    monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
+    good = {"format": 1, "bits": crit._BITS, "d": 3}
+    for record in ([], dict(good), dict(good, prs=[[1]]),
+                   dict(good, prs=[[{"x": 1}]]), dict(good, d=4, prs=[])):
+        _write_record(crit, 3, record)
+        assert crit._load_cached_chain(3) is None, record

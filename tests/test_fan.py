@@ -50,6 +50,22 @@ def test_zero_cycle_rejections():
         ZeroCycle([(0, 0)])
 
 
+def test_zero_cycle_coordinates_stay_exact():
+    # integer and Fraction coordinates normalize exactly, at any size
+    Z = ZeroCycle([(3, 6), (Fraction(10) ** 400, 1)])
+    assert Z.points == (((1, 2), 1), ((1, Fraction(1, 10 ** 400)), 1))
+    assert all(type(c) is Fraction for q, _ in Z.points for c in q)
+    # floats keep the float rule: the pivot is the first coordinate of at
+    # least 1e-9 times the largest modulus
+    W = ZeroCycle([(1e-10, 1.0), (2e-9, 1.0)])
+    assert W.points[0][0] == (1e-10, 1.0)
+    assert W.points[1][0] == (1.0, 1.0 / 2e-9)
+    # only exact cycles are certified
+    _, D = default_demo()
+    with pytest.raises(ValueError, match="exact"):
+        psi_demo(ZeroCycle([(1.0, 0.3)]), D, Fraction(1, 2))
+
+
 def test_zero_cycle_json_roundtrip():
     Z = ZeroCycle([((Fraction(1), Fraction(2, 3)), 2), ((0, 1), 1)])
     again = ZeroCycle.from_json_dict(Z.to_json_dict())
