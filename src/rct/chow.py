@@ -390,6 +390,20 @@ def det_action_check(F: MHForm, A: Sequence[Sequence[Rational]]) -> bool:
     det = _det_frac(A)
     if det == 0:
         raise ValueError("matrix is singular")
+    # a term of degree E_j in coordinate j spreads over the r + 1 groups,
+    # into at most C(E_j + r, r) monomials per coordinate; F(Au) also has
+    # at most C(d + N, N) monomials per group
+    coords = [_var_group_coord(v)[1] for v in F.form.vars]
+    expanded = 0
+    for e in F.form.terms:
+        per_coord: dict = {}
+        for j, k in zip(coords, e):
+            per_coord[j] = per_coord.get(j, 0) + k
+        expanded += prod(comb(k + F.r, F.r) for k in per_coord.values())
+    terms = min(expanded, comb(F.d + F.N, F.N) ** n)
+    if terms > MAX_POWER_TERMS:
+        raise ValueError(f"F(Au) may have {terms} terms, over the cap "
+                         f"{MAX_POWER_TERMS}")
     allvars = F.form.vars
     mapping = {}
     for i in range(n):

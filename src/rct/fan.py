@@ -172,10 +172,15 @@ def _unit(coords) -> tuple:
 
 
 def _chordal(u, v) -> float:
-    # projective points are unsigned; compare both lifts
-    d1 = math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-    d2 = math.sqrt(sum((a + b) ** 2 for a, b in zip(u, v)))
-    return min(d1, d2)
+    # projective points are unsigned; compare both lifts.  Both sums run
+    # left to right from 0 on every Python version; that is how sum() adds
+    # floats up to 3.11 (3.12 compensates), and sqrt is monotone, so there
+    # this is min(sqrt(sum(...)), sqrt(sum(...))) to the bit
+    s1 = s2 = 0
+    for a, b in zip(u, v):
+        s1 += (a - b) ** 2
+        s2 += (a + b) ** 2
+    return math.sqrt(min(s1, s2))
 
 
 def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:

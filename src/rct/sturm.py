@@ -14,18 +14,26 @@ Euclid chain from them on demand.
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
 between them, multiplicities ignored.  Every query reads the integer
-chain.
+chain, and every sign comes from one Horner kernel, `_sign`.  The last
+chain built is kept, keyed by the polynomial object and the variable, so
+counting and isolating one polynomial builds its chain once.
 
-Isolation bisects from the Cauchy bound and splits until every interval
-holds one root.  A Fujiwara bound, rounded up to a power of two `far`,
-lies above the modulus of every complex root, so at a point x with
-|x| >= far the sign changes equal those at the infinity on x's side:
-the tree keeps every node, but the root-free descent from the Cauchy
-bound down to far reads the counts at infinity and evaluates nothing.
+Isolation bisects from the Cauchy bound P/Q and splits until every
+interval holds one root.  Every tree point is an integer u at a level L,
+meaning x = P u / (Q 2^L): midpoints and shifted split points are integer
+sums and shifts, and the chain's coefficients are scaled by powers of Q
+once per isolation, so a sign at a node is the kernel run at P u with
+shift L.  A Fujiwara bound, rounded up to a power of two `far`, lies
+above the modulus of every complex root, so at a point x with |x| >= far
+the sign changes equal those at the infinity on x's side, and one
+integer comparison tells whether a node lies there: a split point
+beyond far is counted without evaluating anything, so the root-free
+descent from the Cauchy bound costs a shift and a comparison per level.
 An interval holding a single root is refined on the sign of the
 squarefree part f / gcd(f, f') alone, walking the integer index of the
-dyadic grid its bisection ends on (see `_refine`).  Both steps visit the
-same points as plain Fraction bisection, so the intervals are the same.
+dyadic grid its bisection ends on (see `_refine`); Fractions are built
+only for the intervals returned.  The tree and the walk visit the same points as
+plain Fraction bisection, so the intervals are the same.
 
 Queries accept degrees up to MAX_DEGREE.
 """
@@ -110,24 +118,33 @@ def _neg_prem(a: Sequence[int], b: Sequence[int]):
     return r, abs(mult)
 
 
-def _signs_at(polys: Sequence[Sequence[int]], x: Fraction) -> SignSeq:
-    """Signs of integer polynomials at x; polys[0] has the largest degree."""
-    # sign(g(p/q)) = sign(sum_i g_i p^i q^(n-i)) since q > 0
-    p, q = x.numerator, x.denominator
-    qpow = [1]
-    for _ in range(len(polys[0]) - 1):
-        qpow.append(qpow[-1] * q)
-    out = []
-    for cs in polys:
-        acc = 0
-        for c, w in zip(reversed(cs), qpow):
-            acc = acc * p + c * w
-        out.append((acc > 0) - (acc < 0))
+def _scaled(cs: Sequence[int], q: int) -> list:
+    """Descending coefficients c_i q^(m-i) of the ascending cs of degree m."""
+    out, w = [], 1
+    for c in reversed(cs):
+        out.append(c * w)
+        w *= q
     return out
 
 
-def _sign_at(g: Sequence[int], x: Fraction) -> int:
-    return _signs_at((g,), x)[0]
+def _sign(scaled: Sequence[int], t: int, e: int) -> int:
+    """Sign of g at t / (q 2^e), from the `_scaled` coefficients of g by q.
+
+    For g = sum g_i x^i of degree m, the sum of g_i t^i (q 2^e)^(m-i) is
+    (q 2^e)^m g(t / (q 2^e)), so it has the sign of g there; Horner runs in
+    t, and the powers of 2^e are shifts.  Every sign query of this module
+    goes through here.
+    """
+    acc = sh = 0
+    for c in scaled:
+        acc = acc * t + (c << sh)
+        sh += e
+    return (acc > 0) - (acc < 0)
+
+
+def _signs_at(polys: Sequence[Sequence[int]], x: Fraction) -> SignSeq:
+    """Signs of integer polynomials at x."""
+    return [_sign(_scaled(g, x.denominator), x.numerator, 0) for g in polys]
 
 
 def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list:
@@ -198,9 +215,27 @@ class SturmSeq:
         return list(self.chain[0]) if len(g) == 1 else _exact_quotient(self.chain[0], g)
 
 
+# the most recent chain as (f, var, chain); SparsePoly is immutable, so a
+# later call on the same object and variable may return it as it is
+_last_chain = (None, None, None)
+
+
 def sturm_sequence(f: SparsePoly, var: str = None) -> SturmSeq:
-    """Build the Sturm chain of a non-constant rational polynomial."""
+    """Build the Sturm chain of a non-constant rational polynomial.
+
+    The last chain built is kept, so count, count-in and isolate on one
+    polynomial object build it once.
+    """
+    global _last_chain
     var = _main_var(f, var)
+    last_f, last_var, seq = _last_chain
+    if last_f is not f or last_var != var:
+        seq = _build_chain(f, var)
+        _last_chain = (f, var, seq)
+    return seq
+
+
+def _build_chain(f: SparsePoly, var: str) -> SturmSeq:
     p0, step0 = _int_dense(f, var)
     g1, p1 = _primitive([k * c for k, c in enumerate(p0)][1:])
     chain, steps = [p0, p1], [step0, (g1, 1)]
@@ -223,11 +258,11 @@ def sign_changes(signs: Iterable[int]) -> int:
 
 def cauchy_root_bound(f: SparsePoly, var: str = None) -> Fraction:
     """1 + max |c_i| / |c_lead|; every real root lies strictly inside."""
-    var = _main_var(f, var)
-    cs = _dense(f, var)
-    lead = abs(cs[-1])
-    m = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else Fraction(0)
-    return 1 + m / lead
+    return _cauchy_bound(_dense(f, _main_var(f, var)))
+
+
+def _cauchy_bound(cs: Sequence) -> Fraction:
+    return 1 + Fraction(max(abs(c) for c in cs[:-1])) / abs(cs[-1])
 
 
 def expand_endpoints_clear(f: SparsePoly, a, b, var: str = None):
@@ -240,9 +275,9 @@ def expand_endpoints_clear(f: SparsePoly, a, b, var: str = None):
     a, b = as_rational(a), as_rational(b)
     step = cauchy_root_bound(f, var)
     ints = _int_dense(f, var)[0]
-    while _sign_at(ints, a) == 0:
+    while _signs_at((ints,), a)[0] == 0:
         a -= step
-    while _sign_at(ints, b) == 0:
+    while _signs_at((ints,), b)[0] == 0:
         b += step
     return a, b
 
@@ -284,51 +319,42 @@ def _fujiwara_far(cs: Sequence[int]) -> Fraction:
     return Fraction(2) ** (e + 1)
 
 
-def _refine(sqf: Sequence[int], a: Fraction, b: Fraction, precision: Fraction):
-    """Bisect (a, b) to width <= precision.  It holds exactly one root of
-    the squarefree sqf, whose sign therefore differs at a and b.  A
-    midpoint that is the root gives [m, m].
+def _refine(sqf: Sequence[int], P: int, Q: int, ua: int, ub: int, L: int,
+            precision: Fraction):
+    """Bisect the tree node (ua, ub, L) to width <= precision.  It holds
+    exactly one root of the squarefree sqf (`_scaled` by Q), whose sign
+    therefore differs at its ends.  A midpoint that is the root gives [m, m].
 
-    Every midpoint of that bisection lies on the level-K dyadic grid
-    x_j = a + j (b - a) / 2^K, where K is the fewest halvings that bring
-    the width to <= precision, so the walk runs on the integer index j
-    alone.  The grid points are x_j = (A + j W) / Q with integers A, W and
-    Q, and sign(sqf(x_j)) = sign(sum_i c_i (A + j W)^i Q^(n-i)) since
-    Q > 0; the products c_i Q^(n-i) are formed once per root.  The walk
-    visits the same midpoints in the same order as bisecting the
-    Fractions themselves, so the returned Fractions are the same.
+    Every midpoint of that bisection lies on the node's level-(L + K)
+    grid u_j = ua 2^K + j (ub - ua), where K is the fewest halvings that
+    bring the width to <= precision, so the walk runs on the index j
+    alone and visits the points plain Fraction bisection would.
     """
-    ratio = (b - a) / precision
-    k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    w = ub - ua
+    # the width P w / (Q 2^L) over the precision, rounded up
+    num = P * w * precision.denominator
+    den = (Q * precision.numerator) << L
+    k = (-(-num // den) - 1).bit_length()
     if k == 0:
-        return a, b
-    q = lcm(a.denominator, (b - a).denominator << k)
-    base = a.numerator * (q // a.denominator)
-    step = (b - a).numerator * (q // ((b - a).denominator << k))
-    qpow = 1
-    cq = []
-    for c in reversed(sqf):
-        cq.append(c * qpow)
-        qpow *= q
+        return Fraction(P * ua, Q << L), Fraction(P * ub, Q << L)
+    base, level = ua << k, L + k
 
     def sign(j: int) -> int:
-        p, acc = base + j * step, 0
-        for c in cq:
-            acc = acc * p + c
-        return (acc > 0) - (acc < 0)
+        return _sign(sqf, P * (base + j * w), level)
 
     lo, hi, s_lo = 0, 1 << k, sign(0)
     while hi - lo > 1:
         mid = (lo + hi) >> 1
         s_mid = sign(mid)
         if s_mid == 0:
-            m = Fraction(base + mid * step, q)
+            m = Fraction(P * (base + mid * w), Q << level)
             return m, m
         if s_mid == s_lo:
             lo = mid
         else:
             hi = mid
-    return Fraction(base + lo * step, q), Fraction(base + hi * step, q)
+    return (Fraction(P * (base + lo * w), Q << level),
+            Fraction(P * (base + hi * w), Q << level))
 
 
 def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
@@ -343,46 +369,54 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     if precision <= 0:
         raise ValueError("precision must be positive")
     seq = sturm_sequence(f, var)
-    sqf = seq.squarefree_part()
+    # a tree node (ua, ub, L) is the interval between x = P u / (Q 2^L)
+    # for u = ua and u = ub, with P / Q the Cauchy bound
+    bound = _cauchy_bound(seq.chain[0])
+    P, Q = bound.numerator, bound.denominator
+    chain = [_scaled(g, Q) for g in seq.chain]
+    sqf = _scaled(seq.squarefree_part(), Q)
 
-    bound = cauchy_root_bound(f, var)
-    lo, hi = -bound, bound
-    # no root reaches far, so beyond it the counts are those at infinity
+    # no root reaches far, so beyond it the counts are those at infinity;
+    # with far = FN / FD, x is at or beyond far iff P FD |u| >= Q FN 2^L
     far = _fujiwara_far(seq.chain[0])
-    neg_far = -far
+    PF, QF = P * far.denominator, Q * far.numerator
     v_neg = sign_changes(seq.signs_at_neg_inf())
     v_pos = sign_changes(seq.signs_at_pos_inf())
 
-    def changes(x: Fraction) -> int:
-        if x <= neg_far:
-            return v_neg
-        if x >= far:
-            return v_pos
-        return sign_changes(seq.signs_at(x))
+    def beyond(u: int, L: int) -> int:
+        """+1 at or above far, -1 at or below -far, else 0."""
+        t, lim = PF * u, QF << L
+        return (t >= lim) - (t <= -lim)
 
-    def split_point(a: Fraction, b: Fraction) -> Fraction:
-        # midpoint, shifted deterministically until it is not a root
-        m = (a + b) / 2
-        if neg_far < m < far:
-            k = 3
-            while _sign_at(sqf, m) == 0:
-                m = a + (b - a) * Fraction(2 ** (k - 1) + 1, 2 ** k)
-                k += 1
-        return m
+    def changes(u: int, L: int) -> int:
+        side = beyond(u, L)
+        if side:
+            return v_pos if side > 0 else v_neg
+        t = P * u
+        return sign_changes([_sign(g, t, L) for g in chain])
 
     out = []
-    stack = [(lo, changes(lo), hi, changes(hi))]
+    # the root's width 2 leaves a spare factor 2 in every u below it
+    stack = [(-1, 1, 0, changes(-1, 0), changes(1, 0))]
     while stack:
-        a, va, b, vb = stack.pop()
+        ua, ub, L, va, vb = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine(sqf, a, b, precision))
+            out.append(_refine(sqf, P, Q, ua, ub, L, precision))
             continue
-        m = split_point(a, b)
-        vm = changes(m)
-        stack.append((m, vm, b, vb))
-        stack.append((a, va, m, vm))
+        # split at the midpoint, shifted to a + (b - a) (2^(k-1) + 1) / 2^k
+        # for k = 3, 4, ... while it is a root
+        w, k, frac = ub - ua, 1, 1
+        while True:
+            um = (ua << k) + w * frac
+            if beyond(um, L + k) or _sign(sqf, P * um, L + k):
+                break
+            k = 3 if k == 1 else k + 1
+            frac = (1 << (k - 1)) + 1
+        vm = changes(um, L + k)
+        stack.append((um, ub << k, L + k, vm, vb))
+        stack.append((ua << k, um, L + k, va, vm))
     out.sort()
     return out

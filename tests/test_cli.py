@@ -124,6 +124,12 @@ def _one_line_error(err):
     ["chow", "line", "--span", _unit_span(45, 2)],
     ["chow", "taffy", "--form", _chow_form(100000000)],
     ["chow", "detcheck", "--form", _chow_form(100000000), "--matrix", "[[1,1],[0,1]]"],
+    # one term, prod_{i,j<4} u<i>_<j>^2, spreads into 165^4 monomials under A
+    ["chow", "detcheck", "--form", json.dumps({
+        "N": 3, "r": 3, "d": 8, "m": 0, "form": {
+            "vars": [f"u{i}_{j}" for i in range(4) for j in range(4)],
+            "terms": [{"coeff": 1, "exp": [2] * 16}]}}),
+     "--matrix", "[[1,1,1,1],[0,1,1,1],[0,0,1,1],[0,0,0,1]]"],
     ["chow", "eigen", "--form", _chow_form(513)],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["infinity", 1]}]}'],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["nan", 1]}]}'],
@@ -396,8 +402,11 @@ def test_run_corpus_api():
 
 
 def test_console_script_installed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "rct.cli", "critical",
                            "gen", "--d", "2"],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["F"]["2"] == "a1^2 - 4*a2"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rct import sturm
 from rct.parse import parse_poly
 from rct.divisors import paper_family, scale_divisor
 from rct.poly import SparsePoly, divide_exact, poly_divmod
@@ -178,6 +179,36 @@ def test_integer_chain_view_equals_euclid_random():
     assert [len(p) for p in sturm_sequence(fixed[0], "x").chain] == [5, 4, 1]
 
 
+def test_chain_built_once_per_polynomial(monkeypatch):
+    builds = []
+    build = sturm._build_chain
+
+    def counted(f, var):
+        builds.append(var)
+        return build(f, var)
+
+    monkeypatch.setattr(sturm, "_build_chain", counted)
+    f = parse_poly("(x - 1)*(x + 2)*(x^2 - 3)*(x^2 + 1)")
+    assert count_distinct_roots_total(f) == 4
+    assert count_distinct_roots_in(f, 0, 3) == 2
+    assert len(isolate_roots_bisection(f, Fraction(1, 64))) == 4
+    assert builds == ["x"]
+    # two polynomials in turn: each switch builds the other's chain
+    g = parse_poly("x^3 - 2")
+    for _ in range(2):
+        assert count_distinct_roots_total(g) == 1
+        assert count_distinct_roots_total(f) == 4
+    assert len(builds) == 5
+    # one object over (x, y), univariate in x: var = "y" is refused, not
+    # answered from the x chain, and the x chain stays the one kept
+    h = SparsePoly(("x", "y"), {(2, 0): 1, (0, 0): -2})
+    assert count_distinct_roots_total(h, "x") == 2
+    with pytest.raises(ValueError, match="not univariate in y"):
+        count_distinct_roots_total(h, "y")
+    assert len(isolate_roots_bisection(h, Fraction(1, 64), "x")) == 2
+    assert builds[5:] == ["x", "y"]
+
+
 def _sqrt_in(a, b, n):
     # a <= sqrt(n) <= b for a positive integer n
     return (a <= 0 or a * a <= n) and b >= 0 and b * b >= n
@@ -332,6 +363,14 @@ def _oracle_cases():
                     (paper_family(2, 3)[0], Fraction(1, 50), (2, Fraction(1, 5)))):
         f = scale_divisor(D, t).f.substitute({"x1": q[0], "x2": q[1]})
         cases.append(("x0", f))
+    # the first two and the last have Cauchy bounds far above far, so the
+    # root-free descent is long on both sides; in the last two the root 0
+    # shifts the first split, in the last to bound/4, past far
+    for text in ("(x^2 + 10^60)*(x - 1)*(x + 2)",
+                 "(3*x - 1)*(x^2 - 2)*(x^2 + 2^200)",
+                 "x*(x - 1)*(x + 1)*(x - 1/2)",
+                 "x*(x - 1)*(x + 1)*(x - 1/2)*(x^2 + 10^60)"):
+        cases.append(("x", parse_poly(text)))
     return cases
 
 
