@@ -81,6 +81,12 @@ class MHForm:
             if not (0 <= i <= self.r and 0 <= j <= self.N):
                 raise ValueError(f"variable u{i}_{j} outside shape "
                                  f"(r={self.r}, N={self.N})")
+        # a group without variables has degree 0; checked first, this also
+        # bounds the per-term list below by the variable count
+        covered = len({i for i, _ in groups})
+        if covered != self.r + 1:
+            raise ValueError(f"form has variables in {covered} of the "
+                             f"{self.r + 1} variable groups")
         for exps in self.form.terms:
             per_group = [0] * (self.r + 1)
             for (i, _), e in zip(groups, exps):
@@ -173,26 +179,6 @@ def chow_of_points(points: Iterable, m: int = 0) -> MHForm:
     return MHForm(N, 0, degree, m, form)
 
 
-def _rank(rows: list) -> int:
-    mat = [list(row) for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                q = mat[i][col] / prow[col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _det_poly(mat: list) -> SparsePoly:
     # cofactor expansion; matrices here are (r+1) x (r+1) with tiny r
     n = len(mat)
@@ -229,8 +215,6 @@ def chow_of_linear(span: Sequence[Sequence[Rational]], m: int = 0) -> MHForm:
     if terms > MAX_POWER_TERMS:
         raise ValueError(f"the linear cycle's form has {terms} terms, over "
                          f"the cap {MAX_POWER_TERMS}")
-    if _rank(pts) != r + 1:
-        raise ValueError("spanning points are linearly dependent")
     allvars = tuple(group_var(i, j) for i in range(r + 1) for j in range(N + 1))
     mat = []
     for i in range(r + 1):
@@ -242,7 +226,12 @@ def chow_of_linear(span: Sequence[Sequence[Rational]], m: int = 0) -> MHForm:
                     lin = lin + SparsePoly.variable(group_var(i, j)) * c
             row.append(lin)
         mat.append(row)
-    return MHForm(N, r, 1, m, _det_poly(mat))
+    # by Cauchy-Binet the determinant is zero exactly when every maximal
+    # minor of the points vanishes
+    det = _det_poly(mat)
+    if det.is_zero():
+        raise ValueError("spanning points are linearly dependent")
+    return MHForm(N, r, 1, m, det)
 
 
 def mul_cycles(F: MHForm, G: MHForm) -> MHForm:
@@ -407,7 +396,7 @@ def det_action_check(F: MHForm, A: Sequence[Sequence[Rational]]) -> bool:
     allvars = F.form.vars
     mapping = {}
     for i in range(n):
-        for j in range(F.N + 1):
+        for j in sorted(set(coords)):
             img = SparsePoly.zero(allvars)
             for k in range(n):
                 c = as_rational(A[i][k])

@@ -354,114 +354,63 @@ class RootVerdict(Enum):
     DEGENERATE = "degenerate"
 
 
-class SubstRationalFn:
-    """Quotient of substitutable-homogeneous polynomials, kept factored.
-
-    Value = scalar * prod(poly_k ^ exp_k) with integer exponents of either
-    sign.  The weighted degree and point values are read off the factors,
-    so the quotient is never expanded.
-    """
-
-    __slots__ = ("scalar", "factors")
-
-    def __init__(self, scalar: Fraction, factors: Sequence = ()):
-        self.scalar = Fraction(scalar)
-        kept = []
-        for p, e in factors:
-            if e == 0:
-                continue
-            if not isinstance(p, SparsePoly):
-                raise TypeError("factors must be SparsePoly")
-            shd(p)  # raises ValueError unless substitutable homogeneous
-            if p.is_zero():
-                if e < 0:
-                    raise ZeroDivisionError("zero factor with negative exponent")
-                self.scalar = Fraction(0)
-                kept = []
-                break
-            kept.append((p, int(e)))
-        self.factors = tuple(kept)
-
-    def is_zero(self) -> bool:
-        return self.scalar == 0
-
-    @property
-    def weight(self):
-        """Weighted degree of the quotient, or None when it is zero."""
-        if self.is_zero():
-            return None
-        return sum(e * shd(p) for p, e in self.factors)
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        val = self.scalar
-        if val == 0:
-            return Fraction(0)
-        for p, e in self.factors:
-            base = p.evaluate(point)
-            if base == 0:
-                if e < 0:
-                    raise ZeroDivisionError("denominator factor vanishes at point")
-                return Fraction(0)
-            val *= base ** e
-        return val
-
-
 class SymbolicSturmPoly:
-    """One chain entry: univariate in x with SubstRationalFn coefficients.
+    """One chain entry f_j = c_j * R_j, univariate in x.
 
-    coeffs[i] multiplies x^(degree - i), so coeffs[0] is the leading one,
-    matching the p_0..p_d indexing of the pair conditions.
+    multiplier is c_j as (scalar, ((lc(R_i), e), ...)), each lc(R_i) a
+    SparsePoly.  R[i] is the integer coefficient of x^(degree - i) in R_j,
+    so R[0] is the leading one, matching the p_0..p_d indexing of the pair
+    conditions.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "multiplier", "R")
 
-    def __init__(self, degree: int, coeffs: Sequence[SubstRationalFn]):
-        if len(coeffs) != degree + 1:
+    def __init__(self, degree: int, multiplier: tuple, R: Sequence[SparsePoly]):
+        if len(R) != degree + 1:
             raise ValueError("coefficient count must be degree + 1")
         self.degree = degree
-        self.coeffs = tuple(coeffs)
+        self.multiplier = multiplier
+        self.R = tuple(R)
+
+    def weights(self) -> list:
+        """shd(c_j) + shd(R[i]) per coefficient, None for a zero one."""
+        w = sum(e * shd(p) for p, e in self.multiplier[1])
+        return [None if r.is_zero() else w + shd(r) for r in self.R]
 
     def evaluate_coeffs(self, point: Mapping[str, Fraction]) -> list:
-        """Ascending dense coefficient list of the specialized polynomial."""
-        vals = [c.evaluate(point) for c in self.coeffs]
-        return list(reversed(vals))
+        """Ascending dense coefficient list of the specialized polynomial.
+
+        Raises ZeroDivisionError when a factor of c_j with a negative
+        exponent vanishes at the point, unless an earlier one with a
+        positive exponent already made c_j zero.
+        """
+        c, factors = self.multiplier
+        for p, e in factors:
+            c *= p.evaluate(point) ** e
+            if not c:
+                break
+        return [c * r.evaluate(point) for r in reversed(self.R)]
 
 
 def check_substitutable_pair(a: SymbolicSturmPoly, b: SymbolicSturmPoly):
-    """Verify both pair conditions, returning the constant offset.
+    """Verify the pair conditions, returning the constant offset.
 
-    Condition 1: shd(p_i) = i + shd(p_0) for the coefficients of each poly.
-    Condition 2: shd(q_i) - shd(p_i) is one constant c for i = 0..deg(b).
-    Zero coefficients satisfy any weighted degree and are skipped.
+    Condition 1: shd(p_i) - i is one value, the entry's base, over the
+    nonzero coefficients of each entry.  Condition 2, shd(q_i) - shd(p_i)
+    constant, then holds for every i with offset base_b - base_a.
     """
     if b.degree != a.degree - 1:
         raise ValueError("pair requires degrees (m, m-1)")
 
-    def base_and_ladder(poly: SymbolicSturmPoly):
-        base = None
-        for i, c in enumerate(poly.coeffs):
-            w = c.weight
-            if w is None:
-                continue
-            if base is None:
-                base = w - i
-            elif w - i != base:
-                raise AssertionError("coefficient ladder violates shd(p_i) = i + shd(p_0)")
-        return base
+    def base(poly: SymbolicSturmPoly) -> int:
+        bases = {w - i for i, w in enumerate(poly.weights()) if w is not None}
+        if not bases:
+            raise ValueError("zero polynomial in pair")
+        if len(bases) > 1:
+            raise AssertionError("coefficient ladder violates shd(p_i) = i + shd(p_0)")
+        return bases.pop()
 
-    base_a = base_and_ladder(a)
-    base_b = base_and_ladder(b)
-    if base_a is None or base_b is None:
-        raise ValueError("zero polynomial in pair")
-    offset = base_b - base_a
-    for i in range(b.degree + 1):
-        wa = a.coeffs[i].weight
-        wb = b.coeffs[i].weight
-        if wa is None or wb is None:
-            continue
-        if wb - wa != offset:
-            raise AssertionError("pair offset is not constant across coefficients")
-    return offset
+    return base(b) - base(a)
 
 
 class CriticalSet:
@@ -521,8 +470,8 @@ def _check_chain_degree(d: int):
 def symbolic_sturm(d: int) -> list:
     """Full symbolic Sturm chain of the generic monic degree-d polynomial.
 
-    Entry j has degree d - j; its coefficients are exact rational
-    functions of a1..ad in factored form.  The chain always has length
+    Entry j has degree d - j and holds f_j = c_j * R_j as its multiplier
+    and the integer coefficients of R_j.  The chain always has length
     d + 1: a lost degree cannot happen for symbolic coefficients.
     """
     _check_chain_degree(d)
@@ -534,24 +483,16 @@ def symbolic_sturm(d: int) -> list:
     out = []
     for j, xp in enumerate(chain.prs):
         scalar, expo = _multiplier(d, j)
-        base_factors = [(lcs[i], e) for i, e in sorted(expo.items())]
-        deg = len(xp) - 1
-        coeffs = []
-        for k in range(deg, -1, -1):
-            wp = xp[k]
-            if not wp:
-                coeffs.append(SubstRationalFn(Fraction(0)))
-            else:
-                core = _wp_to_sparse(wp, d)
-                coeffs.append(SubstRationalFn(scalar, base_factors + [(core, 1)]))
-        out.append(SymbolicSturmPoly(deg, coeffs))
+        multiplier = (scalar, tuple((lcs[i], e) for i, e in sorted(expo.items())))
+        R = [_wp_to_sparse(c, d) for c in reversed(xp)]
+        out.append(SymbolicSturmPoly(len(xp) - 1, multiplier, R))
     with _phase_lock:
         _symbolic_cache.setdefault(d, out)
     return out
 
 
 def verify_pair_chain(d: int) -> list:
-    """Check both pair conditions on every consecutive chain pair; returns offsets."""
+    """Check the pair conditions on every consecutive chain pair; returns offsets."""
     seq = symbolic_sturm(d)
     offsets = []
     for a, b in zip(seq, seq[1:]):

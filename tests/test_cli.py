@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output stability, corpus replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,11 @@ def _one_line_error(err):
             "terms": [{"coeff": 1, "exp": [2] * 16}]}}),
      "--matrix", "[[1,1,1,1],[0,1,1,1],[0,0,1,1],[0,0,0,1]]"],
     ["chow", "eigen", "--form", _chow_form(513)],
+    # one variable cannot cover 10^9 + 1 groups; refused before any
+    # per-group list is allocated
+    ["chow", "eigen", "--form", json.dumps({
+        "N": 1, "r": 10 ** 9, "d": 1, "m": 0, "form": {
+            "vars": ["u0_0"], "terms": [{"coeff": 1, "exp": [1]}]}})],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["infinity", 1]}]}'],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["nan", 1]}]}'],
 ])
@@ -271,6 +277,19 @@ def test_critical_gen(capsys):
     assert data["pair_offsets"] == [0, 2, 0]
 
 
+@pytest.mark.parametrize("d, digest", [
+    (5, "704a94cc5d30f019397a351594bf9c9570422ddfb92cab15e4aa0b1fe5a53631"),
+    (6, "fb1310b254cf31966d9f279525120d5526fae9c10ca4462385e5fd1283c72a1f"),
+    (7, "bda2edb3522664a2265b1d7c486594d6a78a4d358a9d08883a896387a2b96c44"),
+])
+def test_critical_gen_output_is_pinned(capsys, monkeypatch, tmp_path, d, digest):
+    # the F_j and the pair offsets, byte for byte
+    monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "critical", "gen", "--d", str(d), "--verify-pairs")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_chow_commands(capsys):
     code, out, _ = run(capsys, "chow", "points", "--points", "[[1,2]]")
     assert code == 0
@@ -299,6 +318,15 @@ def test_chow_commands(capsys):
     assert data["endpoint_is_input"] and data["start_is_suspension"]
     code, out, _ = run(capsys, "chow", "detcheck", "--form",
                        json.dumps(line), "--matrix", "[[2,1],[1,1]]")
+    assert code == 0 and json.loads(out)["det_action_holds"] is True
+
+
+def test_detcheck_reads_only_present_coordinates(capsys):
+    # u0_0 in P^(10^9): only coordinate 0 gets an image under A
+    form = json.dumps({"N": 10 ** 9, "r": 0, "d": 1, "m": 0, "form": {
+        "vars": ["u0_0"], "terms": [{"coeff": 1, "exp": [1]}]}})
+    code, out, _ = run(capsys, "chow", "detcheck", "--form", form,
+                       "--matrix", "[[2]]")
     assert code == 0 and json.loads(out)["det_action_holds"] is True
 
 

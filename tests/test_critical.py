@@ -12,6 +12,7 @@ import pytest
 
 from rct.critical import (
     RootVerdict,
+    SymbolicSturmPoly,
     check_substitutable_pair,
     critical_polynomials,
     has_d_distinct_real_roots,
@@ -86,6 +87,38 @@ def test_pair_checker_rejects_bad_degrees():
         check_substitutable_pair(seq[0], seq[2])
 
 
+def test_pair_checker_reads_one_ladder_per_entry():
+    # weights are shd(c_j) + shd(R[i]); a ladder off by one anywhere is
+    # refused, and an entry with no nonzero coefficient has no base
+    a1, a2 = parse_poly("a1"), parse_poly("a2")
+    zero = SparsePoly.zero(a1.vars)
+    one = SparsePoly.constant(1, a1.vars)
+    f = SymbolicSturmPoly(2, (Fraction(1), ()), [one, a1, a2])
+    g = SymbolicSturmPoly(1, (Fraction(3), ((a1, -2),)), [a1 * a1, zero])
+    assert g.weights() == [0, None]
+    assert check_substitutable_pair(f, g) == 0
+    broken = SymbolicSturmPoly(1, (Fraction(1), ()), [one, a1 * a1])
+    with pytest.raises(AssertionError):
+        check_substitutable_pair(f, broken)
+    with pytest.raises(AssertionError):
+        check_substitutable_pair(
+            SymbolicSturmPoly(2, (Fraction(1), ()), [one, a2, a2]), g)
+    empty = SymbolicSturmPoly(1, (Fraction(1), ((a2, 2),)), [zero, zero])
+    with pytest.raises(ValueError):
+        check_substitutable_pair(f, empty)
+
+
+def test_evaluate_coeffs_multiplier_zeros():
+    # c_j = 2 * a1^2 / a2^2 is evaluated once and scales every R_j entry
+    a1, a2 = parse_poly("a1"), parse_poly("a2")
+    R = [parse_poly("a1 + a2"), parse_poly("a2 - 1")]
+    f = SymbolicSturmPoly(1, (Fraction(2), ((a1, 2), (a2, -2))), R)
+    assert f.evaluate_coeffs({"a1": 3, "a2": 2}) == [Fraction(9, 2), Fraction(45, 2)]
+    assert f.evaluate_coeffs({"a1": 0, "a2": 2}) == [0, 0]
+    with pytest.raises(ZeroDivisionError):
+        f.evaluate_coeffs({"a1": 3, "a2": 0})
+
+
 def test_specialization_matches_direct_chain():
     # the symbolic chain evaluated at a generic point is the Sturm chain
     # of the specialized polynomial, entry by entry
@@ -120,7 +153,7 @@ def test_F_sign_is_leading_sign():
         while done < 6:
             pt = _coeff_point(rng, d)
             try:
-                leads = [seq[j].coeffs[0].evaluate(pt) for j in range(2, d + 1)]
+                leads = [seq[j].evaluate_coeffs(pt)[-1] for j in range(2, d + 1)]
             except ZeroDivisionError:
                 continue  # an earlier leading coefficient vanishes here
             if 0 in leads:
