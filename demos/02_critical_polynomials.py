@@ -66,12 +66,13 @@ for coeffs, expect in [
     print(f"  a = {coeffs}: {verdict.name}")
     assert verdict is expect
 
-# (x - 1)^2 (x + 2): a double root makes some F_j vanish, the verdict
-# is DEGENERATE, and the exact wrapper falls back to a Sturm count
+# (x - 1)^2 (x + 2): a double root makes some F_j vanish and cuts the
+# point's Sturm chain short, the verdict is DEGENERATE, and in_S_n
+# counts the roots on that same chain
 double = (0, -3, 2)
 assert has_d_distinct_real_roots(double) is RootVerdict.DEGENERATE
 assert in_S_n(double) is False
-print(f"  a = {double}: DEGENERATE, exact fallback says False")
+print(f"  a = {double}: DEGENERATE, the Sturm count says False")
 
 from rct import count_distinct_roots_total
 

@@ -16,10 +16,8 @@ from fractions import Fraction
 
 from . import chow as chowmod
 from .critical import (
-    RootVerdict,
+    _verdict_and_member,
     critical_polynomials,
-    has_d_distinct_real_roots,
-    in_S_n,
     verify_pair_chain,
 )
 from .divisors import (
@@ -134,8 +132,7 @@ def _cmd_critical_gen(args) -> int:
 
 def _cmd_critical_test(args) -> int:
     coeffs = _rat_list(args.coeffs)
-    verdict = has_d_distinct_real_roots(coeffs)
-    member = in_S_n(coeffs)
+    verdict, member = _verdict_and_member(coeffs)
     _emit({"coefficients": [str(c) for c in coeffs],
            "critical_verdict": verdict.name,
            "all_roots_real_distinct": member}, args.format)

@@ -46,9 +46,15 @@ leading coefficients F_2..F_d: f has d distinct real roots exactly when
 every F_j is positive at the coefficient point, and a vanishing F_j
 marks a degenerate point where the generic chain does not specialize.
 
-Point verdicts never build the chain.  They run the same elimination on
-the integer Hankel matrix at the point (Hermite's quadratic form), whose
-pivots D_{j,0} carry the signs of the F_j, so they work at every degree.
+Point verdicts build no symbolic chain: they read the same signs off the
+integer Sturm chain of the point (`sturm._int_chain`).  By the
+subresultant structure theorem (Basu-Pollack-Roy ch. 9) the primitive
+PRS of f and f' has the degrees d, d - 1, ..., 0 exactly when every
+Hankel pivot D_{j,0} is nonzero, and then sign lc(chain[j]) = sign
+D_{j,0} = sign F_j.  So a chain short of d + 1 entries marks a degenerate
+point, a full one has d distinct real roots exactly when every leading
+coefficient is positive, and the same chain counts the roots.  Point
+queries accept d up to `sturm.MAX_DEGREE`.
 
 Internally the a-monomials are packed into single Python integers, 8
 bits per variable, so monomial products are integer additions.  With
@@ -70,7 +76,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .poly import SparsePoly, as_rational, shd
-from .sturm import count_distinct_roots_total, sturm_sequence
+from .sturm import MAX_DEGREE, _changes_at_infinity, _int_chain, sturm_sequence
 
 _BITS = 8
 _MASK = (1 << _BITS) - 1
@@ -523,68 +529,44 @@ def critical_polynomials(d: int) -> CriticalSet:
     return _set_cache[d]
 
 
-def _hankel_verdict(b: Sequence[int]) -> RootVerdict:
-    """Verdict for x^d + b1 x^(d-1) + ... + bd with integer coefficients.
+def _point_chain(coeffs: Sequence) -> list:
+    """Integer Sturm chain of x^d + a1 x^(d-1) + ... + ad at rational a_i,
+    their denominators cleared by their lcm q > 0 (so lc = q > 0)."""
+    coeffs = [as_rational(c) for c in coeffs]
+    if not 2 <= len(coeffs) <= MAX_DEGREE:
+        raise ValueError(f"point queries need 2 <= d <= {MAX_DEGREE} (the "
+                         f"Sturm degree cap), got d = {len(coeffs)}")
+    q = lcm(*(c.denominator for c in coeffs))
+    return _int_chain([c.numerator * (q // c.denominator)
+                       for c in reversed(coeffs)] + [q])[0]
 
-    The k-th leading principal minor of the Hankel matrix (p_{i+j}) of
-    Newton sums is the sum over k-subsets of the roots of their squared
-    Vandermonde products; for k >= 2 its sign is the sign of F_k.  Bareiss
-    fraction-free elimination without pivoting produces these minors as
-    its successive pivots, so the first zero pivot is a degenerate point.
-    """
-    d = len(b)
-    p = [d]
-    for k in range(1, 2 * d - 1):
-        s = k * b[k - 1] if k <= d else 0
-        for i in range(1, min(k, d + 1)):
-            s += b[i - 1] * p[k - i]
-        p.append(-s)
-    m = [p[i:i + d] for i in range(d)]
-    verdict = RootVerdict.TRUE
-    prev = 1
-    for k in range(d):
-        piv = m[k][k]
-        if piv == 0:
-            return RootVerdict.DEGENERATE
-        if piv < 0:
-            verdict = RootVerdict.FALSE
-        for row in m[k + 1:]:
-            rk = row[k]
-            for j in range(k + 1, d):
-                row[j] = (row[j] * piv - rk * m[k][j]) // prev
-        prev = piv
-    return verdict
+
+def _chain_verdict(chain: Sequence[Sequence[int]]) -> RootVerdict:
+    """DEGENERATE unless the chain has the degrees d, d - 1, ..., 0, else
+    TRUE when every leading coefficient is positive."""
+    if len(chain) != len(chain[0]):
+        return RootVerdict.DEGENERATE
+    return RootVerdict.TRUE if all(p[-1] > 0 for p in chain) else RootVerdict.FALSE
+
+
+def _verdict_and_member(coeffs: Sequence) -> tuple:
+    """(has_d_distinct_real_roots, in_S_n) of one point, from one chain."""
+    chain = _point_chain(coeffs)
+    v_neg, v_pos = _changes_at_infinity(chain)
+    return _chain_verdict(chain), v_neg - v_pos == len(coeffs)
 
 
 def has_d_distinct_real_roots(coeffs: Sequence) -> RootVerdict:
     """Verdict for x^d + a1 x^(d-1) + ... + ad having d distinct real roots.
 
-    coeffs is (a1, ..., ad), any d >= 2.  Degenerate means some F_j
-    vanishes at the point, where the generic chain does not specialize
-    and the caller should fall back to a direct Sturm count.
+    coeffs is (a1, ..., ad), 2 <= d <= MAX_DEGREE.  Degenerate means some
+    F_j vanishes at the point, where the generic chain does not specialize;
+    `in_S_n` still answers there.
     """
-    coeffs = [as_rational(c) for c in coeffs]
-    if len(coeffs) < 2:
-        raise ValueError("need d >= 2")
-    # a_i -> a_i q^i scales the roots by q > 0 and the j-th minor by
-    # q^(j(j-1)), so every sign survives
-    q = lcm(*(c.denominator for c in coeffs))
-    return _hankel_verdict([int(c * q ** i) for i, c in enumerate(coeffs, 1)])
+    return _chain_verdict(_point_chain(coeffs))
 
 
 def in_S_n(coeffs: Sequence) -> bool:
-    """Exact membership: does the monic polynomial split into d distinct real roots?
-
-    Uses the critical predicate and falls back to a direct Sturm count at
-    degenerate points, so the answer is always exact.
-    """
-    coeffs = [as_rational(c) for c in coeffs]
-    verdict = has_d_distinct_real_roots(coeffs)
-    if verdict is RootVerdict.TRUE:
-        return True
-    if verdict is RootVerdict.FALSE:
-        return False
-    d = len(coeffs)
-    dense = [Fraction(1)] + coeffs  # descending
-    poly = SparsePoly.from_dense("x", list(reversed(dense)))
-    return count_distinct_roots_total(poly) == d
+    """Exact membership: does the monic polynomial split into d distinct real
+    roots?  A Sturm count on the point's chain, exact at degenerate points."""
+    return _verdict_and_member(coeffs)[1]

@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .critical import (
-    RootVerdict,
-    _hankel_verdict,
-    critical_polynomials,
-)
+from .critical import RootVerdict, _chain_verdict, critical_polynomials
 from .parse import MAX_POWER_TERMS
 from .poly import Rational, SparsePoly, as_rational
-from .sturm import MAX_DEGREE, count_distinct_roots_in, count_distinct_roots_total
+from .sturm import (
+    MAX_DEGREE,
+    _changes_at_infinity,
+    _int_chain,
+    count_distinct_roots_in,
+)
 
 __all__ = [
     "Divisor",
@@ -228,8 +229,8 @@ def circle_grid(count: int) -> list:
     """Integer directions (q^2-p^2, 2pq) sweeping the half circle."""
     out = [(1, 0), (0, 1)]
     for j in range(count):
-        t = Fraction(2 * j - count, count)  # -1 .. 1
-        p, q = t.numerator, t.denominator
+        g = math.gcd(2 * j - count, count)  # p/q = (2j - count)/count
+        p, q = (2 * j - count) // g, count // g
         v = (q * q - p * p, 2 * p * q)
         if v != (0, 0):
             out.append(v)
@@ -289,80 +290,65 @@ def _fiber_poly(D: Divisor, direction: Sequence[Rational]) -> SparsePoly:
     return D.f.substitute(sub)
 
 
-def _compile_int_terms(p: SparsePoly):
-    """(term list with integer coefficients, cleared denominator)."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    terms = [(int(c * den), exps) for exps, c in p.sorted_terms()]
-    return terms, den
-
-
 class _FiberChecker:
-    """Per-divisor sample loop: integer p_i, then the Hankel-minor verdict.
+    """Per-divisor sample loop: integer p_i, then one integer Sturm chain.
 
     The direction grid is integral, so after clearing the coefficient
     denominators once (sign-safe: scaling a_i by Q^i with Q > 0 scales the
-    roots by Q) every sample runs in plain int arithmetic with cached
-    powers.
+    roots by Q) every sample runs in plain int arithmetic.  A term of p_i
+    is compiled to c Q^i and the indices of its powers x_v^e in one table
+    of powers per direction.
     """
 
     def __init__(self, D: Divisor):
-        self.D = D
         self.d = D.d
-        ps = D.x0_coefficients()
-        zero = SparsePoly.zero(D.f.vars[1:])
-        compiled = [_compile_int_terms(ps.get(i, zero).with_vars(D.f.vars[1:]))
-                    for i in range(1, D.d + 1)]
-        Q = math.lcm(*(den for _, den in compiled))
-        self.p_terms = [t for t, _ in compiled]
-        self.p_mult = [Q ** i // compiled[i - 1][1]
-                       for i in range(1, D.d + 1)]
-        self.x_maxexp = [0] * D.n
-        for terms in self.p_terms:
-            for _, exps in terms:
-                for v in range(D.n):
-                    self.x_maxexp[v] = max(self.x_maxexp[v], exps[v])
-
-    @staticmethod
-    def _powers(vals, maxexp):
-        out = []
-        for v, m in zip(vals, maxexp):
-            row = [1] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = row[k - 1] * v
-            out.append(row)
-        return out
-
-    @staticmethod
-    def _eval(terms, pw) -> int:
-        s = 0
-        for coeff, exps in terms:
-            t = coeff
-            for v, e in enumerate(exps):
-                if e:
-                    t *= pw[v][e]
-            s += t
-        return s
+        xs, ps = D.f.vars[1:], D.x0_coefficients()
+        ps = [ps.get(i, SparsePoly.zero(xs)).with_vars(xs).terms
+              for i in range(1, D.d + 1)]
+        Q = math.lcm(*(c.denominator for p in ps for c in p.values()))
+        self.x_maxexp = [max((e[v] for p in ps for e in p), default=0)
+                         for v in range(D.n)]
+        offset = [0]
+        for m in self.x_maxexp:
+            offset.append(offset[-1] + m + 1)
+        self.terms = [[(int(c * Q ** i),
+                        tuple(offset[v] + e for v, e in enumerate(exps) if e))
+                       for exps, c in p.items()]
+                      for i, p in enumerate(ps, 1)]
 
     def coeff_point(self, direction) -> list:
         """Integers a_i proportional to the fiber coefficients (weight i)."""
-        pw = self._powers([int(c) for c in direction], self.x_maxexp)
-        return [self._eval(self.p_terms[i], pw) * self.p_mult[i]
-                for i in range(self.d)]
+        pw = []
+        for v, m in zip(direction, self.x_maxexp):
+            v, t = int(v), 1
+            pw.append(t)
+            for _ in range(m):
+                t *= v
+                pw.append(t)
+        out = []
+        for terms in self.terms:
+            s = 0
+            for c, idx in terms:
+                for k in idx:
+                    c *= pw[k]
+                s += c
+            out.append(s)
+        return out
 
     def check(self, direction):
         """(fiber along an integer direction has d distinct real roots,
         certificate dict)."""
         cert: dict = {"direction": [str(c) for c in direction]}
-        v = _hankel_verdict(self.coeff_point(direction))
+        chain = _int_chain(self.coeff_point(direction)[::-1] + [1])[0]
+        v = _chain_verdict(chain)
         if v is RootVerdict.TRUE:
             cert["route"] = "critical"
             return True, cert
         cert["route"] = "critical" if v is RootVerdict.FALSE \
             else "critical-degenerate"
-        count = count_distinct_roots_total(_fiber_poly(self.D, direction),
-                                           xvar(0))
-        cert["sturm_count"] = count
-        return count == self.d, cert
+        v_neg, v_pos = _changes_at_infinity(chain)
+        cert["sturm_count"] = v_neg - v_pos
+        return v_neg - v_pos == self.d, cert
 
 
 def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:

@@ -9,7 +9,9 @@ divided by its positive content.  Each integer entry is then a positive
 multiple of the Euclid entry, so both chains have the same signs
 everywhere.  The chain records each multiple exactly, as the content and
 the |lc|^k divided out at its step, and `SturmSeq.polys` rebuilds the
-Euclid chain from them on demand.
+Euclid chain from them on demand.  A step whose degree drops by one, the
+generic case, is one pass: each remainder coefficient is a sum of three
+products, and the content is gathered on the way (`_drop_one`).
 
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
@@ -202,13 +204,6 @@ class SturmSeq:
     def signs_at(self, x: Fraction) -> SignSeq:
         return _signs_at(self.chain, x)
 
-    def signs_at_pos_inf(self) -> SignSeq:
-        return [1 if p[-1] > 0 else -1 for p in self.chain]
-
-    def signs_at_neg_inf(self) -> SignSeq:
-        return [s if (len(p) - 1) % 2 == 0 else -s
-                for s, p in zip(self.signs_at_pos_inf(), self.chain)]
-
     def squarefree_part(self) -> list:
         """f / gcd(f, f') as a primitive integer polynomial, up to sign."""
         g = self.chain[-1]
@@ -236,24 +231,66 @@ def sturm_sequence(f: SparsePoly, var: str = None) -> SturmSeq:
 
 
 def _build_chain(f: SparsePoly, var: str) -> SturmSeq:
-    p0, step0 = _int_dense(f, var)
-    g1, p1 = _primitive([k * c for k, c in enumerate(p0)][1:])
-    chain, steps = [p0, p1], [step0, (g1, 1)]
-    while len(chain[-1]) > 1:
-        r, mult = _neg_prem(chain[-2], chain[-1])
-        if not r:
-            break
-        g, r = _primitive(r)
-        chain.append(r)
-        steps.append((g, mult))
+    ints, step0 = _int_dense(f, var)
+    chain, steps = _int_chain(ints)
+    steps[0] = step0
     return SturmSeq(var=var, chain=tuple(tuple(p) for p in chain),
                     steps=tuple(steps))
+
+
+def _int_chain(p0: Sequence[int]):
+    """(chain, steps) for the non-constant integer polynomial p0 (ascending):
+    p0, then primitive entries, with steps[0] = (1, 1)."""
+    g1, p1 = _primitive([k * c for k, c in enumerate(p0)][1:])
+    chain, steps = [p0, p1], [(1, 1), (g1, 1)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        if len(a) == len(b) + 1:
+            g, r, mult = _drop_one(a, b)
+        else:
+            r, mult = _neg_prem(a, b)
+            g, r = _primitive(r)
+        if not r:
+            break
+        chain.append(r)
+        steps.append((g, mult))
+    return chain, steps
+
+
+def _drop_one(a: Sequence[int], b: Sequence[int]):
+    """(g, r / g, lb^2) for (r, lb^2) = `_neg_prem`(a, b) and g the content
+    of r (0 if r = 0), in one pass, for deg a = deg b + 1 = m + 1.
+
+    lb^2 a = (u x + t0) b + prem with lb = lc(b), t1 = lc(a), u = lb t1
+    and t0 = lb a_m - t1 b_(m-1), so r_i = u b_(i-1) + t0 b_i - lb^2 a_i.
+    """
+    lb, t1 = b[-1], a[-1]
+    t0, u, mult = lb * a[-2] - t1 * b[-2], lb * t1, lb * lb
+    r, g, x = [], 0, 0
+    for y, z in zip(b, a):
+        c = u * x + t0 * y - mult * z
+        r.append(c)
+        g = gcd(g, c)
+        x = y
+    r.pop()  # the x^m entry, zero by construction
+    while r and r[-1] == 0:
+        r.pop()
+    if g > 1:
+        r = [c // g for c in r]
+    return g, r, mult
 
 
 def sign_changes(signs: Iterable[int]) -> int:
     """Sign changes after deleting zeros."""
     cleaned = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
+
+
+def _changes_at_infinity(chain: Sequence[Sequence[int]]) -> tuple:
+    """Sign changes of an integer chain at -infinity and at +infinity."""
+    pos = [1 if p[-1] > 0 else -1 for p in chain]
+    neg = [s if len(p) % 2 else -s for s, p in zip(pos, chain)]
+    return sign_changes(neg), sign_changes(pos)
 
 
 def cauchy_root_bound(f: SparsePoly, var: str = None) -> Fraction:
@@ -299,9 +336,8 @@ def count_distinct_roots_in(f: SparsePoly, a, b, var: str = None) -> int:
 
 def count_distinct_roots_total(f: SparsePoly, var: str = None) -> int:
     """Distinct real roots over the whole line, from the signs at both infinities."""
-    var = _main_var(f, var)
-    seq = sturm_sequence(f, var)
-    return sign_changes(seq.signs_at_neg_inf()) - sign_changes(seq.signs_at_pos_inf())
+    v_neg, v_pos = _changes_at_infinity(sturm_sequence(f, var).chain)
+    return v_neg - v_pos
 
 
 def _fujiwara_far(cs: Sequence[int]) -> Fraction:
@@ -380,8 +416,7 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     # with far = FN / FD, x is at or beyond far iff P FD |u| >= Q FN 2^L
     far = _fujiwara_far(seq.chain[0])
     PF, QF = P * far.denominator, Q * far.numerator
-    v_neg = sign_changes(seq.signs_at_neg_inf())
-    v_pos = sign_changes(seq.signs_at_pos_inf())
+    v_neg, v_pos = _changes_at_infinity(seq.chain)
 
     def beyond(u: int, L: int) -> int:
         """+1 at or above far, -1 at or below -far, else 0."""

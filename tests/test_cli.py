@@ -139,6 +139,7 @@ def _one_line_error(err):
             "vars": ["u0_0"], "terms": [{"coeff": 1, "exp": [1]}]}})],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["infinity", 1]}]}'],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["nan", 1]}]}'],
+    ["critical", "test", "--coeffs", ",".join(["1"] * 300)],
 ])
 def test_malformed_input_exits_two(capsys, argv):
     # nesting depth, grid count, powers, products, Sturm degree, the

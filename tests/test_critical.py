@@ -203,6 +203,10 @@ def test_degree_bounds_enforced():
         symbolic_sturm(1)
     with pytest.raises(ValueError):
         has_d_distinct_real_roots([1])
+    # past the Sturm degree cap point queries are refused before any chain
+    for query in (has_d_distinct_real_roots, in_S_n):
+        with pytest.raises(ValueError, match="d <= 256"):
+            query([1] * 257)
 
 
 def _sign(x):
@@ -281,6 +285,36 @@ def test_critical_polynomials_track_point_verdicts():
             else:
                 want = RootVerdict.TRUE
             assert has_d_distinct_real_roots(coeffs) is want, (d, coeffs)
+            seen.add(want)
+    assert seen == set(RootVerdict)
+
+
+def test_point_verdicts_past_the_symbolic_chain():
+    # d = 9..14: the verdict read off the integer Sturm chain against the
+    # independently computed Hankel minors, with the direct count as in_S_n
+    rng = random.Random(46)
+    seen = set()
+    for d in range(9, 15):
+        for kind in ("split", "nonsplit", "repeated"):
+            if kind == "nonsplit":
+                coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+                          for _ in range(d)]
+            else:
+                roots = rng.sample(range(-9, 10), d)
+                if kind == "repeated":
+                    roots[-1] = roots[0]
+                coeffs = _monic_from_roots([Fraction(r, 2) for r in roots])
+            signs = _hankel_minor_signs(coeffs)
+            if 0 in signs:
+                want = RootVerdict.DEGENERATE
+            elif -1 in signs:
+                want = RootVerdict.FALSE
+            else:
+                want = RootVerdict.TRUE
+            assert has_d_distinct_real_roots(coeffs) is want, (d, coeffs)
+            poly = SparsePoly.from_dense("x", coeffs[::-1] + [Fraction(1)])
+            assert in_S_n(coeffs) == (count_distinct_roots_total(poly) == d)
+            assert in_S_n(coeffs) == (kind == "split")
             seen.add(want)
     assert seen == set(RootVerdict)
 

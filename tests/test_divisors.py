@@ -24,7 +24,7 @@ from rct.divisors import (
 )
 from rct.parse import parse_poly
 from rct.sturm import count_distinct_roots_total
-from rct.poly import SparsePoly, format_poly
+from rct.poly import SparsePoly, format_poly, poly_divmod
 
 
 def P(s):
@@ -155,6 +155,16 @@ def test_in_e_vertex_on_divisor():
     assert rep.verdict == "non_member" and rep.mode == "exact"
 
 
+def _euclid_length(f, var):
+    """Entries of the Euclid chain f, f', -(f mod f'), ... from poly_divmod."""
+    chain = [f, f.derivative(var)]
+    while True:
+        _, r = poly_divmod(chain[-2], chain[-1], var)
+        if r.is_zero():
+            return len(chain)
+        chain.append(-r)
+
+
 def test_fiber_checker_matches_sturm():
     rng = random.Random(72)
     divisors = [
@@ -162,7 +172,9 @@ def test_fiber_checker_matches_sturm():
         paper_family(2, 2)[0],
         Divisor(P("x0^2 + x1^2 + x2^2"), n=2),
         Divisor(P("x0^3 - x0*x1^2 - 1/7*x2^3"), n=2),
+        Divisor(P("(x0 - x1)^2*(x0 + x2)"), n=2),
     ]
+    routes = set()
     for D in divisors:
         checker = _FiberChecker(D)
         for _ in range(40):
@@ -171,8 +183,18 @@ def test_fiber_checker_matches_sturm():
                 continue
             good, cert = checker.check(v)
             fib = _fiber_poly(D, v)
-            expect = count_distinct_roots_total(fib, "x0") == D.d
-            assert good == expect
+            count = count_distinct_roots_total(fib, "x0")
+            assert good == (count == D.d)
+            if "sturm_count" not in cert:
+                assert cert["route"] == "critical" and good
+                continue
+            # not TRUE: a chain short of d + 1 entries is degenerate, and
+            # the count is read from the same chain
+            full = _euclid_length(fib, "x0") == D.d + 1
+            assert cert["route"] == ("critical" if full else "critical-degenerate")
+            assert cert["sturm_count"] == count
+            routes.add(cert["route"])
+    assert routes == {"critical", "critical-degenerate"}
 
 
 def test_in_e_has_no_degree_cap():

@@ -179,6 +179,29 @@ def test_integer_chain_view_equals_euclid_random():
     assert [len(p) for p in sturm_sequence(fixed[0], "x").chain] == [5, 4, 1]
 
 
+def test_drop_one_matches_neg_prem():
+    # a = q b + r with q linear: r of degree below m - 1 makes the top
+    # coefficients of the remainder cancel, r = 0 makes it vanish
+    rng = random.Random(81)
+    for trial in range(400):
+        m = rng.randint(1, 7)
+        b = [rng.randint(-9, 9) for _ in range(m)] + [rng.choice([-4, -1, 1, 3])]
+        if trial % 3:
+            a = [rng.randint(-50, 50) for _ in range(m + 1)] \
+                + [rng.choice([-2, 1, 5])]
+        else:
+            q = [rng.randint(-5, 5), rng.choice([-3, 1, 2])]
+            a = [0] * (m + 2)
+            for i, qi in enumerate(q):
+                for k, bk in enumerate(b):
+                    a[i + k] += qi * bk
+            for i in range(rng.randint(0, m - 1)):
+                a[i] += rng.randint(-9, 9)
+        r, mult = sturm._neg_prem(a, b)
+        g, r = sturm._primitive(r)
+        assert sturm._drop_one(a, b) == (g, r, mult), (a, b)
+
+
 def test_chain_built_once_per_polynomial(monkeypatch):
     builds = []
     build = sturm._build_chain
