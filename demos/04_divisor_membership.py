@@ -63,7 +63,7 @@ print(f"x0^2 + x1^2 + x2^2:   {rep.verdict} / {rep.mode}, "
       f"witness direction {tuple(str(c) for c in rep.witness)}")
 assert rep.verdict == "non_member" and rep.mode == "exact"
 
-banner("Certificates: one form per critical polynomial")
+banner("Certificates: one Hankel minor H_j = D_{j,0}(p_1..p_d) per j")
 hs = e_certificate_forms(Divisor(parse_poly("x0^2 - 9*x1^2")))
 print(f"x0^2 - 9*x1^2 certifies via H_2 = {format_poly(hs[0])}")
 assert hs[0] == parse_poly("36*x1^2").with_vars(("x1",))
@@ -75,6 +75,13 @@ for j, h in enumerate(hs, start=2):
     print(f"  min of H_{j}/|x|^{h.degree()} over the grid: {m} "
           f"(~{float(m):.3g})")
     assert m > 0
+
+# the minors come from one elimination over Z[x1, x2]; no symbolic chain
+# is built, so d may pass the chain's d <= 8
+hs = e_certificate_forms(paper_family(2, 5)[0])
+print(f"family n=2 k=5 (d = 10): {len(hs)} forms, H_10 of degree "
+      f"{hs[-1].degree()}")
+assert hs[-1].degree() == 90
 
 banner("A perturbation margin from the sphere minimum")
 H = parse_poly("x1^2 + x2^2")

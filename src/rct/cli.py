@@ -29,11 +29,10 @@ from .divisors import (
     positivity_margin,
     scale_divisor,
 )
-from .fan import FiberError, ZeroCycle, default_demo, limit_check, psi_demo
-from .parse import PolyParseError, parse_poly, parse_rational
+from .fan import ZeroCycle, default_demo, limit_check, psi_demo
+from .parse import MAX_INPUT_CHARS, check_length, parse_poly, parse_rational
 from .poly import SparsePoly, format_poly
 from .sturm import (
-    EndpointRootError,
     count_distinct_roots_in,
     count_distinct_roots_total,
     isolate_roots_bisection,
@@ -64,12 +63,14 @@ def _flatten(obj, prefix="") -> list:
 
 
 def _json_arg(text: str):
-    """Inline JSON or a path to a JSON file."""
-    s = text.strip()
-    if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
-    with open(text) as fh:
-        return json.load(fh)
+    """Inline JSON or a path to a JSON file, at most MAX_INPUT_CHARS long."""
+    if not text.lstrip().startswith(("{", "[")):
+        with open(text) as fh:
+            text = fh.read(MAX_INPUT_CHARS + 1)
+    try:
+        return json.loads(check_length(text))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _interval_arg(text: str):
@@ -80,7 +81,7 @@ def _interval_arg(text: str):
 
 
 def _rat_list(text: str) -> list:
-    return [parse_rational(p) for p in text.split(",") if p.strip()]
+    return [parse_rational(p) for p in check_length(text).split(",") if p.strip()]
 
 
 def _mhform_arg(text: str) -> "chowmod.MHForm":
@@ -508,8 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PolyParseError, EndpointRootError, FiberError, ValueError,
-            ZeroDivisionError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, ZeroDivisionError, OSError) as e:  # parse errors too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -56,14 +56,16 @@ point, a full one has d distinct real roots exactly when every leading
 coefficient is positive, and the same chain counts the roots.  Point
 queries accept d up to `sturm.MAX_DEGREE`.
 
-Internally the a-monomials are packed into single Python integers, 8
-bits per variable, so monomial products are integer additions.  With
-a_l of weight l, p_k and D_{j,m} are weighted homogeneous of weights k
-and j(j-1) + m, every minor of the d x d matrix has weight at most
-d(d-1), and a Bareiss numerator, a product of two minors, at most
-2d(d-1) = 112 at d = 8.  The exponent of a_l is at most the weight over
-l, so no exponent field reaches 256 and no key addition carries between
-fields.
+The elimination, `_hankel_minors`, takes the a_l as packed integer
+polynomials: the variables a_l for the chain, a divisor's coefficient
+forms for `divisors.e_certificate_forms`.  A packed monomial is one
+integer with a bit field of a given width per variable, so monomial
+products are integer additions.  With a_l of weight l, p_k and D_{j,m}
+are weighted homogeneous of weights k and j(j-1) + m, and a Bareiss
+numerator, a product of two minors, has weight at most 2d(d-1).  No
+exponent exceeds the weight, so (2d(d-1)).bit_length() bits keep key
+additions from carrying.  The chain, its cache file name and its stored
+keys use 8 bits (2d(d-1) = 112 at d = 8).
 """
 
 from __future__ import annotations
@@ -90,12 +92,14 @@ def _avars(d: int) -> tuple:
     return tuple(f"a{j}" for j in range(1, d + 1))
 
 
-def _unpack(key: int, d: int) -> tuple:
-    return tuple((key >> (_BITS * j)) & _MASK for j in range(d))
+def _unpack(key: int, nvars: int, bits: int) -> tuple:
+    mask = (1 << bits) - 1
+    return tuple((key >> (bits * j)) & mask for j in range(nvars))
 
 
-def _wp_to_sparse(p: Mapping[int, int], d: int) -> SparsePoly:
-    return SparsePoly(_avars(d), {_unpack(k, d): Fraction(v) for k, v in p.items()})
+def _wp_to_sparse(p: Mapping[int, int], names: tuple, bits: int) -> SparsePoly:
+    return SparsePoly(names, {_unpack(k, len(names), bits): Fraction(v)
+                              for k, v in p.items()})
 
 
 def _wp_mul(a: dict, b: dict) -> dict:
@@ -131,26 +135,7 @@ def _wp_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _wp_content(a: dict) -> int:
-    g = 0
-    for v in a.values():
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
-def _wp_divexact_int(a: dict, c: int) -> dict:
-    out = {}
-    for k, v in a.items():
-        q, r = divmod(v, c)
-        if r:
-            raise ArithmeticError("integer content division not exact")
-        out[k] = q
-    return out
-
-
-def _wp_divexact(p: dict, d_poly: dict, nvars: int) -> dict:
+def _wp_divexact(p: dict, d_poly: dict, nvars: int, bits: int) -> dict:
     """Exact division of packed polynomials; raises when not divisible.
 
     A heap yields the remainder's keys in descending order; each largest
@@ -160,7 +145,8 @@ def _wp_divexact(p: dict, d_poly: dict, nvars: int) -> dict:
     if not d_poly:
         raise ZeroDivisionError("exact division by zero polynomial")
     dlead = max(d_poly)
-    dfields = _unpack(dlead, nvars)
+    mask = (1 << bits) - 1
+    dfields = [(bits * i, f) for i, f in enumerate(_unpack(dlead, nvars, bits)) if f]
     dc = d_poly[dlead]
     dtail = [(k, v) for k, v in d_poly.items() if k != dlead]
     rem = dict(p)
@@ -172,8 +158,7 @@ def _wp_divexact(p: dict, d_poly: dict, nvars: int) -> dict:
         v = rem.pop(t, None)
         if v is None:
             continue
-        tf = _unpack(t, nvars)
-        if any(tf[i] < dfields[i] for i in range(nvars)):
+        if any((t >> s) & mask < f for s, f in dfields):
             raise ArithmeticError("polynomial division not exact (monomial)")
         c, r = divmod(v, dc)
         if r:
@@ -192,9 +177,11 @@ def _wp_divexact(p: dict, d_poly: dict, nvars: int) -> dict:
     return quot
 
 
-def _hankel_chain(d: int) -> list:
-    """R_0..R_d as ascending coefficient lists of packed polynomials."""
-    a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
+def _hankel_minors(a: Sequence[dict], nvars: int, bits: int) -> list:
+    """minors[j][m] = D_{j,m}, j = 0..d, of x^d + a_1 x^(d-1) + ... + a_d,
+    a = [{0: 1}, a_1, ..., a_d] packed in nvars fields of the given width.
+    ZeroDivisionError when a pivot D_{k,0}, k <= d - 2, is zero."""
+    d = len(a) - 1
     # Newton's identities: p_k = -k a_k - sum_{0<i<k} a_i p_{k-i}
     p = [{0: d}]
     for k in range(1, 2 * d - 1):
@@ -212,13 +199,19 @@ def _hankel_chain(d: int) -> list:
         for r in range(k + 1, d):
             low = top[r - k]
             rows[r] = [_wp_divexact(_wp_sub(_wp_mul(x, piv),
-                                            _wp_mul(low, top[c - k])), prev, d)
+                                            _wp_mul(low, top[c - k])),
+                                    prev, nvars, bits)
                        for c, x in enumerate(rows[r], r)]
         prev = piv
-    # minors[j][m] = D_{j,m}; D_0 is the empty minor, 1 at m = 0
-    minors = [[{0: 1}] + [{}] * d] + rows
+    # D_0 is the empty minor, 1 at m = 0
+    return [[{0: 1}] + [{}] * d] + rows
+
+
+def _hankel_chain(d: int) -> list:
+    """R_0..R_d as ascending coefficient lists of packed polynomials."""
+    a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
     prs = []
-    for j, D in enumerate(minors):
+    for j, D in enumerate(_hankel_minors(a, d, _BITS)):
         sign = -1 if j % 4 in (2, 3) else 1      # (-1)^(j(j-1)/2)
         coeffs = []
         for i in range(d - j + 1):
@@ -485,12 +478,12 @@ def symbolic_sturm(d: int) -> list:
     if cached is not None:
         return cached
     chain = _get_chain(d)
-    lcs = {i: _wp_to_sparse(chain.prs[i][-1], d) for i in range(2, d)}
+    lcs = {i: _wp_to_sparse(chain.prs[i][-1], _avars(d), _BITS) for i in range(2, d)}
     out = []
     for j, xp in enumerate(chain.prs):
         scalar, expo = _multiplier(d, j)
         multiplier = (scalar, tuple((lcs[i], e) for i, e in sorted(expo.items())))
-        R = [_wp_to_sparse(c, d) for c in reversed(xp)]
+        R = [_wp_to_sparse(c, _avars(d), _BITS) for c in reversed(xp)]
         out.append(SymbolicSturmPoly(len(xp) - 1, multiplier, R))
     with _phase_lock:
         _symbolic_cache.setdefault(d, out)
@@ -519,8 +512,8 @@ def critical_polynomials(d: int) -> CriticalSet:
     F = []
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
-        sigma = 1 if _multiplier(d, j)[0] > 0 else -1
-        F_j = _wp_to_sparse(_wp_divexact_int(lead, sigma * _wp_content(lead)), d)
+        g = gcd(*lead.values()) * (1 if _multiplier(d, j)[0] > 0 else -1)
+        F_j = _wp_to_sparse({k: v // g for k, v in lead.items()}, _avars(d), _BITS)
         shd(F_j)  # raises ValueError unless substitutable homogeneous
         F.append(F_j)
     cs = CriticalSet(d, F)

@@ -537,35 +537,6 @@ def shd(p: SparsePoly):
     return seen
 
 
-def substitute_graded(f: SparsePoly, replacements: Sequence[SparsePoly]) -> SparsePoly:
-    """Substitute weight-i variables by degree-i forms; output is homogeneous.
-
-    replacements[i-1] is plugged into the weight-i variable.  Each must be
-    homogeneous of total degree exactly i, or zero.  When f has weighted
-    degree s, the result is homogeneous of degree s (or zero).
-    """
-    fs = shd(f)
-    mapping = {}
-    for i, g in enumerate(replacements, start=1):
-        if not isinstance(g, SparsePoly):
-            g = SparsePoly.constant(g)
-        if not g.is_zero():
-            if not g.is_homogeneous() or g.degree() != i:
-                raise ValueError(f"replacement for weight {i} must be homogeneous "
-                                 f"of degree {i} or zero, got degree {g.degree()}")
-        mapping[i] = g
-    for v in f.vars:
-        w = var_weight(v)
-        if any(e[f.vars.index(v)] for e in f.terms) and w not in mapping:
-            raise ValueError(f"no replacement supplied for weight {w} ({v})")
-    out = f.substitute({v: mapping[var_weight(v)] for v in f.vars
-                        if var_weight(v) in mapping})
-    if not out.is_zero():
-        assert out.is_homogeneous(), "graded substitution must return a form"
-        assert out.degree() == fs
-    return out
-
-
 # ---- division ----
 
 

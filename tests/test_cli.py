@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from rct.cli import build_parser, main, run_corpus
+from rct.parse import MAX_INPUT_CHARS
 from rct.poly import SparsePoly
 from rct.sturm import count_distinct_roots_total
 
@@ -140,12 +141,17 @@ def _one_line_error(err):
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["infinity", 1]}]}'],
     ["fan", "demo", "--cycle", '{"points": [{"coords": ["nan", 1]}]}'],
     ["critical", "test", "--coeffs", ",".join(["1"] * 300)],
+    # JSON nested past the interpreter's recursion limit, and text past
+    # the input length cap
+    ["div", "in-e", "--divisor", "[" * 5000 + "]" * 5000],
+    ["chow", "points", "--points", "[" * 5000 + "]" * 5000],
+    ["sturm", "count", "x" + " " * MAX_INPUT_CHARS],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # nesting depth, grid count, powers, products, Sturm degree, the
-    # divisor's n and degree, the family's and the cycle forms' sizes are
-    # capped; JSON arguments of the wrong shape and non-finite coordinates
-    # are refused
+    # input length, nesting depth, grid count, powers, products, Sturm
+    # degree, the divisor's n and degree, the family's and the cycle forms'
+    # sizes are capped; JSON arguments nested too deeply or of the wrong
+    # shape and non-finite coordinates are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -188,6 +194,15 @@ def test_limits_admit_their_boundary(capsys):
     assert code == 0 and len(json.loads(out)["form"]["terms"]) == 1980
     code, out, _ = run(capsys, "chow", "eigen", "--form", _chow_form(512))
     assert code == 0 and json.loads(out)["s"] == 512
+    # polynomial and JSON text of exactly MAX_INPUT_CHARS characters
+    text = "+".join(["x"] * (MAX_INPUT_CHARS // 2))
+    text += " " * (MAX_INPUT_CHARS - len(text))
+    code, out, _ = run(capsys, "sturm", "count", text)
+    assert code == 0 and json.loads(out)["count"] == 1
+    text = _json_divisor(1, 2)
+    text += " " * (MAX_INPUT_CHARS - len(text))
+    code, out, _ = run(capsys, "div", "in-e", "--divisor", text)
+    assert code == 0 and json.loads(out)["verdict"] == "member"
 
 
 def test_cycle_coordinates_stay_exact(capsys):
@@ -404,6 +419,22 @@ def test_file_input(tmp_path, capsys):
     p.write_text("[[1,2],[3,-1]]")
     code, out, _ = run(capsys, "chow", "points", "--points", str(p))
     assert code == 0 and json.loads(out)["d"] == 2
+
+
+def test_file_input_is_capped(tmp_path, capsys):
+    # a file is read up to one character past the cap, and deep nesting
+    # in it exits 2 like inline JSON
+    p = tmp_path / "divisor.json"
+    text = _json_divisor(1, 2)
+    p.write_text(text + " " * (MAX_INPUT_CHARS - len(text)))
+    code, out, _ = run(capsys, "div", "in-e", "--divisor", str(p))
+    assert code == 0 and json.loads(out)["verdict"] == "member"
+    p.write_text(text + " " * (MAX_INPUT_CHARS + 1 - len(text)))
+    code, out, err = run(capsys, "div", "in-e", "--divisor", str(p))
+    assert code == 2 and out == "" and _one_line_error(err)
+    p.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "div", "in-e", "--divisor", str(p))
+    assert code == 2 and out == "" and _one_line_error(err)
 
 
 def test_corpus_green(capsys):

@@ -325,12 +325,12 @@ def test_point_verdicts_past_the_symbolic_chain():
 from rct.critical import _BITS, _wp_divexact, _wp_mul  # noqa: E402
 
 
-def _rand_wp(rng, nvars, nterms, max_exp=6, max_coeff=50):
+def _rand_wp(rng, nvars, nterms, max_exp=6, max_coeff=50, bits=_BITS):
     out = {}
     for _ in range(nterms):
         key = 0
         for i in range(nvars):
-            key |= rng.randint(0, max_exp) << (_BITS * i)
+            key |= rng.randint(0, max_exp) << (bits * i)
         c = rng.randint(-max_coeff, max_coeff)
         if c:
             out[key] = out.get(key, 0) + c
@@ -365,22 +365,31 @@ def test_wp_mul_identity_and_zero():
     assert _wp_mul(a, {}) == {}
 
 
-def test_wp_divexact_roundtrip():
-    rng = random.Random(54)
+def _divexact_roundtrips(seed, max_exp, bits):
+    rng = random.Random(seed)
     for _ in range(30):
-        a = _rand_wp(rng, 3, rng.randint(1, 12), max_exp=5)
-        b = _rand_wp(rng, 3, rng.randint(1, 8), max_exp=5)
+        a = _rand_wp(rng, 3, rng.randint(1, 12), max_exp=max_exp, bits=bits)
+        b = _rand_wp(rng, 3, rng.randint(1, 8), max_exp=max_exp, bits=bits)
         if not a or not b:
             continue
         prod = _wp_mul(a, b)
-        assert _wp_divexact(prod, b, 3) == a
+        assert _wp_divexact(prod, b, 3, bits) == a
+
+
+def test_wp_divexact_roundtrip():
+    _divexact_roundtrips(54, 5, _BITS)
+
+
+def test_wp_divexact_wide_keys():
+    # the key width is a parameter: at 11 bits a product exponent reaches 1000
+    _divexact_roundtrips(56, 500, 11)
 
 
 def test_wp_divexact_rejects_inexact():
     x_sq_plus_1 = {2: 1, 0: 1}
     x_minus_1 = {1: 1, 0: -1}
     with pytest.raises(ArithmeticError):
-        _wp_divexact(x_sq_plus_1, x_minus_1, 1)
+        _wp_divexact(x_sq_plus_1, x_minus_1, 1, _BITS)
 
 
 def test_wp_divexact_large_roundtrip():
@@ -388,7 +397,7 @@ def test_wp_divexact_large_roundtrip():
     a = _rand_wp(rng, 4, 300, max_exp=5, max_coeff=10 ** 6)
     b = _rand_wp(rng, 4, 40, max_exp=5, max_coeff=10 ** 6)
     prod = _wp_mul(a, b)
-    assert _wp_divexact(prod, b, 4) == a
+    assert _wp_divexact(prod, b, 4, _BITS) == a
 
 
 # ---- Hankel construction against the reduced PRS ----
@@ -437,7 +446,8 @@ def _reduced_prs(d):
         A, B = prs[-2], prs[-1]
         R = _prem_step(A, B)
         if i >= 2:
-            R = [_wp_divexact(_wp_divexact(c, A[-1], d), A[-1], d) if c else {}
+            R = [_wp_divexact(_wp_divexact(c, A[-1], d, _BITS), A[-1], d, _BITS)
+                 if c else {}
                  for c in R]
         assert len(R) == len(B) - 1
         prs.append(R)

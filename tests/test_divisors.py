@@ -22,8 +22,10 @@ from rct.divisors import (
     scale_divisor,
     sphere_grid,
 )
+import rct.critical as critical
+from rct.critical import critical_polynomials, symbolic_sturm
 from rct.parse import parse_poly
-from rct.sturm import count_distinct_roots_total
+from rct.sturm import _int_chain, count_distinct_roots_total
 from rct.poly import SparsePoly, format_poly, poly_divmod
 
 
@@ -221,6 +223,39 @@ def test_e_certificate_forms_guards():
         e_certificate_forms(Divisor(P("x0 + x1")))     # degree 1
 
 
+def _chain_route_forms(D):
+    """content(D_{j,0}) * F_j(p_1..p_d) through the symbolic chain, d <= 8."""
+    D = in_div_prime(D)[1]
+    xs = D.f.vars[1:]
+    ps = D.x0_coefficients()
+    sub = {f"a{i}": ps.get(i, SparsePoly.zero(xs)).with_vars(xs)
+           for i in range(1, D.d + 1)}
+    seq, F = symbolic_sturm(D.d), critical_polynomials(D.d).F
+    # lc(R_j) = +-D_{j,0}, whose content is 1 for d - j even and 2 for odd
+    content = [seq[j].R[0].content() for j in range(2, D.d + 1)]
+    assert content == [1 + (D.d - j) % 2 for j in range(2, D.d + 1)]
+    return [F[j - 2].substitute(sub).with_vars(xs) * content[j - 2]
+            for j in range(2, D.d + 1)]
+
+
+def test_e_certificate_forms_match_the_chain_route():
+    rng = random.Random(29)
+    cases = [P("x0^2 - 9*x1^2"), P("2*x0^3 - 1/3*x0*x1^2 + 1/5*x1^3 - x2^3"),
+             P("x0^4 - 1/2*x0^2*x1^2 - x0^2*x1*x2 + 1/7*x2^4"),
+             # a pivot D_{2,0}(p) vanishes identically at these
+             P("x0^4 - x1^4"), P("x0^5 - x1^5 - x2^5"), P("x0^6 + x1^6"),
+             P("x0^4 + 4*x0^3*x1 + 6*x0^2*x1^2 + x0*x1^3 + x0*x2^3 + x1*x2^3")]
+    cases = [Divisor(f) for f in cases] + [paper_family(3, 1)[1],
+                                           paper_family(1, 3)[0]]
+    for d in range(2, 7):
+        terms = {(i, j, d - i - j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for i in range(d) for j in range(d + 1 - i)}
+        terms[(d, 0, 0)] = Fraction(rng.randint(1, 3))
+        cases.append(Divisor(SparsePoly(("x0", "x1", "x2"), terms)))
+    for D in cases:
+        assert e_certificate_forms(D) == _chain_route_forms(D), D
+
+
 def test_e_certificates_positive_iff_member():
     # positivity of every H_j on the grid tracks the fiber verdicts
     D = paper_family(2, 2)[0]
@@ -231,6 +266,45 @@ def test_e_certificates_positive_iff_member():
     bad = Divisor(P("x0^2 + x1^2 + x2^2"))
     h2 = e_certificate_forms(bad)[0]
     assert h2.evaluate({"x1": 1, "x2": 0}) < 0
+    # past the symbolic chain's d <= 8, and off E: wherever the fiber's
+    # integer Sturm chain is full, sign H_j(v) is the sign of its j-th
+    # leading coefficient
+    rng = random.Random(31)
+    terms = {(i, j, 3 - i - j): Fraction(rng.randint(-5, 5))
+             for i in range(3) for j in range(4 - i)}
+    terms[(3, 0, 0)] = Fraction(1)
+    off = Divisor(SparsePoly(("x0", "x1", "x2"), terms))
+    signs = set()
+    for D in (paper_family(2, 5)[0], off):
+        hs = e_certificate_forms(D)
+        checker = _FiberChecker(D)
+        full = 0
+        for v in circle_grid(24):
+            chain = _int_chain(checker.coeff_point(v)[::-1] + [1])[0]
+            if len(chain) != D.d + 1:
+                continue
+            full += 1
+            point = {"x1": Fraction(v[0]), "x2": Fraction(v[1])}
+            for j, h in enumerate(hs, 2):
+                value, lc = h.evaluate(point), chain[j][-1]
+                assert (value > 0) - (value < 0) == (lc > 0) - (lc < 0)
+                signs.add(value > 0)
+        assert full > 20
+    assert signs == {True, False}
+
+
+def test_e_certificate_forms_build_no_chain(tmp_path, monkeypatch):
+    # the forms come from one elimination over Z[x1, x2]: no symbolic
+    # chain is built, loaded or written, and d is not capped at 8
+    monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(critical, "_chain_cache", {})
+    monkeypatch.setattr(critical, "_set_cache", {})
+    for k in (4, 5):
+        D = paper_family(2, k)[0]
+        hs = e_certificate_forms(D)
+        assert len(hs) == D.d - 1 and hs[-1].degree() == D.d * (D.d - 1)
+    assert critical._chain_cache == {} and critical._set_cache == {}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sampled_sphere_min():

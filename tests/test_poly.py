@@ -11,7 +11,6 @@ from rct.poly import (
     format_poly,
     poly_divmod,
     shd,
-    substitute_graded,
     var_weight,
 )
 
@@ -249,28 +248,6 @@ def test_shd_values():
     assert shd(SparsePoly.zero(("x",))) is None  # no weight is read
     with pytest.raises(ValueError):
         shd(a1 + a2)
-
-
-def test_substitute_graded_degrees():
-    a1, a2 = SparsePoly.variable("a1"), SparsePoly.variable("a2")
-    f = a1 ** 2 - 4 * a2
-    x, y = SparsePoly.variable("x"), SparsePoly.variable("y")
-    g1 = x + y
-    g2 = x * y
-    out = substitute_graded(f, [g1, g2])
-    assert out == (x + y) ** 2 - 4 * x * y
-    assert out.is_homogeneous() and out.degree() == 2
-    # replacement of wrong degree is rejected
-    with pytest.raises(ValueError):
-        substitute_graded(f, [g2, g2])
-    # zero replacement is allowed at any weight
-    assert substitute_graded(f, [SparsePoly.zero(), g2]) == -4 * x * y
-
-
-def test_substitute_graded_rejects_mixed():
-    a1, a2 = SparsePoly.variable("a1"), SparsePoly.variable("a2")
-    with pytest.raises(ValueError):
-        substitute_graded(a1 + a2, [a1, a2])
 
 
 def test_divide_exact():
