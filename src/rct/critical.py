@@ -75,13 +75,13 @@ import threading
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .poly import SparsePoly, as_rational, shd
 from .sturm import MAX_DEGREE, _changes_at_infinity, _int_chain, sturm_sequence
 
 _BITS = 8
-_MASK = (1 << _BITS) - 1
 
 D_MAX_DEFAULT = 8
 """Largest d of the symbolic chain, set by build time: a cold build takes
@@ -246,28 +246,32 @@ class _Chain:
         self.prs = _hankel_chain(d) if prs is None else prs
 
 
-def _wp_eval(p: dict, vals: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for k, v in p.items():
-        term = Fraction(v)
-        j = 0
-        while k:
-            e = k & _MASK
-            if e:
-                term *= vals[j] ** e
-            k >>= _BITS
-            j += 1
-        total += term
-    return total
-
-
 def _verify_chain(ch) -> bool:
-    """Exact specialization check of a chain against direct Euclid."""
+    """Exact specialization check of a chain against direct Euclid.
+
+    At the first trial point a = (a_1..a_d) whose Euclid chain has the
+    degrees d, d - 1, ..., 0, every c_j * R_j must equal that chain's f_j,
+    coefficient for coefficient.
+
+    The evaluation is in integers.  With q the common denominator of the
+    point, a_l = n_l / q, so a term v * prod a_l^e_l of total degree
+    deg is v * prod n_l^e_l * q^(top - deg) over q^top; each coefficient
+    of R_j is one integer numerator over q^top, and a Fraction is built
+    only for the (d + 1)(d + 2) / 2 coefficients compared with Euclid.
+    Before a key is evaluated it must lie in 0 <= k < 2^(_BITS * d) and
+    have the weight of its place, j(j - 1) + d - j - m for the
+    coefficient of x^m in R_j (the grading of the module docstring), or
+    the chain is refused.  So no exponent or total degree exceeds
+    top = d(d - 1), which bounds the power tables of the n_l and of q.
+    """
     d = ch.d
     if len(ch.prs) != d + 1:
         return False
     if any(len(xp) != d + 1 - i for i, xp in enumerate(ch.prs)):
         return False
+    limit = 1 << (_BITS * d)
+    top = d * (d - 1)
+    field_weights = range(1, d + 1)
     for trial in range(5):
         vals = [Fraction(j + 2 + trial, 1 + (j + trial) % 3)
                 for j in range(d)]
@@ -275,12 +279,35 @@ def _verify_chain(ch) -> bool:
         ref = sturm_sequence(SparsePoly.from_dense("x", coeffs), "x").polys
         if [len(p) for p in ref] != list(range(d + 1, 0, -1)):
             continue  # chain degrees not d, d-1, ..., 0: non-generic point
+        q = lcm(*(v.denominator for v in vals))
+        qpow = [q ** e for e in range(top + 1)]
+        npow = [[(v.numerator * (q // v.denominator)) ** e
+                 for e in range(top // w + 1)]
+                for v, w in zip(vals, field_weights)]
+        got = []
+        for j, xp in enumerate(ch.prs):
+            row = []
+            for m, c in enumerate(xp):
+                weight = j * (j - 1) + d - j - m
+                num = 0
+                for k, v in c.items():
+                    if not 0 <= k < limit:
+                        return False
+                    fields = k.to_bytes(d, "little")  # _BITS = 8: one byte each
+                    if sum(map(mul, fields, field_weights)) != weight:
+                        return False
+                    term = v * qpow[top - sum(fields)]
+                    for pw, e in zip(npow, fields):
+                        if e:
+                            term *= pw[e]
+                    num += term
+                row.append(Fraction(num, qpow[top]))
+            got.append(row)
         for i in range(d + 1):
             mult, expo = _multiplier(d, i)
-            for k, e in expo.items():
-                mult *= _wp_eval(ch.prs[k][-1], vals) ** e
-            got = [_wp_eval(c, vals) * mult for c in ch.prs[i]]
-            if tuple(got) != ref[i]:
+            for k, e in expo.items():  # k < i: entry k matched, so lc != 0
+                mult *= got[k][-1] ** e
+            if tuple(x * mult for x in got[i]) != ref[i]:
                 return False
         return True
     return False

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .divisors import Divisor, in_div_double_prime, scale_divisor, xvar
 from .parallel import ordered_parallel_map
+from .parse import _brief
 from .poly import Rational, SparsePoly, as_rational
 from .sturm import isolate_roots_bisection
 
@@ -146,7 +147,7 @@ def _coord_in(text):
             return Fraction(str(text))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"not a coordinate: {text!r}")
+    raise ValueError(f"not a coordinate: {_brief(text)}")
 
 
 @dataclass

@@ -49,6 +49,13 @@ MAX_POWER_BITS = 16384
 denominators of at most b bits (the size of c^n for a single term)."""
 
 
+def _brief(value) -> str:
+    """repr(value) for an error message, cut to its first 40 characters
+    and an ellipsis when longer, so a long input is not echoed whole."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 class PolyParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
@@ -154,7 +161,7 @@ class _Parser:
         p = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
-            raise PolyParseError(f"trailing input {val!r}", pos)
+            raise PolyParseError(f"trailing input {_brief(val)}", pos)
         return p
 
     def expr(self) -> SparsePoly:
@@ -248,4 +255,4 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+        raise ValueError(f"not a rational literal: {_brief(text)}") from exc

@@ -205,6 +205,19 @@ def test_limits_admit_their_boundary(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "member"
 
 
+@pytest.mark.parametrize("argv", [
+    ["critical", "test", "--coeffs", "y" * 60000],
+    ["sturm", "count", "x " + "y" * 60000],
+    ["chow", "points", "--points", json.dumps([["x" * 60000]])],
+    ["fan", "demo", "--cycle", json.dumps({"points": [{"coords": ["z" * 60000, 1]}]})],
+])
+def test_error_quotes_a_bounded_prefix(capsys, argv):
+    # a long offending input is quoted by its first characters, not whole
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and len(err) < 200 and "…" in err, err[:300]
+
+
 def test_cycle_coordinates_stay_exact(capsys):
     # tiny and huge exact coordinates normalize without floats
     def demo(coords):

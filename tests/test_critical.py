@@ -535,18 +535,21 @@ def test_cache_verification_rejects_wrong_chain(tmp_path, monkeypatch):
 
 def test_verify_chain_accepts_built_and_rejects_perturbed():
     # every entry is checked against the Sturm chain of a specialization,
-    # so one changed integer coefficient anywhere is caught
+    # so one changed integer coefficient anywhere is caught: the constant,
+    # a middle one and the leading one, which also enters the multipliers
+    # of later entries with exponent -2
     import rct.critical as crit
 
-    for d in range(2, 7):
+    for d in range(2, 8):
         ch = crit._get_chain(d)
         assert crit._verify_chain(ch), d
         for i in range(d + 1):
-            prs = [[dict(wp) for wp in entry] for entry in ch.prs]
-            key = next(iter(prs[i][0]))
-            prs[i][0][key] += 1
-            bad = crit._Chain(d, prs)
-            assert not crit._verify_chain(bad), (d, i)
+            for m in sorted({0, (d - i) // 2, d - i}):
+                prs = [[dict(wp) for wp in entry] for entry in ch.prs]
+                key = next(iter(prs[i][m]))
+                prs[i][m][key] += 1
+                bad = crit._Chain(d, prs)
+                assert not crit._verify_chain(bad), (d, i, m)
 
 
 def _read_record(crit, d):
@@ -596,3 +599,12 @@ def test_cache_rejects_malformed_records(tmp_path, monkeypatch):
                    dict(good, prs=[[{"x": 1}]]), dict(good, d=4, prs=[])):
         _write_record(crit, 3, record)
         assert crit._load_cached_chain(3) is None, record
+    # keys outside 0 <= k < 2^(8d): a negative one, and one with a field
+    # past a_d, each added to a correct chain
+    crit._store_cached_chain(crit._Chain(3))
+    built = _read_record(crit, 3)
+    for key in (-1, 1 << (crit._BITS * 3)):
+        record = json.loads(json.dumps(built))
+        record["prs"][2][0][str(key)] = 1
+        _write_record(crit, 3, record)
+        assert crit._load_cached_chain(3) is None, key

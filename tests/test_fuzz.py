@@ -4,15 +4,21 @@ Any polynomial text either parses, or raises ValueError (PolyParseError
 for the grammar).  Through main(), polynomial text and the JSON of
 `--divisor`, `--cycle` and `--form` end with exit code 0, 1 or 2, never
 with another exception, and exit 2 prints one `error:` line and no
-stdout.
+stdout.  A chain cache record with one key or value replaced loads as
+the built chain or as a miss, never as an exception.
 """
 
 import contextlib
+import gzip
 import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
 
+import rct.critical as crit
 from rct.cli import main
 from rct.parse import parse_poly
 from rct.poly import SparsePoly
@@ -149,3 +155,37 @@ def test_cycle_json_exit_codes(value):
     "vars": ["u0_0", "u1_0"], "terms": [{"coeff": 1, "exp": [1, 1]}]}})
 def test_form_json_exit_codes(value):
     _assert_contract(["chow", "taffy", "--form", json.dumps(value)])
+
+
+# ---- the chain cache loader ----
+
+# arbitrary integers, keys near the valid range 0 <= k < 2^24 at d = 3,
+# and values of thousands of digits
+INTEGER = st.one_of(st.integers(), st.integers(-1, 1 << 24),
+                    st.sampled_from([1 << 64, -(1 << 64), 10 ** 4000,
+                                     -(10 ** 4000)]))
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9),
+                  st.booleans(), INTEGER)
+def test_chain_loader_returns_the_built_chain_or_none(i, m, t, as_key, n):
+    # one key or one value of a stored d = 3 record is replaced by n; the
+    # loader never raises, and a chain it returns is the built one
+    built = crit._Chain(3)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"RCT_CACHE_DIR": tmp}):
+        crit._store_cached_chain(built)
+        path = crit._chain_cache_path(3)
+        with gzip.open(path, "rt", encoding="utf-8") as fh:
+            record = json.load(fh)
+        coeff = record["prs"][i][m % (4 - i)]
+        key = list(coeff)[t % len(coeff)]
+        if as_key:
+            coeff[str(n)] = coeff.pop(key)
+        else:
+            coeff[key] = n
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        loaded = crit._load_cached_chain(3)
+    assert loaded is None or loaded.prs == built.prs
