@@ -30,7 +30,14 @@ from .divisors import (
     scale_divisor,
 )
 from .fan import ZeroCycle, default_demo, limit_check, psi_demo
-from .parse import MAX_INPUT_CHARS, check_length, parse_poly, parse_rational
+from .parse import (
+    MAX_INPUT_CHARS,
+    _brief,
+    _literal_int,
+    check_length,
+    parse_poly,
+    parse_rational,
+)
 from .poly import SparsePoly, format_poly
 from .sturm import (
     count_distinct_roots_in,
@@ -63,14 +70,32 @@ def _flatten(obj, prefix="") -> list:
 
 
 def _json_arg(text: str):
-    """Inline JSON or a path to a JSON file, at most MAX_INPUT_CHARS long."""
+    """Inline JSON or a path to a JSON file, at most MAX_INPUT_CHARS long,
+    with integers of at most MAX_LITERAL_DIGITS digits."""
     if not text.lstrip().startswith(("{", "[")):
         with open(text) as fh:
             text = fh.read(MAX_INPUT_CHARS + 1)
     try:
-        return json.loads(check_length(text))
+        return json.loads(check_length(text), parse_int=_literal_int)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _json_list(value, what: str) -> list:
+    """value when it is a JSON list, else a ValueError naming `what`."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of {what}, got {_brief(value)}")
+    return value
+
+
+def _rat_row(row) -> list:
+    """A JSON list of rationals (numbers or "p/q" strings) as Fractions."""
+    return [parse_rational(str(c)) for c in _json_list(row, "rationals")]
+
+
+def _rat_rows(rows) -> list:
+    """A JSON list of lists of rationals as lists of Fractions."""
+    return [_rat_row(row) for row in _json_list(rows, "rows")]
 
 
 def _interval_arg(text: str):
@@ -141,22 +166,24 @@ def _cmd_critical_test(args) -> int:
 
 
 def _cmd_chow_points(args) -> int:
-    raw = _json_arg(args.points)
     pts = []
-    for entry in raw:
-        if len(entry) == 2 and isinstance(entry[1], int) \
+    for entry in _json_list(_json_arg(args.points), "points"):
+        if isinstance(entry, list) and len(entry) == 2 \
                 and isinstance(entry[0], list):
-            pts.append(([parse_rational(str(c)) for c in entry[0]], entry[1]))
+            mult = entry[1]
+            if not isinstance(mult, int) or isinstance(mult, bool):
+                raise ValueError("multiplicity must be an integer, got "
+                                 f"{_brief(mult)}")
+            pts.append((_rat_row(entry[0]), mult))
         else:
-            pts.append([parse_rational(str(c)) for c in entry])
+            pts.append(_rat_row(entry))
     F = chowmod.chow_of_points(pts, args.m)
     _emit(F.to_json_dict(), args.format)
     return 0
 
 
 def _cmd_chow_line(args) -> int:
-    span = [[parse_rational(str(c)) for c in row]
-            for row in _json_arg(args.span)]
+    span = _rat_rows(_json_arg(args.span))
     F = chowmod.chow_of_linear(span, args.m)
     _emit(F.to_json_dict(), args.format)
     return 0
@@ -201,8 +228,7 @@ def _cmd_chow_taffy(args) -> int:
 
 def _cmd_chow_detcheck(args) -> int:
     F = _mhform_arg(args.form)
-    A = [[parse_rational(str(c)) for c in row]
-         for row in _json_arg(args.matrix)]
+    A = _rat_rows(_json_arg(args.matrix))
     ok = chowmod.det_action_check(F, A)
     _emit({"det_action_holds": ok}, args.format)
     return 0 if ok else 1

@@ -66,20 +66,29 @@ numerator, a product of two minors, has weight at most 2d(d-1).  No
 exponent exceeds the weight, so (2d(d-1)).bit_length() bits keep key
 additions from carrying.  The chain, its cache file name and its stored
 keys use 8 bits (2d(d-1) = 112 at d = 8).
+
+The chain is held once, as these packed R_j (`_Chain.prs`), and its
+grading is read once, off the packed keys by `_weight`: the coefficient
+of x^m in R_j has weight j(j - 1) + d - j - m.  The substitutable-pair
+check (`verify_pair_chain`), the homogeneity of each F_j and the check
+of a cached chain all use it.  A cached chain is also evaluated at a
+random integer point and compared with the Hankel formula run on the
+constants of that point (`_verify_chain`).
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 import threading
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import getitem, mul
 from typing import Mapping, Sequence
 
-from .poly import SparsePoly, as_rational, shd
-from .sturm import MAX_DEGREE, _changes_at_infinity, _int_chain, sturm_sequence
+from .poly import SparsePoly, as_rational
+from .sturm import MAX_DEGREE, _changes_at_infinity, _int_chain
 
 _BITS = 8
 
@@ -207,14 +216,14 @@ def _hankel_minors(a: Sequence[dict], nvars: int, bits: int) -> list:
     return [[{0: 1}] + [{}] * d] + rows
 
 
-def _hankel_chain(d: int) -> list:
-    """R_0..R_d as ascending coefficient lists of packed polynomials."""
-    a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
+def _hankel_chain(a: Sequence[dict], nvars: int) -> list:
+    """R_0..R_d of x^d + a_1 x^(d-1) + ... + a_d as ascending coefficient
+    lists, a = [{0: 1}, a_1, ..., a_d] packed as for `_hankel_minors`."""
     prs = []
-    for j, D in enumerate(_hankel_minors(a, d, _BITS)):
+    for j, D in enumerate(_hankel_minors(a, nvars, _BITS)):
         sign = -1 if j % 4 in (2, 3) else 1      # (-1)^(j(j-1)/2)
         coeffs = []
-        for i in range(d - j + 1):
+        for i in range(len(a) - j):
             c: dict = {}
             for l in range(i + 1):
                 c = _wp_sub(c, _wp_mul(a[l], D[i - l]))
@@ -236,6 +245,15 @@ def _multiplier(d: int, j: int) -> tuple:
             {i: 2 if (j - i) % 2 == 0 else -2 for i in range(2, j)})
 
 
+_FIELD_WEIGHTS = tuple(range(1, D_MAX_DEFAULT + 1))
+
+
+def _weight(key: int, d: int) -> int:
+    """Weight sum_l l * e_l of the packed monomial prod a_l^e_l, for
+    0 <= key < 2^(_BITS * d) and d <= D_MAX_DEFAULT."""
+    return sum(map(mul, key.to_bytes(d, "little"), _FIELD_WEIGHTS))
+
+
 class _Chain:
     """The integer Hankel chain R_0..R_d for one d."""
 
@@ -243,74 +261,54 @@ class _Chain:
         if d < 2:
             raise ValueError("need d >= 2")
         self.d = d
-        self.prs = _hankel_chain(d) if prs is None else prs
+        if prs is None:
+            a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
+            prs = _hankel_chain(a, d)
+        self.prs = prs
 
 
 def _verify_chain(ch) -> bool:
-    """Exact specialization check of a chain against direct Euclid.
+    """Check a loaded chain against the Hankel formula at a random point.
 
-    At the first trial point a = (a_1..a_d) whose Euclid chain has the
-    degrees d, d - 1, ..., 0, every c_j * R_j must equal that chain's f_j,
-    coefficient for coefficient.
-
-    The evaluation is in integers.  With q the common denominator of the
-    point, a_l = n_l / q, so a term v * prod a_l^e_l of total degree
-    deg is v * prod n_l^e_l * q^(top - deg) over q^top; each coefficient
-    of R_j is one integer numerator over q^top, and a Fraction is built
-    only for the (d + 1)(d + 2) / 2 coefficients compared with Euclid.
-    Before a key is evaluated it must lie in 0 <= k < 2^(_BITS * d) and
-    have the weight of its place, j(j - 1) + d - j - m for the
-    coefficient of x^m in R_j (the grading of the module docstring), or
-    the chain is refused.  So no exponent or total degree exceeds
-    top = d(d - 1), which bounds the power tables of the n_l and of q.
+    Every key must lie in 0 <= k < 2^(_BITS * d) and have the weight of
+    its place, j(j - 1) + d - j - m for the coefficient of x^m in R_j
+    (the grading of the module docstring).  Then one integer point n with
+    entries in [1, 2^32) is drawn, again while a Bareiss pivot vanishes
+    there, and every stored coefficient evaluated at a = n must equal the
+    one `_hankel_chain` assembles from the constants a_l = n_l.  A wrong
+    coefficient differs from the right one by a nonzero polynomial of
+    total degree at most its weight, at most d(d - 1), so a wrong chain
+    passes with probability at most d(d - 1) / (2^32 - 1) (Schwartz-Zippel).
+    Redrawing, which happens with probability below 2 * 10^-8 at d = 8,
+    raises that bound by a factor below 1 + 2 * 10^-8.
     """
     d = ch.d
     if len(ch.prs) != d + 1:
         return False
     if any(len(xp) != d + 1 - i for i, xp in enumerate(ch.prs)):
         return False
+    rng = random.SystemRandom()
+    while True:
+        n = [rng.randrange(1, 1 << 32) for _ in range(d)]
+        try:
+            ref = _hankel_chain([{0: 1}] + [{0: v} for v in n], 0)
+        except ZeroDivisionError:  # a Bareiss pivot vanishes at n
+            continue
+        break
     limit = 1 << (_BITS * d)
-    top = d * (d - 1)
-    field_weights = range(1, d + 1)
-    for trial in range(5):
-        vals = [Fraction(j + 2 + trial, 1 + (j + trial) % 3)
-                for j in range(d)]
-        coeffs = [vals[d - 1 - k] for k in range(d)] + [Fraction(1)]
-        ref = sturm_sequence(SparsePoly.from_dense("x", coeffs), "x").polys
-        if [len(p) for p in ref] != list(range(d + 1, 0, -1)):
-            continue  # chain degrees not d, d-1, ..., 0: non-generic point
-        q = lcm(*(v.denominator for v in vals))
-        qpow = [q ** e for e in range(top + 1)]
-        npow = [[(v.numerator * (q // v.denominator)) ** e
-                 for e in range(top // w + 1)]
-                for v, w in zip(vals, field_weights)]
-        got = []
-        for j, xp in enumerate(ch.prs):
-            row = []
-            for m, c in enumerate(xp):
-                weight = j * (j - 1) + d - j - m
-                num = 0
-                for k, v in c.items():
-                    if not 0 <= k < limit:
-                        return False
-                    fields = k.to_bytes(d, "little")  # _BITS = 8: one byte each
-                    if sum(map(mul, fields, field_weights)) != weight:
-                        return False
-                    term = v * qpow[top - sum(fields)]
-                    for pw, e in zip(npow, fields):
-                        if e:
-                            term *= pw[e]
-                    num += term
-                row.append(Fraction(num, qpow[top]))
-            got.append(row)
-        for i in range(d + 1):
-            mult, expo = _multiplier(d, i)
-            for k, e in expo.items():  # k < i: entry k matched, so lc != 0
-                mult *= got[k][-1] ** e
-            if tuple(x * mult for x in got[i]) != ref[i]:
+    npow = [[v ** e for e in range(d * (d - 1) // w + 1)]
+            for w, v in enumerate(n, 1)]
+    for j, (xp, ref_xp) in enumerate(zip(ch.prs, ref)):
+        for m, (c, r) in enumerate(zip(xp, ref_xp)):
+            weight = j * (j - 1) + d - j - m
+            total = 0
+            for k, v in c.items():
+                if not 0 <= k < limit or _weight(k, d) != weight:
+                    return False
+                total += v * prod(map(getitem, npow, k.to_bytes(d, "little")))
+            if total != r.get(0, 0):
                 return False
-        return True
-    return False
+    return True
 
 
 _CACHE_FORMAT = 1
@@ -380,65 +378,6 @@ class RootVerdict(Enum):
     DEGENERATE = "degenerate"
 
 
-class SymbolicSturmPoly:
-    """One chain entry f_j = c_j * R_j, univariate in x.
-
-    multiplier is c_j as (scalar, ((lc(R_i), e), ...)), each lc(R_i) a
-    SparsePoly.  R[i] is the integer coefficient of x^(degree - i) in R_j,
-    so R[0] is the leading one, matching the p_0..p_d indexing of the pair
-    conditions.
-    """
-
-    __slots__ = ("degree", "multiplier", "R")
-
-    def __init__(self, degree: int, multiplier: tuple, R: Sequence[SparsePoly]):
-        if len(R) != degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
-        self.degree = degree
-        self.multiplier = multiplier
-        self.R = tuple(R)
-
-    def weights(self) -> list:
-        """shd(c_j) + shd(R[i]) per coefficient, None for a zero one."""
-        w = sum(e * shd(p) for p, e in self.multiplier[1])
-        return [None if r.is_zero() else w + shd(r) for r in self.R]
-
-    def evaluate_coeffs(self, point: Mapping[str, Fraction]) -> list:
-        """Ascending dense coefficient list of the specialized polynomial.
-
-        Raises ZeroDivisionError when a factor of c_j with a negative
-        exponent vanishes at the point, unless an earlier one with a
-        positive exponent already made c_j zero.
-        """
-        c, factors = self.multiplier
-        for p, e in factors:
-            c *= p.evaluate(point) ** e
-            if not c:
-                break
-        return [c * r.evaluate(point) for r in reversed(self.R)]
-
-
-def check_substitutable_pair(a: SymbolicSturmPoly, b: SymbolicSturmPoly):
-    """Verify the pair conditions, returning the constant offset.
-
-    Condition 1: shd(p_i) - i is one value, the entry's base, over the
-    nonzero coefficients of each entry.  Condition 2, shd(q_i) - shd(p_i)
-    constant, then holds for every i with offset base_b - base_a.
-    """
-    if b.degree != a.degree - 1:
-        raise ValueError("pair requires degrees (m, m-1)")
-
-    def base(poly: SymbolicSturmPoly) -> int:
-        bases = {w - i for i, w in enumerate(poly.weights()) if w is not None}
-        if not bases:
-            raise ValueError("zero polynomial in pair")
-        if len(bases) > 1:
-            raise AssertionError("coefficient ladder violates shd(p_i) = i + shd(p_0)")
-        return bases.pop()
-
-    return base(b) - base(a)
-
-
 class CriticalSet:
     """The critical polynomials of the symbolic chain for one d.
 
@@ -462,7 +401,6 @@ class CriticalSet:
 _phase_lock = threading.Lock()
 _chain_cache: dict = {}
 _set_cache: dict = {}
-_symbolic_cache: dict = {}
 
 
 _DISK_CACHE_MIN_D = 7
@@ -493,37 +431,28 @@ def _check_chain_degree(d: int):
                          f" (20-30 s to build at d = 8), got d = {d}")
 
 
-def symbolic_sturm(d: int) -> list:
-    """Full symbolic Sturm chain of the generic monic degree-d polynomial.
+def verify_pair_chain(d: int) -> list:
+    """Check the pair conditions on every consecutive chain pair; returns offsets.
 
-    Entry j has degree d - j and holds f_j = c_j * R_j as its multiplier
-    and the integer coefficients of R_j.  The chain always has length
-    d + 1: a lost degree cannot happen for symbolic coefficients.
+    Entry j is f_j = c_j * R_j.  Condition 1: weight(R_j[i]) - i, R_j[i]
+    the coefficient of x^(d - j - i), is one value, the entry's ladder,
+    over every key of every coefficient.  So the ladder is also the weight
+    of lc(R_j), and the weight of c_j is the sum of e * ladder_i over its
+    factors lc(R_i)^e.  Condition 2 then holds with offset base_{j+1} -
+    base_j, where base_j is the ladder plus the weight of c_j.
     """
     _check_chain_degree(d)
-    cached = _symbolic_cache.get(d)
-    if cached is not None:
-        return cached
-    chain = _get_chain(d)
-    lcs = {i: _wp_to_sparse(chain.prs[i][-1], _avars(d), _BITS) for i in range(2, d)}
-    out = []
-    for j, xp in enumerate(chain.prs):
-        scalar, expo = _multiplier(d, j)
-        multiplier = (scalar, tuple((lcs[i], e) for i, e in sorted(expo.items())))
-        R = [_wp_to_sparse(c, _avars(d), _BITS) for c in reversed(xp)]
-        out.append(SymbolicSturmPoly(len(xp) - 1, multiplier, R))
-    with _phase_lock:
-        _symbolic_cache.setdefault(d, out)
-    return out
-
-
-def verify_pair_chain(d: int) -> list:
-    """Check the pair conditions on every consecutive chain pair; returns offsets."""
-    seq = symbolic_sturm(d)
-    offsets = []
-    for a, b in zip(seq, seq[1:]):
-        offsets.append(check_substitutable_pair(a, b))
-    return offsets
+    ladders = []
+    for j, xp in enumerate(_get_chain(d).prs):
+        ladder = {_weight(k, d) - i for i, c in enumerate(reversed(xp))
+                  for k in c}
+        if len(ladder) != 1:
+            raise AssertionError(f"entry {j}: coefficient ladder violates "
+                                 "shd(p_i) = i + shd(p_0)")
+        ladders.append(ladder.pop())
+    bases = [w + sum(e * ladders[i] for i, e in _multiplier(d, j)[1].items())
+             for j, w in enumerate(ladders)]
+    return [b - a for a, b in zip(bases, bases[1:])]
 
 
 def critical_polynomials(d: int) -> CriticalSet:
@@ -540,9 +469,10 @@ def critical_polynomials(d: int) -> CriticalSet:
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
         g = gcd(*lead.values()) * (1 if _multiplier(d, j)[0] > 0 else -1)
-        F_j = _wp_to_sparse({k: v // g for k, v in lead.items()}, _avars(d), _BITS)
-        shd(F_j)  # raises ValueError unless substitutable homogeneous
-        F.append(F_j)
+        if len({_weight(k, d) for k in lead}) != 1:
+            raise ValueError(f"F_{j} is not substitutable homogeneous")
+        F.append(_wp_to_sparse({k: v // g for k, v in lead.items()},
+                               _avars(d), _BITS))
     cs = CriticalSet(d, F)
     with _phase_lock:
         _set_cache.setdefault(d, cs)

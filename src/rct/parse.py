@@ -9,8 +9,9 @@ VAR is [A-Za-z_][A-Za-z0-9_]*.  RATIONAL is an integer literal with an
 optional /denominator, e.g. 7 or -3/2 (the sign comes from the grammar,
 the slash from the token).  Multiplication is always explicit.
 Text of more than MAX_INPUT_CHARS characters raises PolyParseError, and
-so does nesting of parentheses and unary minus signs past MAX_DEPTH, a
-power whose expansion would pass MAX_POWER_DEGREE, MAX_POWER_TERMS or
+so does an integer literal of more than MAX_LITERAL_DIGITS digits,
+nesting of parentheses and unary minus signs past MAX_DEPTH, a power
+whose expansion would pass MAX_POWER_DEGREE, MAX_POWER_TERMS or
 MAX_POWER_BITS, and a product whose expansion would pass MAX_POWER_DEGREE
 or MAX_POWER_TERMS; each is refused before anything is expanded or multiplied.
 """
@@ -48,12 +49,26 @@ MAX_POWER_BITS = 16384
 """Largest n * b for a power p^n whose coefficients have numerators and
 denominators of at most b bits (the size of c^n for a single term)."""
 
+MAX_LITERAL_DIGITS = 4300
+"""Most digits in one integer literal, of polynomial text or of a JSON
+argument: Python's default limit on converting a decimal string to an
+int."""
+
 
 def _brief(value) -> str:
     """repr(value) for an error message, cut to its first 40 characters
     and an ellipsis when longer, so a long input is not echoed whole."""
     text = repr(value)
     return text if len(text) <= 40 else text[:40] + "…"
+
+
+def _literal_int(digits: str) -> int:
+    """int(digits) for a decimal literal with an optional minus sign, or
+    ValueError when it has more than MAX_LITERAL_DIGITS digits."""
+    if len(digits.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal {_brief(digits)} has more than "
+                         f"{MAX_LITERAL_DIGITS} digits")
+    return int(digits)
 
 
 class PolyParseError(ValueError):
@@ -79,9 +94,13 @@ def _tokenize(text: str):
             raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group("rat"):
             num, _, den = m.group("rat").replace(" ", "").partition("/")
-            if den and int(den) == 0:
+            try:
+                num, den = _literal_int(num), _literal_int(den or "1")
+            except ValueError as exc:
+                raise PolyParseError(str(exc), m.start()) from None
+            if den == 0:
                 raise PolyParseError("zero denominator", m.start())
-            tokens.append(("rat", Fraction(int(num), int(den or 1)), m.start()))
+            tokens.append(("rat", Fraction(num, den), m.start()))
         elif m.group("var"):
             tokens.append(("var", m.group("var"), m.start()))
         else:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from rct.cli import build_parser, main, run_corpus
-from rct.parse import MAX_INPUT_CHARS
+from rct.parse import MAX_INPUT_CHARS, MAX_LITERAL_DIGITS
 from rct.poly import SparsePoly
 from rct.sturm import count_distinct_roots_total
 
@@ -146,12 +146,22 @@ def _one_line_error(err):
     ["div", "in-e", "--divisor", "[" * 5000 + "]" * 5000],
     ["chow", "points", "--points", "[" * 5000 + "]" * 5000],
     ["sturm", "count", "x" + " " * MAX_INPUT_CHARS],
+    # Chow JSON of the wrong shape, and a boolean multiplicity
+    ["chow", "points", "--points", "[1]"],
+    ["chow", "line", "--span", "[1]"],
+    ["chow", "line", "--span", "[[1,2],3]"],
+    ["chow", "detcheck", "--form", _chow_form(1), "--matrix", "[1]"],
+    ["chow", "points", "--points", "[[[1,2],true]]"],
+    # integer literals past MAX_LITERAL_DIGITS, in text and in JSON
+    ["sturm", "count", "x + " + "9" * (MAX_LITERAL_DIGITS + 700)],
+    ["chow", "points", "--points", f"[[{'9' * (MAX_LITERAL_DIGITS + 700)},1]]"],
+    ["div", "in-e", "--poly", f"x0^2-{'9' * (MAX_LITERAL_DIGITS + 700)}*x1^2"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
-    # input length, nesting depth, grid count, powers, products, Sturm
-    # degree, the divisor's n and degree, the family's and the cycle forms'
-    # sizes are capped; JSON arguments nested too deeply or of the wrong
-    # shape and non-finite coordinates are refused
+    # input length, nesting depth, literal digits, grid count, powers,
+    # products, Sturm degree, the divisor's n and degree, the family's and
+    # the cycle forms' sizes are capped; JSON arguments nested too deeply
+    # or of the wrong shape and non-finite coordinates are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -169,6 +179,12 @@ def test_limits_admit_their_boundary(capsys):
     assert code == 0 and json.loads(out)["count"] == 1
     code, out, _ = run(capsys, "sturm", "count", "x^2 - 2^8192")
     assert code == 0 and json.loads(out)["count"] == 2
+    # integer literals of MAX_LITERAL_DIGITS digits, in text and in JSON
+    code, out, _ = run(capsys, "sturm", "count", "x - " + "9" * MAX_LITERAL_DIGITS)
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, out, _ = run(capsys, "chow", "points", "--points",
+                       f"[[{'9' * MAX_LITERAL_DIGITS},1]]")
+    assert code == 0 and json.loads(out)["d"] == 1
     # divisors: n = 16, degree 256, the family at k = 127, a grid of 100000
     code, out, _ = run(capsys, "div", "family", "--n", "16", "--k", "1")
     assert code == 0 and json.loads(out)["even"]["d"] == 2
@@ -247,7 +263,7 @@ def test_critical_gen_refuses_d_past_packed_keys(capsys, monkeypatch):
     with pytest.raises(ValueError, match="supports d <= 8"):
         critical.critical_polynomials(9)
     with pytest.raises(ValueError, match="supports d <= 8"):
-        critical.symbolic_sturm(9)
+        critical.verify_pair_chain(9)
 
 
 def test_sturm_isolate(capsys):
@@ -317,6 +333,14 @@ def test_critical_gen_output_is_pinned(capsys, monkeypatch, tmp_path, d, digest)
     code, out, _ = run(capsys, "critical", "gen", "--d", str(d), "--verify-pairs")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_critical_gen_d8_output_is_pinned(capsys):
+    # read through the usual chain cache: a load, not a cold d = 8 build
+    code, out, _ = run(capsys, "critical", "gen", "--d", "8", "--verify-pairs")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b4286ab1e1549097919ff117f6f2a5448e958b10e550d49d5c4047d2b6dbf34d"
 
 
 def test_chow_commands(capsys):

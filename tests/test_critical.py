@@ -10,14 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+import rct.critical as crit
 from rct.critical import (
     RootVerdict,
-    SymbolicSturmPoly,
-    check_substitutable_pair,
     critical_polynomials,
     has_d_distinct_real_roots,
     in_S_n,
-    symbolic_sturm,
     verify_pair_chain,
 )
 from rct.parse import parse_poly
@@ -70,9 +68,9 @@ def test_critical_polynomials_are_graded():
 
 def test_chain_shape():
     for d in range(2, 7):
-        seq = symbolic_sturm(d)
-        assert len(seq) == d + 1
-        assert [p.degree for p in seq] == list(range(d, -1, -1))
+        prs = crit._get_chain(d).prs
+        assert len(prs) == d + 1
+        assert [len(xp) - 1 for xp in prs] == list(range(d, -1, -1))
 
 
 def test_pair_offsets_alternate():
@@ -81,42 +79,47 @@ def test_pair_offsets_alternate():
         assert offsets == [0 if i % 2 == 0 else 2 for i in range(d)]
 
 
-def test_pair_checker_rejects_bad_degrees():
-    seq = symbolic_sturm(4)
-    with pytest.raises(ValueError):
-        check_substitutable_pair(seq[0], seq[2])
+def test_pair_checker_reads_one_ladder_per_entry(monkeypatch):
+    # hand-built packed entries, a1 = key 1 and a2 = key 1 << 8: the pair
+    # check reads weight(key) - i over every key of R_j[i] as one ladder
+    a1, a2 = 1, 1 << crit._BITS
+    R0 = [{a2: 1}, {a1: 1}, {0: 1}]            # x^2 + a1 x + a2
+    R1 = [{a1: 1}, {0: 2}]                      # 2x + a1
+    R2 = [{2 * a1: 1, a2: -4}]                  # a1^2 - 4 a2
 
+    def offsets(*prs):
+        monkeypatch.setitem(crit._chain_cache, 2, crit._Chain(2, list(prs)))
+        return verify_pair_chain(2)
 
-def test_pair_checker_reads_one_ladder_per_entry():
-    # weights are shd(c_j) + shd(R[i]); a ladder off by one anywhere is
-    # refused, and an entry with no nonzero coefficient has no base
-    a1, a2 = parse_poly("a1"), parse_poly("a2")
-    zero = SparsePoly.zero(a1.vars)
-    one = SparsePoly.constant(1, a1.vars)
-    f = SymbolicSturmPoly(2, (Fraction(1), ()), [one, a1, a2])
-    g = SymbolicSturmPoly(1, (Fraction(3), ((a1, -2),)), [a1 * a1, zero])
-    assert g.weights() == [0, None]
-    assert check_substitutable_pair(f, g) == 0
-    broken = SymbolicSturmPoly(1, (Fraction(1), ()), [one, a1 * a1])
+    assert offsets(R0, R1, R2) == [0, 2]
+    # an off-ladder key in one coefficient, and an entry with no key
     with pytest.raises(AssertionError):
-        check_substitutable_pair(f, broken)
+        offsets(R0, [{a1: 1, a2: 1}, {0: 2}], R2)
     with pytest.raises(AssertionError):
-        check_substitutable_pair(
-            SymbolicSturmPoly(2, (Fraction(1), ()), [one, a2, a2]), g)
-    empty = SymbolicSturmPoly(1, (Fraction(1), ((a2, 2),)), [zero, zero])
-    with pytest.raises(ValueError):
-        check_substitutable_pair(f, empty)
+        offsets(R0, R1, [{}])
+    # the weight of c_3 = -9 lc(R_2)^-2 follows lc(R_2): R_2 times a1
+    # moves its ladder from 2 to 3 and c_3's weight from -4 to -6
+    prs = [[dict(c) for c in xp] for xp in crit._get_chain(3).prs]
+    assert verify_pair_chain(3) == [0, 2, 0]
+    prs[2] = [{k + 1: v for k, v in c.items()} for c in prs[2]]
+    monkeypatch.setitem(crit._chain_cache, 3, crit._Chain(3, prs))
+    assert verify_pair_chain(3) == [0, 3, -3]
 
 
-def test_evaluate_coeffs_multiplier_zeros():
-    # c_j = 2 * a1^2 / a2^2 is evaluated once and scales every R_j entry
-    a1, a2 = parse_poly("a1"), parse_poly("a2")
-    R = [parse_poly("a1 + a2"), parse_poly("a2 - 1")]
-    f = SymbolicSturmPoly(1, (Fraction(2), ((a1, 2), (a2, -2))), R)
-    assert f.evaluate_coeffs({"a1": 3, "a2": 2}) == [Fraction(9, 2), Fraction(45, 2)]
-    assert f.evaluate_coeffs({"a1": 0, "a2": 2}) == [0, 0]
-    with pytest.raises(ZeroDivisionError):
-        f.evaluate_coeffs({"a1": 3, "a2": 0})
+def _chain_at(d, pt):
+    """c_j * R_j at the point pt, each an ascending coefficient list; a
+    test-local reference built from the packed R_j and `_multiplier`.
+    ZeroDivisionError where a factor lc(R_i)^-2 of c_j vanishes."""
+    names = tuple(f"a{i}" for i in range(1, d + 1))
+    vals = [[crit._wp_to_sparse(c, names, crit._BITS).evaluate(pt) for c in xp]
+            for xp in crit._get_chain(d).prs]
+    out = []
+    for j, row in enumerate(vals):
+        c, expo = crit._multiplier(d, j)
+        for i, e in expo.items():
+            c *= vals[i][-1] ** e
+        out.append([c * r for r in row])
+    return out
 
 
 def test_specialization_matches_direct_chain():
@@ -124,7 +127,6 @@ def test_specialization_matches_direct_chain():
     # of the specialized polynomial, entry by entry
     rng = random.Random(42)
     for d in range(2, 6):
-        seq = symbolic_sturm(d)
         done = 0
         while done < 8:
             pt = _coeff_point(rng, d)
@@ -133,8 +135,8 @@ def test_specialization_matches_direct_chain():
             direct = sturm_sequence(f, "x")
             if len(direct.polys) != d + 1:
                 continue  # non-generic point: chain degenerates
-            for j, sym in enumerate(seq):
-                assert sym.evaluate_coeffs(pt) == list(direct.polys[j]), (d, j)
+            for j, sym in enumerate(_chain_at(d, pt)):
+                assert sym == list(direct.polys[j]), (d, j)
             done += 1
 
 
@@ -148,12 +150,11 @@ def test_F_sign_is_leading_sign():
     rng = random.Random(43)
     for d in range(2, 7):
         cs = critical_polynomials(d)
-        seq = symbolic_sturm(d)
         done = 0
         while done < 6:
             pt = _coeff_point(rng, d)
             try:
-                leads = [seq[j].evaluate_coeffs(pt)[-1] for j in range(2, d + 1)]
+                leads = [f[-1] for f in _chain_at(d, pt)[2:]]
             except ZeroDivisionError:
                 continue  # an earlier leading coefficient vanishes here
             if 0 in leads:
@@ -200,7 +201,7 @@ def test_degree_bounds_enforced():
     with pytest.raises(ValueError):
         critical_polynomials(9)
     with pytest.raises(ValueError):
-        symbolic_sturm(1)
+        verify_pair_chain(1)
     with pytest.raises(ValueError):
         has_d_distinct_real_roots([1])
     # past the Sturm degree cap point queries are refused before any chain
@@ -608,3 +609,18 @@ def test_cache_rejects_malformed_records(tmp_path, monkeypatch):
         record["prs"][2][0][str(key)] = 1
         _write_record(crit, 3, record)
         assert crit._load_cached_chain(3) is None, key
+
+
+def test_cache_check_refuses_a_renamed_monomial(tmp_path, monkeypatch):
+    # a2^2 * a7 and a1 * a5^2 have the same weight 11, and at the fixed
+    # trial points of earlier versions also the same value; renaming the
+    # one to the other in the constant coefficient of R_3 at d = 8 gives a
+    # wrong chain that passes the weight test and must fail at the point
+    a = {l: 1 << (crit._BITS * (l - 1)) for l in range(1, 9)}  # a_l's key
+    prs = [[dict(c) for c in xp] for xp in crit._get_chain(8).prs]
+    prs[3][0][a[1] + 2 * a[5]] = prs[3][0].pop(2 * a[2] + a[7])
+    bad = crit._Chain(8, prs)
+    assert not crit._verify_chain(bad)
+    monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
+    crit._store_cached_chain(bad)
+    assert crit._load_cached_chain(8) is None

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,7 +24,7 @@ from rct.divisors import (
     sphere_grid,
 )
 import rct.critical as critical
-from rct.critical import critical_polynomials, symbolic_sturm
+from rct.critical import critical_polynomials
 from rct.parse import parse_poly
 from rct.sturm import _int_chain, count_distinct_roots_total
 from rct.poly import SparsePoly, format_poly, poly_divmod
@@ -230,9 +231,9 @@ def _chain_route_forms(D):
     ps = D.x0_coefficients()
     sub = {f"a{i}": ps.get(i, SparsePoly.zero(xs)).with_vars(xs)
            for i in range(1, D.d + 1)}
-    seq, F = symbolic_sturm(D.d), critical_polynomials(D.d).F
+    prs, F = critical._get_chain(D.d).prs, critical_polynomials(D.d).F
     # lc(R_j) = +-D_{j,0}, whose content is 1 for d - j even and 2 for odd
-    content = [seq[j].R[0].content() for j in range(2, D.d + 1)]
+    content = [gcd(*prs[j][-1].values()) for j in range(2, D.d + 1)]
     assert content == [1 + (D.d - j) % 2 for j in range(2, D.d + 1)]
     return [F[j - 2].substitute(sub).with_vars(xs) * content[j - 2]
             for j in range(2, D.d + 1)]
