@@ -17,7 +17,6 @@ from rct import (
     has_d_distinct_real_roots,
     in_S_n,
     parse_poly,
-    shd,
     verify_pair_chain,
 )
 
@@ -44,10 +43,21 @@ assert cs.F[1] == disc
 
 banner("Weighted degrees")
 # give a_i weight i and every F_j is homogeneous of weight j(j-1)
+
+
+def weights(F):
+    """The weights sum_i i * e_i of the terms prod a_i^e_i of F."""
+    w = [int(v[1:]) for v in F.vars]
+    return {sum(wi * ei for wi, ei in zip(w, e)) for e in F.terms}
+
+
 for d in (4, 5, 6):
     cs = critical_polynomials(d)
-    degs = [shd(F) for F in cs.F]
-    print(f"d = {d}: shd(F_2..F_{d}) = {degs}")
+    degs = []
+    for F in cs.F:
+        (deg,) = weights(F)       # one weight per F_j
+        degs.append(deg)
+    print(f"d = {d}: weighted degrees of F_2..F_{d} = {degs}")
     assert degs == [j * (j - 1) for j in range(2, d + 1)]
 
 banner("The pair conditions that make substitution legal")

@@ -106,7 +106,10 @@ def _interval_arg(text: str):
 
 
 def _rat_list(text: str) -> list:
-    return [parse_rational(p) for p in check_length(text).split(",") if p.strip()]
+    fields = check_length(text).split(",")
+    if not all(p.strip() for p in fields):
+        raise ValueError(f"empty field in the list {_brief(text)}")
+    return [parse_rational(p) for p in fields]
 
 
 def _mhform_arg(text: str) -> "chowmod.MHForm":
@@ -114,7 +117,9 @@ def _mhform_arg(text: str) -> "chowmod.MHForm":
 
 
 def _divisor_arg(args) -> Divisor:
-    if args.divisor:
+    if (args.poly is None) == (args.divisor is None):
+        raise ValueError("give exactly one of --poly and --divisor")
+    if args.divisor is not None:
         return Divisor.from_json_dict(_json_arg(args.divisor))
     return Divisor(parse_poly(args.poly), args.n)
 
@@ -284,15 +289,12 @@ def _cmd_div_margin(args) -> int:
 
 
 def _cmd_fan_demo(args) -> int:
-    if args.cycle:
+    Z, D = default_demo()
+    if args.cycle is not None:
         Z = ZeroCycle.from_json_dict(_json_arg(args.cycle))
-    else:
-        Z, _ = default_demo()
-    if args.divisor:
+    if args.divisor is not None:
         D = Divisor.from_json_dict(_json_arg(args.divisor))
-    else:
-        _, D = default_demo()
-    if args.limit:
+    if args.limit is not None:
         ts = _rat_list(args.limit)
         residuals = limit_check(Z, D, ts)
         _emit({"t": [str(t) for t in ts],
@@ -396,8 +398,8 @@ def _add_divisor_inputs(p) -> None:
     p.add_argument("--poly", help="divisor polynomial in x0..xn")
     p.add_argument("--n", type=int, default=None,
                    help="ambient index n (inferred from variables if omitted)")
-    p.add_argument("--divisor", help="divisor JSON (inline or path), "
-                   "alternative to --poly")
+    p.add_argument("--divisor", help="divisor JSON (inline or path); "
+                   "give exactly one of --poly and --divisor")
 
 
 def build_parser() -> argparse.ArgumentParser:

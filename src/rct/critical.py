@@ -56,16 +56,9 @@ point, a full one has d distinct real roots exactly when every leading
 coefficient is positive, and the same chain counts the roots.  Point
 queries accept d up to `sturm.MAX_DEGREE`.
 
-The elimination, `_hankel_minors`, takes the a_l as packed integer
-polynomials: the variables a_l for the chain, a divisor's coefficient
-forms for `divisors.e_certificate_forms`.  A packed monomial is one
-integer with a bit field of a given width per variable, so monomial
-products are integer additions.  With a_l of weight l, p_k and D_{j,m}
-are weighted homogeneous of weights k and j(j-1) + m, and a Bareiss
-numerator, a product of two minors, has weight at most 2d(d-1).  No
-exponent exceeds the weight, so (2d(d-1)).bit_length() bits keep key
-additions from carrying.  The chain, its cache file name and its stored
-keys use 8 bits (2d(d-1) = 112 at d = 8).
+The elimination and the packed polynomials it runs on live in
+`hankel`.  The chain, its cache file name and its stored keys use
+`_BITS` = 8 bits per variable field, enough up to d = 8 (2d(d-1) = 112).
 
 The chain is held once, as these packed R_j (`_Chain.prs`), and its
 grading is read once, off the packed keys by `_weight`: the coefficient
@@ -78,16 +71,16 @@ constants of that point (`_verify_chain`).
 
 from __future__ import annotations
 
-import heapq
 import random
 import threading
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import getitem, mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .poly import SparsePoly, as_rational
+from . import hankel
+from .poly import as_rational
 from .sturm import MAX_DEGREE, _changes_at_infinity, _int_chain
 
 _BITS = 8
@@ -101,133 +94,18 @@ def _avars(d: int) -> tuple:
     return tuple(f"a{j}" for j in range(1, d + 1))
 
 
-def _unpack(key: int, nvars: int, bits: int) -> tuple:
-    mask = (1 << bits) - 1
-    return tuple((key >> (bits * j)) & mask for j in range(nvars))
-
-
-def _wp_to_sparse(p: Mapping[int, int], names: tuple, bits: int) -> SparsePoly:
-    return SparsePoly(names, {_unpack(k, len(names), bits): Fraction(v)
-                              for k, v in p.items()})
-
-
-def _wp_mul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            s = get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _wp_scale(a: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _wp_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _wp_divexact(p: dict, d_poly: dict, nvars: int, bits: int) -> dict:
-    """Exact division of packed polynomials; raises when not divisible.
-
-    A heap yields the remainder's keys in descending order; each largest
-    key must be a monomial multiple of the divisor's leading key, and its
-    coefficient an integer multiple of the leading coefficient.
-    """
-    if not d_poly:
-        raise ZeroDivisionError("exact division by zero polynomial")
-    dlead = max(d_poly)
-    mask = (1 << bits) - 1
-    dfields = [(bits * i, f) for i, f in enumerate(_unpack(dlead, nvars, bits)) if f]
-    dc = d_poly[dlead]
-    dtail = [(k, v) for k, v in d_poly.items() if k != dlead]
-    rem = dict(p)
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    quot: dict = {}
-    while heap:
-        t = -heapq.heappop(heap)
-        v = rem.pop(t, None)
-        if v is None:
-            continue
-        if any((t >> s) & mask < f for s, f in dfields):
-            raise ArithmeticError("polynomial division not exact (monomial)")
-        c, r = divmod(v, dc)
-        if r:
-            raise ArithmeticError("polynomial division not exact (coefficient)")
-        q = t - dlead
-        quot[q] = c
-        for tk, tv in dtail:
-            nk = q + tk
-            s = rem.get(nk, 0) - c * tv
-            if s:
-                if nk not in rem:
-                    heapq.heappush(heap, -nk)
-                rem[nk] = s
-            else:
-                rem.pop(nk, None)
-    return quot
-
-
-def _hankel_minors(a: Sequence[dict], nvars: int, bits: int) -> list:
-    """minors[j][m] = D_{j,m}, j = 0..d, of x^d + a_1 x^(d-1) + ... + a_d,
-    a = [{0: 1}, a_1, ..., a_d] packed in nvars fields of the given width.
-    ZeroDivisionError when a pivot D_{k,0}, k <= d - 2, is zero."""
-    d = len(a) - 1
-    # Newton's identities: p_k = -k a_k - sum_{0<i<k} a_i p_{k-i}
-    p = [{0: d}]
-    for k in range(1, 2 * d - 1):
-        s = _wp_scale(a[k], -k) if k <= d else {}
-        for i in range(1, min(k, d + 1)):
-            s = _wp_sub(s, _wp_mul(a[i], p[k - i]))
-        p.append(s)
-    # rows[r][c - r] is entry (r, c) of the Bareiss matrix, c >= r; entry
-    # (r, k) below the pivot row is read from (k, r) by symmetry
-    rows = [p[2 * r:r + d] for r in range(d)]
-    prev = {0: 1}
-    for k in range(d - 1):
-        top = rows[k]
-        piv = top[0]
-        for r in range(k + 1, d):
-            low = top[r - k]
-            rows[r] = [_wp_divexact(_wp_sub(_wp_mul(x, piv),
-                                            _wp_mul(low, top[c - k])),
-                                    prev, nvars, bits)
-                       for c, x in enumerate(rows[r], r)]
-        prev = piv
-    # D_0 is the empty minor, 1 at m = 0
-    return [[{0: 1}] + [{}] * d] + rows
-
-
 def _hankel_chain(a: Sequence[dict], nvars: int) -> list:
     """R_0..R_d of x^d + a_1 x^(d-1) + ... + a_d as ascending coefficient
-    lists, a = [{0: 1}, a_1, ..., a_d] packed as for `_hankel_minors`."""
+    lists, a = [{0: 1}, a_1, ..., a_d] packed as for `hankel.minors`."""
     prs = []
-    for j, D in enumerate(_hankel_minors(a, nvars, _BITS)):
+    for j, D in enumerate(hankel.minors(a, nvars, _BITS)):
         sign = -1 if j % 4 in (2, 3) else 1      # (-1)^(j(j-1)/2)
         coeffs = []
         for i in range(len(a) - j):
             c: dict = {}
             for l in range(i + 1):
-                c = _wp_sub(c, _wp_mul(a[l], D[i - l]))
-            coeffs.append(_wp_scale(c, -sign))
+                c = hankel.sub(c, hankel.mul(a[l], D[i - l]))
+            coeffs.append(hankel.scale(c, -sign))
         prs.append(coeffs[::-1])
     return prs
 
@@ -447,8 +325,8 @@ def verify_pair_chain(d: int) -> list:
         ladder = {_weight(k, d) - i for i, c in enumerate(reversed(xp))
                   for k in c}
         if len(ladder) != 1:
-            raise AssertionError(f"entry {j}: coefficient ladder violates "
-                                 "shd(p_i) = i + shd(p_0)")
+            raise AssertionError(f"entry {j}: weight(R_{j}[i]) - i is not "
+                                 "one value over its keys")
         ladders.append(ladder.pop())
     bases = [w + sum(e * ladders[i] for i, e in _multiplier(d, j)[1].items())
              for j, w in enumerate(ladders)]
@@ -471,8 +349,8 @@ def critical_polynomials(d: int) -> CriticalSet:
         g = gcd(*lead.values()) * (1 if _multiplier(d, j)[0] > 0 else -1)
         if len({_weight(k, d) for k in lead}) != 1:
             raise ValueError(f"F_{j} is not substitutable homogeneous")
-        F.append(_wp_to_sparse({k: v // g for k, v in lead.items()},
-                               _avars(d), _BITS))
+        F.append(hankel.to_sparse({k: v // g for k, v in lead.items()},
+                                  _avars(d), _BITS))
     cs = CriticalSet(d, F)
     with _phase_lock:
         _set_cache.setdefault(d, cs)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .critical import RootVerdict, _chain_verdict, _hankel_minors, _wp_to_sparse
+from . import hankel
+from .critical import RootVerdict, _chain_verdict
 from .parse import MAX_POWER_TERMS
 from .poly import Rational, SparsePoly, as_rational
 from .sturm import (
@@ -407,26 +408,9 @@ def e_certificate_forms(D: Divisor) -> list:
     ok, D = in_div_prime(D)
     if not ok or D.d < 2:
         raise ValueError("need degree >= 2 and a divisor off the vertex")
-    d, n = D.d, D.n
     Q, ps = _integer_coefficients(D)
-    bits = (2 * d * (d - 1)).bit_length()
-    a = [{0: 1}] + [{sum(e << (bits * v) for v, e in enumerate(exps)): c
-                     for exps, c in p.items()} for p in ps]
-    try:
-        pivots = [row[0] for row in _hankel_minors(a, n, bits)]
-    except ZeroDivisionError:
-        # a pivot D_{k,0}(p) is 0: add eps^l e_l to a_l, eps a new variable and
-        # prod_k (X - k) = sum_l e_l X^(d-l).  At x = 0 the roots k eps are
-        # distinct, so no pivot is 0; eps = 0 (keys below its field) gives D_{j,0}(p).
-        eps, e = 1 << (bits * n), [1]
-        for k in range(1, d + 1):
-            e = [c - k * s for c, s in zip(e + [0], [0] + e)]
-        a = a[:1] + [{**a[l], eps * l: e[l]} for l in range(1, d + 1)]
-        pivots = [{k: v for k, v in row[0].items() if k < eps}
-                  for row in _hankel_minors(a, n + 1, bits)]
-    xs = D.f.vars[1:]
-    return [_wp_to_sparse(pivots[j], xs, bits) * Fraction(1, Q ** (j * (j - 1)))
-            for j in range(2, d + 1)]
+    return [H * Fraction(1, Q ** (j * (j - 1)))
+            for j, H in enumerate(hankel.leading_minors(ps, D.f.vars[1:]), 2)]
 
 
 def sampled_sphere_min(H: SparsePoly, directions: Sequence) -> Fraction:

@@ -294,7 +294,7 @@ def limit_check(Z: ZeroCycle, D: Divisor, t_sequence: Sequence) -> list:
     """Residuals of psi_demo against d*Z along a decreasing t sequence."""
     ts = [as_rational(t) for t in t_sequence]
     if not ts:
-        return []
+        raise ValueError("need a nonempty t sequence")
     if any(t <= 0 for t in ts) or any(a <= b for a, b in zip(ts, ts[1:])):
         raise ValueError("need a strictly decreasing positive t sequence")
     rep = in_div_double_prime(D)

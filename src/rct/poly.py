@@ -498,45 +498,6 @@ def format_poly(p: SparsePoly) -> str:
     return " ".join(parts)
 
 
-# ---- weighted degree ----
-#
-# Variables carry integer weights read off their names: the trailing
-# digits.  a1, a2, ..., ad get weights 1..d, so the monomial
-# a1^i1 * ... * ad^id has weighted degree 1*i1 + 2*i2 + ... + d*id.  A
-# polynomial whose terms share one weighted degree is substitutable
-# homogeneous: plugging a degree-i form into each weight-i variable gives
-# a form of that degree.  shd(p) is the shared weight; the zero
-# polynomial has none and reports None.
-
-
-def var_weight(name: str) -> int:
-    """Weight of a variable from its trailing index digits: a3 -> 3."""
-    i = len(name)
-    while i > 0 and name[i - 1].isdigit():
-        i -= 1
-    if i == len(name):
-        raise ValueError(f"variable {name!r} has no index suffix, weight undefined")
-    return int(name[i:])
-
-
-def shd(p: SparsePoly):
-    """Common weighted degree of p's terms, or None for the zero polynomial.
-
-    Raises ValueError when the terms have different weighted degrees.
-    """
-    if p.is_zero():
-        return None
-    weights = [var_weight(v) for v in p.vars]
-    seen = None
-    for e in p.terms:
-        s = sum(w * k for w, k in zip(weights, e) if k)
-        if seen is None:
-            seen = s
-        elif s != seen:
-            raise ValueError("polynomial is not substitutable homogeneous")
-    return seen
-
-
 # ---- division ----
 
 

@@ -156,12 +156,21 @@ def _one_line_error(err):
     ["sturm", "count", "x + " + "9" * (MAX_LITERAL_DIGITS + 700)],
     ["chow", "points", "--points", f"[[{'9' * (MAX_LITERAL_DIGITS + 700)},1]]"],
     ["div", "in-e", "--poly", f"x0^2-{'9' * (MAX_LITERAL_DIGITS + 700)}*x1^2"],
+    # a divisor command needs exactly one of --poly and --divisor
+    ["div", "in-e"],
+    ["div", "normalize", "--poly", "x0^2 - x1^2", "--divisor", _json_divisor(1, 2)],
+    # empty list fields, and empty --limit and --cycle values
+    ["critical", "test", "--coeffs", "1,,2"],
+    ["fan", "demo", "--limit", ","],
+    ["fan", "demo", "--limit", ""],
+    ["fan", "demo", "--cycle", ""],
 ])
 def test_malformed_input_exits_two(capsys, argv):
     # input length, nesting depth, literal digits, grid count, powers,
     # products, Sturm degree, the divisor's n and degree, the family's and
     # the cycle forms' sizes are capped; JSON arguments nested too deeply
-    # or of the wrong shape and non-finite coordinates are refused
+    # or of the wrong shape, non-finite coordinates, empty list fields and
+    # a divisor given twice or not at all are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err

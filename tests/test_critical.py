@@ -1,7 +1,8 @@
-"""Symbolic Sturm chain, critical polynomials, and the packed kernels."""
+"""Symbolic Sturm chain, critical polynomials, and the chain cache."""
 
 import gzip
 import json
+import operator
 import os
 import random
 import subprocess
@@ -18,8 +19,10 @@ from rct.critical import (
     in_S_n,
     verify_pair_chain,
 )
+from rct.critical import _BITS
+from rct.hankel import divexact, to_sparse
 from rct.parse import parse_poly
-from rct.poly import SparsePoly, divide_exact, shd
+from rct.poly import SparsePoly, divide_exact
 from rct.sturm import count_distinct_roots_total, sturm_sequence
 
 
@@ -57,12 +60,15 @@ def test_F_d_vanishes_on_double_roots():
 
 
 def test_critical_polynomials_are_graded():
+    # a_l has weight l: every term of F_j has weight j(j - 1)
     for d in range(2, 7):
         cs = critical_polynomials(d)
         assert len(cs.F) == d - 1
         for j in range(2, d + 1):
             F = cs.F[j - 2]
-            assert shd(F) == j * (j - 1)
+            weights = [int(v[1:]) for v in F.vars]
+            assert {sum(map(operator.mul, weights, e)) for e in F.terms} \
+                == {j * (j - 1)}
             assert all(c.denominator == 1 for c in F.terms.values())
 
 
@@ -111,7 +117,7 @@ def _chain_at(d, pt):
     test-local reference built from the packed R_j and `_multiplier`.
     ZeroDivisionError where a factor lc(R_i)^-2 of c_j vanishes."""
     names = tuple(f"a{i}" for i in range(1, d + 1))
-    vals = [[crit._wp_to_sparse(c, names, crit._BITS).evaluate(pt) for c in xp]
+    vals = [[to_sparse(c, names, _BITS).evaluate(pt) for c in xp]
             for xp in crit._get_chain(d).prs]
     out = []
     for j, row in enumerate(vals):
@@ -320,22 +326,7 @@ def test_point_verdicts_past_the_symbolic_chain():
     assert seen == set(RootVerdict)
 
 
-# ---- packed-exponent kernel ----
-
-
-from rct.critical import _BITS, _wp_divexact, _wp_mul  # noqa: E402
-
-
-def _rand_wp(rng, nvars, nterms, max_exp=6, max_coeff=50, bits=_BITS):
-    out = {}
-    for _ in range(nterms):
-        key = 0
-        for i in range(nvars):
-            key |= rng.randint(0, max_exp) << (bits * i)
-        c = rng.randint(-max_coeff, max_coeff)
-        if c:
-            out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
+# ---- Hankel construction against the reduced PRS ----
 
 
 def _dict_mul(a, b):
@@ -349,59 +340,6 @@ def _dict_mul(a, b):
             else:
                 out.pop(k, None)
     return out
-
-
-def test_wp_mul_small():
-    rng = random.Random(51)
-    for _ in range(40):
-        a = _rand_wp(rng, 3, rng.randint(1, 10))
-        b = _rand_wp(rng, 3, rng.randint(1, 10))
-        assert _wp_mul(a, b) == _dict_mul(a, b)
-
-
-def test_wp_mul_identity_and_zero():
-    rng = random.Random(53)
-    a = _rand_wp(rng, 3, 8)
-    assert _wp_mul(a, {0: 1}) == a
-    assert _wp_mul(a, {}) == {}
-
-
-def _divexact_roundtrips(seed, max_exp, bits):
-    rng = random.Random(seed)
-    for _ in range(30):
-        a = _rand_wp(rng, 3, rng.randint(1, 12), max_exp=max_exp, bits=bits)
-        b = _rand_wp(rng, 3, rng.randint(1, 8), max_exp=max_exp, bits=bits)
-        if not a or not b:
-            continue
-        prod = _wp_mul(a, b)
-        assert _wp_divexact(prod, b, 3, bits) == a
-
-
-def test_wp_divexact_roundtrip():
-    _divexact_roundtrips(54, 5, _BITS)
-
-
-def test_wp_divexact_wide_keys():
-    # the key width is a parameter: at 11 bits a product exponent reaches 1000
-    _divexact_roundtrips(56, 500, 11)
-
-
-def test_wp_divexact_rejects_inexact():
-    x_sq_plus_1 = {2: 1, 0: 1}
-    x_minus_1 = {1: 1, 0: -1}
-    with pytest.raises(ArithmeticError):
-        _wp_divexact(x_sq_plus_1, x_minus_1, 1, _BITS)
-
-
-def test_wp_divexact_large_roundtrip():
-    rng = random.Random(55)
-    a = _rand_wp(rng, 4, 300, max_exp=5, max_coeff=10 ** 6)
-    b = _rand_wp(rng, 4, 40, max_exp=5, max_coeff=10 ** 6)
-    prod = _wp_mul(a, b)
-    assert _wp_divexact(prod, b, 4, _BITS) == a
-
-
-# ---- Hankel construction against the reduced PRS ----
 
 
 def _wp_sub(a, b):
@@ -447,7 +385,7 @@ def _reduced_prs(d):
         A, B = prs[-2], prs[-1]
         R = _prem_step(A, B)
         if i >= 2:
-            R = [_wp_divexact(_wp_divexact(c, A[-1], d, _BITS), A[-1], d, _BITS)
+            R = [divexact(divexact(c, A[-1], d, _BITS), A[-1], d, _BITS)
                  if c else {}
                  for c in R]
         assert len(R) == len(B) - 1

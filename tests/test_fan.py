@@ -305,7 +305,8 @@ def test_psi_demo_certificates():
 
 def test_limit_check_validation():
     Z, D = default_demo()
-    assert limit_check(Z, D, []) == []
+    with pytest.raises(ValueError):
+        limit_check(Z, D, [])
     with pytest.raises(ValueError):
         limit_check(Z, D, [Fraction(1, 10), Fraction(1, 10)])
     with pytest.raises(ValueError):

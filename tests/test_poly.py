@@ -1,4 +1,4 @@
-"""Sparse polynomial arithmetic, graded degrees, and exact division."""
+"""Sparse polynomial arithmetic and exact division."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,6 @@ from rct.poly import (
     divide_exact,
     format_poly,
     poly_divmod,
-    shd,
-    var_weight,
 )
 
 
@@ -228,26 +226,6 @@ def test_json_roundtrip():
     for _ in range(50):
         p = _random_poly(rng, ("x0", "x1", "a2"))
         assert SparsePoly.from_json_dict(p.to_json_dict()) == p
-
-
-def test_var_weight():
-    assert var_weight("a3") == 3
-    assert var_weight("a12") == 12
-    assert var_weight("x0") == 0
-    assert var_weight("u0_1") == 1
-    with pytest.raises(ValueError):
-        var_weight("x")  # no index suffix: weight undefined
-
-
-def test_shd_values():
-    a1, a2 = SparsePoly.variable("a1"), SparsePoly.variable("a2")
-    assert shd(a1 ** 2) == 2
-    assert shd(a1 ** 2 - 4 * a2) == 2
-    assert shd(SparsePoly.constant(5)) == 0
-    assert shd(SparsePoly.zero()) is None
-    assert shd(SparsePoly.zero(("x",))) is None  # no weight is read
-    with pytest.raises(ValueError):
-        shd(a1 + a2)
 
 
 def test_divide_exact():
