@@ -2,8 +2,7 @@
 
 Exit codes: 0 = verdict computed, 1 = negative verdict on a yes/no
 question, 2 = input or usage error.  JSON output is deterministic
-(sorted keys) so exact-mode commands are byte-identical across runs
-and thread counts.
+(sorted keys) so exact-mode commands are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -348,11 +347,31 @@ def _compare(expected, actual, tol: float, path="$") -> list:
     return diffs
 
 
+def _check_case(case, name: str) -> None:
+    """Refuse a case replay cannot run as written: argv must be a non-empty
+    list of strings that does not replay a corpus itself, exit an int and
+    tol a number >= 0."""
+    argv = case.get("argv") if isinstance(case, dict) else None
+    if not (isinstance(argv, list) and argv
+            and all(isinstance(a, str) for a in argv)):
+        raise ValueError(f"corpus case {name}: need an object whose argv "
+                         "is a non-empty list of strings")
+    if argv[0] == "corpus":
+        raise ValueError(f"corpus case {name}: argv may not replay a corpus")
+    if type(case.get("exit", 0)) is not int:
+        raise ValueError(f"corpus case {name}: exit must be an integer")
+    tol = case.get("tol", 0.0)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not tol >= 0:  # NaN too, which would pass every float
+        raise ValueError(f"corpus case {name}: tol must be a number >= 0")
+
+
 def run_corpus(directory: str) -> dict:
     """Replay (command, expected-output) pairs; returns the mismatch report.
 
     Each *.json case holds argv, the expected exit code, the expected
-    JSON output, and an optional float tolerance (exact otherwise).
+    JSON output, and an optional float tolerance (exact otherwise).  A
+    case of another shape raises ValueError naming its file.
     """
     import io
     from contextlib import redirect_stdout
@@ -363,7 +382,11 @@ def run_corpus(directory: str) -> dict:
     failures = []
     for name in cases:
         with open(os.path.join(directory, name)) as fh:
-            case = json.load(fh)
+            try:
+                case = json.load(fh)
+            except (ValueError, RecursionError) as e:
+                raise ValueError(f"corpus case {name}: {e}") from None
+        _check_case(case, name)
         buf = io.StringIO()
         try:
             with redirect_stdout(buf):

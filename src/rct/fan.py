@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .divisors import Divisor, in_div_double_prime, scale_divisor, xvar
-from .parallel import ordered_parallel_map
 from .parse import _brief
 from .poly import Rational, SparsePoly, as_rational
 from .sturm import isolate_roots_bisection
@@ -265,24 +264,17 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
     D_t = scale_divisor(D, t)
     d = D.d
 
-    def fiber(entry):
-        coords, mult = entry
+    out_points = []
+    certs = []
+    for coords, mult in Z.points:
         q = [as_rational(c) for c in coords]
         roots, cert = _line_fiber(D_t, q, d)
-        outs = []
         for s in roots:
             x = (s,) + tuple(q)  # the fiber point (s : q) in P^{n+2}
             assert any(c != 0 for c in x[2:]) or x[0] != x[1], \
                 "fiber point collides with the projection center"
             image = (q[0] - s,) + tuple(q[1:])
-            outs.append((tuple(float(c) for c in image), mult))
-        return outs, cert
-
-    results = ordered_parallel_map(fiber, Z.points)
-    out_points = []
-    certs = []
-    for outs, cert in results:
-        out_points.extend(outs)
+            out_points.append((tuple(float(c) for c in image), mult))
         certs.append(cert)
     output = ZeroCycle(out_points, Z.ambient)
     assert output.degree() == d * Z.degree()

@@ -1,36 +1,4 @@
-"""Ordered parallel map with an environment-controlled thread cap."""
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-__all__ = ["thread_budget", "ordered_parallel_map"]
-
-
-def thread_budget() -> int:
-    """Worker count: RCT_THREADS if set, else all cores."""
-    raw = os.environ.get("RCT_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"RCT_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ValueError("RCT_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def ordered_parallel_map(fn, items) -> list:
-    """map(fn, items) as a list, preserving order.
-
-    Independent pure tasks only: results must not depend on execution
-    order.  Runs serially when the budget is one worker.
-    """
-    items = list(items)
-    workers = min(thread_budget(), len(items)) or 1
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+"""Empty on purpose: `fan.psi_demo` maps its fibers in a plain loop, since
+threads only add cost to pure-Python big-integer work under the GIL.  The
+module stays because `perfbench/tracer.py` imports every module named in
+its `LAYERS` tuple; it goes together with that entry."""

@@ -37,7 +37,8 @@ dyadic grid its bisection ends on (see `_refine`); Fractions are built
 only for the intervals returned.  The tree and the walk visit the same points as
 plain Fraction bisection, so the intervals are the same.
 
-Queries accept degrees up to MAX_DEGREE.
+Queries accept degrees up to MAX_DEGREE, and isolation refuses a
+precision whose refinement would cost more than MAX_ISOLATION_WORK.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ MAX_DEGREE = 256
 """Largest degree a Sturm query accepts.  Larger input raises ValueError
 before any dense coefficient list is built: the chain costs about the
 fourth power of the degree, seconds at 256 and close to a minute at 512."""
+
+
+MAX_ISOLATION_WORK = 10 ** 12
+"""Largest n m^2 K^3 an isolation accepts, for n real roots of a degree-m
+polynomial and K halvings from the Cauchy interval to the precision.
+Each root is refined by at most K signs, each a Horner pass of m
+products of numbers of up to m K bits by K bits, so n m^2 K^3 bounds
+the refinement's bit work up to a constant: 0.25-1.4 ps per unit on a
+2-core host, so an admitted refinement takes at most about 1.5 s.
+Larger input raises ValueError before the first refinement.  A large
+coefficient ratio widens the Cauchy interval and so counts through K."""
 
 
 class EndpointRootError(ValueError):
@@ -409,6 +421,15 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     # for u = ua and u = ub, with P / Q the Cauchy bound
     bound = _cauchy_bound(seq.chain[0])
     P, Q = bound.numerator, bound.denominator
+    v_neg, v_pos = _changes_at_infinity(seq.chain)
+    roots, m = v_neg - v_pos, len(seq.chain[0]) - 1
+    # the halvings from the width 2 P / Q to at most the precision
+    K = (-(-2 * P * precision.denominator // (Q * precision.numerator))
+         - 1).bit_length()
+    if roots * m * m * K ** 3 > MAX_ISOLATION_WORK:
+        raise ValueError(f"isolating {roots} roots of degree {m} takes {K} "
+                         f"halvings each: n*m^2*K^3 exceeds the isolation "
+                         f"cap {MAX_ISOLATION_WORK:.0e}")
     chain = [_scaled(g, Q) for g in seq.chain]
     sqf = _scaled(seq.squarefree_part(), Q)
 
@@ -416,7 +437,6 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     # with far = FN / FD, x is at or beyond far iff P FD |u| >= Q FN 2^L
     far = _fujiwara_far(seq.chain[0])
     PF, QF = P * far.denominator, Q * far.numerator
-    v_neg, v_pos = _changes_at_infinity(seq.chain)
 
     def beyond(u: int, L: int) -> int:
         """+1 at or above far, -1 at or below -far, else 0."""

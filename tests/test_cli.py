@@ -164,13 +164,18 @@ def _one_line_error(err):
     ["fan", "demo", "--limit", ","],
     ["fan", "demo", "--limit", ""],
     ["fan", "demo", "--cycle", ""],
+    # isolation past the refinement cap: a tiny precision, a huge constant
+    ["sturm", "isolate", "x^40 - 2", "--precision", "1e-1000"],
+    ["sturm", "isolate", "x^8 - 2", "--precision", "1e-4200"],
+    ["sturm", "isolate", "x^256 - 3*x^2 + 1", "--precision", "1e-300"],
+    ["sturm", "isolate", "x^2 - 10^4000"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
     # input length, nesting depth, literal digits, grid count, powers,
-    # products, Sturm degree, the divisor's n and degree, the family's and
-    # the cycle forms' sizes are capped; JSON arguments nested too deeply
-    # or of the wrong shape, non-finite coordinates, empty list fields and
-    # a divisor given twice or not at all are refused
+    # products, Sturm degree, isolation work, the divisor's n and degree,
+    # the family's and the cycle forms' sizes are capped; JSON arguments
+    # nested too deeply or of the wrong shape, non-finite coordinates,
+    # empty list fields and a divisor given twice or not at all are refused
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
@@ -501,18 +506,59 @@ def test_corpus_catches_regression(tmp_path, capsys):
     assert len(data["failures"]) == 1 and data["passed"] == 0
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"exit": 0, "output": {"count": 1}}),
+    json.dumps([["sturm", "count", "x"]]),
+    json.dumps({"argv": ["corpus", "{dir}"]}),
+    json.dumps({"argv": "sturm count x"}),
+    json.dumps({"argv": []}),
+    json.dumps({"argv": ["sturm", "count", 1]}),
+    json.dumps({"argv": ["sturm", "count", "x"], "exit": "0"}),
+    json.dumps({"argv": ["sturm", "count", "x"], "exit": False}),
+    json.dumps({"argv": ["sturm", "count", "x"], "tol": "1e-9"}),
+    json.dumps({"argv": ["sturm", "count", "x"], "tol": float("nan")}),
+    json.dumps({"argv": ["sturm", "count", "x"], "tol": -1}),
+    "not json",
+    "[" * 100000 + "]" * 100000,
+])
+def test_corpus_refuses_malformed_case(tmp_path, capsys, text):
+    # a case of the wrong shape, one that replays its own corpus, or a file
+    # that is not JSON is an input error naming the file, not a failing
+    # case or a traceback
+    (tmp_path / "odd.json").write_text(text.replace("{dir}", str(tmp_path)))
+    code, out, err = run(capsys, "corpus", str(tmp_path))
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and "odd.json" in err, err
+
+
 def test_run_corpus_api():
     report = run_corpus(CORPUS)
     assert report["failures"] == []
     assert report["passed"] == report["cases"]
 
 
-def test_console_script_installed():
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_script_installed():
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-m", "rct.cli", "critical",
                            "gen", "--d", "2"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["F"]["2"] == "a1^2 - 4*a2"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures pulls in logging too, and every rct process would
+    # pay for both at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rct.cli, sys; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

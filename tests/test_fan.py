@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -244,16 +245,22 @@ def test_psi_demo_projection_center_guard():
         psi_demo(Z, bad, 1, check_divisor=False)
 
 
-def test_psi_demo_deterministic_across_threads(monkeypatch):
+def test_psi_demo_deterministic():
     Z, D = default_demo()
     base = psi_demo(Z, D, Fraction(1, 7)).to_json_dict(verbose=True)
     again = psi_demo(Z, D, Fraction(1, 7)).to_json_dict(verbose=True)
     assert json.dumps(base, sort_keys=True) == json.dumps(again,
                                                           sort_keys=True)
-    monkeypatch.setenv("RCT_THREADS", "2")
-    threaded = psi_demo(Z, D, Fraction(1, 7)).to_json_dict(verbose=True)
-    assert json.dumps(base, sort_keys=True) == json.dumps(threaded,
-                                                          sort_keys=True)
+
+
+def test_psi_demo_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"psi_demo started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    Z, D = default_demo()
+    result = psi_demo(Z, D, Fraction(1, 7))
+    assert len(result.certificates) == len(Z.points)
 
 
 def test_psi_demo_json_pinned():

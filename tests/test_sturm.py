@@ -12,6 +12,7 @@ from rct.divisors import paper_family, scale_divisor
 from rct.poly import SparsePoly, divide_exact, poly_divmod
 from rct.sturm import (
     MAX_DEGREE,
+    MAX_ISOLATION_WORK,
     EndpointRootError,
     _fujiwara_far,
     cauchy_root_bound,
@@ -306,6 +307,35 @@ def test_degree_cap():
     with pytest.raises(ValueError, match="degree cap"):
         isolate_roots_bisection(f, Fraction(1, 2), "x")
     assert count_distinct_roots_total(parse_poly(f"x^{MAX_DEGREE} - 1")) == 2
+
+
+@pytest.mark.parametrize("text,precision", [
+    ("x^40 - 2", Fraction(1, 10 ** 1000)),
+    ("x^8 - 2", Fraction(1, 10 ** 2000)),
+    ("x^8 - 2", Fraction(1, 10 ** 4200)),
+    ("x^256 - 3*x^2 + 1", Fraction(1, 2 ** 512)),
+    ("x^256 - 3*x^2 + 1", Fraction(1, 2 ** 1024)),
+    # a huge constant widens the Cauchy interval, so K grows with it
+    ("x^8 - 10^4000", Fraction(1, 10 ** 12)),
+])
+def test_isolation_work_cap(text, precision):
+    # uncapped, each of these runs for seconds to minutes
+    with pytest.raises(ValueError, match="isolation cap"):
+        isolate_roots_bisection(parse_poly(text), precision, "x")
+
+
+def test_isolation_work_cap_boundary():
+    # x^2 - 2: n = m = 2 and a Cauchy interval of width 6, so 2^-k takes
+    # K = k + 3 halvings, and n m^2 K^3 reaches the cap at K = 5000
+    assert MAX_ISOLATION_WORK == 8 * 5000 ** 3
+    f = parse_poly("x^2 - 2")
+    got = isolate_roots_bisection(f, Fraction(1, 2 ** 4997), "x")
+    assert len(got) == 2 and all(b - a <= Fraction(1, 2 ** 4997) for a, b in got)
+    with pytest.raises(ValueError, match="isolation cap"):
+        isolate_roots_bisection(f, Fraction(1, 2 ** 4998), "x")
+    # degree 256 at the CLI's default precision stays admitted
+    f = parse_poly("x^256 - 3*x^2 + 1")
+    assert len(isolate_roots_bisection(f, Fraction(1, 10 ** 12), "x")) == 4
 
 
 def _oracle_isolate(f, precision, var):
