@@ -77,12 +77,13 @@ for coeffs, expect in [
     assert verdict is expect
 
 # (x - 1)^2 (x + 2): a double root makes some F_j vanish and cuts the
-# point's Sturm chain short, the verdict is DEGENERATE, and in_S_n
-# counts the roots on that same chain
+# point's pseudo-remainder sequence short, so the verdict is DEGENERATE;
+# in_S_n is the verdict being TRUE (d distinct real roots exactly when
+# every leading Hankel minor is positive), so it is False
 double = (0, -3, 2)
 assert has_d_distinct_real_roots(double) is RootVerdict.DEGENERATE
 assert in_S_n(double) is False
-print(f"  a = {double}: DEGENERATE, the Sturm count says False")
+print(f"  a = {double}: DEGENERATE, so in_S_n says False")
 
 from rct import count_distinct_roots_total
 

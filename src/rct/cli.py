@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import chow as chowmod
 from .critical import (
-    _verdict_and_member,
+    RootVerdict,
     critical_polynomials,
+    has_d_distinct_real_roots,
     verify_pair_chain,
 )
 from .divisors import (
@@ -162,7 +163,8 @@ def _cmd_critical_gen(args) -> int:
 
 def _cmd_critical_test(args) -> int:
     coeffs = _rat_list(args.coeffs)
-    verdict, member = _verdict_and_member(coeffs)
+    verdict = has_d_distinct_real_roots(coeffs)
+    member = verdict is RootVerdict.TRUE
     _emit({"coefficients": [str(c) for c in coeffs],
            "critical_verdict": verdict.name,
            "all_roots_real_distinct": member}, args.format)

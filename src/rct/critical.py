@@ -47,14 +47,20 @@ every F_j is positive at the coefficient point, and a vanishing F_j
 marks a degenerate point where the generic chain does not specialize.
 
 Point verdicts build no symbolic chain: they read the same signs off the
-integer Sturm chain of the point (`sturm._int_chain`).  By the
-subresultant structure theorem (Basu-Pollack-Roy ch. 9) the primitive
-PRS of f and f' has the degrees d, d - 1, ..., 0 exactly when every
-Hankel pivot D_{j,0} is nonzero, and then sign lc(chain[j]) = sign
-D_{j,0} = sign F_j.  So a chain short of d + 1 entries marks a degenerate
-point, a full one has d distinct real roots exactly when every leading
-coefficient is positive, and the same chain counts the roots.  Point
-queries accept d up to `sturm.MAX_DEGREE`.
+primitive integer PRS (pseudo-remainder sequence) of the point and its
+derivative.  By the subresultant structure theorem (Basu-Pollack-Roy
+ch. 9) that PRS has the degrees d, d - 1, ..., 0 exactly when every
+Hankel pivot D_{j,0} is nonzero, and then the sign of the leading
+coefficient of its entry j is the sign of D_{j,0}, that is of F_j.  So
+`_point_verdict` walks the PRS keeping only its last two entries and
+returns DEGENERATE at the first step whose degree drops by more than
+one, else TRUE when every leading coefficient is positive.  By Hermite's
+theorem the Hankel form (p_{r+s}) has rank the number of distinct roots
+and signature the number of distinct real roots, so f has d distinct
+real roots exactly when that form is positive definite, which by
+Sylvester's criterion means every D_{j,0} > 0: `in_S_n` is the verdict
+TRUE, exact at degenerate points too, with no root count.  Point queries
+accept d up to `sturm.MAX_DEGREE`.
 
 The elimination and the packed polynomials it runs on live in
 `hankel`.  The chain, its cache file name and its stored keys use
@@ -81,7 +87,7 @@ from typing import Sequence
 
 from . import hankel
 from .poly import as_rational
-from .sturm import MAX_DEGREE, _changes_at_infinity, _int_chain
+from .sturm import MAX_DEGREE, _drop_one, _primitive
 
 _BITS = 8
 
@@ -357,31 +363,35 @@ def critical_polynomials(d: int) -> CriticalSet:
     return _set_cache[d]
 
 
-def _point_chain(coeffs: Sequence) -> list:
-    """Integer Sturm chain of x^d + a1 x^(d-1) + ... + ad at rational a_i,
-    their denominators cleared by their lcm q > 0 (so lc = q > 0)."""
+def _point_poly(coeffs: Sequence) -> list:
+    """x^d + a1 x^(d-1) + ... + ad at rational a_i as ascending integers,
+    the denominators cleared by their lcm q > 0 (so lc = q > 0)."""
     coeffs = [as_rational(c) for c in coeffs]
     if not 2 <= len(coeffs) <= MAX_DEGREE:
         raise ValueError(f"point queries need 2 <= d <= {MAX_DEGREE} (the "
                          f"Sturm degree cap), got d = {len(coeffs)}")
     q = lcm(*(c.denominator for c in coeffs))
-    return _int_chain([c.numerator * (q // c.denominator)
-                       for c in reversed(coeffs)] + [q])[0]
+    return [c.numerator * (q // c.denominator) for c in reversed(coeffs)] + [q]
 
 
-def _chain_verdict(chain: Sequence[Sequence[int]]) -> RootVerdict:
-    """DEGENERATE unless the chain has the degrees d, d - 1, ..., 0, else
-    TRUE when every leading coefficient is positive."""
-    if len(chain) != len(chain[0]):
-        return RootVerdict.DEGENERATE
-    return RootVerdict.TRUE if all(p[-1] > 0 for p in chain) else RootVerdict.FALSE
+def _point_verdict(p0: Sequence[int]) -> RootVerdict:
+    """Verdict for the integer polynomial p0 (ascending, degree >= 1).
 
-
-def _verdict_and_member(coeffs: Sequence) -> tuple:
-    """(has_d_distinct_real_roots, in_S_n) of one point, from one chain."""
-    chain = _point_chain(coeffs)
-    v_neg, v_pos = _changes_at_infinity(chain)
-    return _chain_verdict(chain), v_neg - v_pos == len(coeffs)
+    Walks the primitive PRS of p0 and p0' with the steps of
+    `sturm._int_chain`, keeping only its last two entries: DEGENERATE at
+    the first remainder whose degree drops by more than one (a zero
+    remainder included), else TRUE when every leading coefficient is
+    positive, else FALSE.
+    """
+    a, b = p0, _primitive([k * c for k, c in enumerate(p0)][1:])[1]
+    positive = a[-1] > 0 and b[-1] > 0
+    while len(b) > 1:
+        r = _drop_one(a, b)[1]
+        if len(r) != len(b) - 1:
+            return RootVerdict.DEGENERATE
+        positive = positive and r[-1] > 0
+        a, b = b, r
+    return RootVerdict.TRUE if positive else RootVerdict.FALSE
 
 
 def has_d_distinct_real_roots(coeffs: Sequence) -> RootVerdict:
@@ -389,12 +399,13 @@ def has_d_distinct_real_roots(coeffs: Sequence) -> RootVerdict:
 
     coeffs is (a1, ..., ad), 2 <= d <= MAX_DEGREE.  Degenerate means some
     F_j vanishes at the point, where the generic chain does not specialize;
-    `in_S_n` still answers there.
+    the point then has no d distinct real roots, as `in_S_n` answers.
     """
-    return _chain_verdict(_point_chain(coeffs))
+    return _point_verdict(_point_poly(coeffs))
 
 
 def in_S_n(coeffs: Sequence) -> bool:
     """Exact membership: does the monic polynomial split into d distinct real
-    roots?  A Sturm count on the point's chain, exact at degenerate points."""
-    return _verdict_and_member(coeffs)[1]
+    roots?  True exactly when the point verdict is TRUE (Hermite and
+    Sylvester, see the module docstring), degenerate points included."""
+    return _point_verdict(_point_poly(coeffs)) is RootVerdict.TRUE

@@ -22,10 +22,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import hankel
-from .critical import RootVerdict, _chain_verdict
+from .critical import RootVerdict, _point_verdict
 from .parse import MAX_POWER_TERMS
 from .poly import Rational, SparsePoly, as_rational
 from .sturm import (
@@ -60,8 +61,9 @@ DEFAULT_GRID_N3 = 20000
 
 MAX_GRID = 100000
 """Largest direction-grid count: five times the n >= 3 default.  A larger
-count raises ValueError before the grid is built; at the cap a degree-2
-in_E check takes about 2 s on a 2-core host."""
+count raises ValueError before the grid is built.  At the cap a degree-2
+in_E member check takes 1.0-1.6 s at n = 2..4 and 3.5 s at n = 16 (2 s
+once its grid is memoized) on a 2-core host."""
 
 MAX_N = 16
 """Largest ambient index n of a divisor in x_0..x_n.  A larger n raises
@@ -94,6 +96,8 @@ class Divisor:
         if n > MAX_N:
             raise ValueError(f"divisors support n <= {MAX_N}, got n = {n}")
         d = f.degree()
+        if d < 1:
+            raise ValueError(f"a divisor needs degree at least 1, got {d}")
         if d > MAX_DEGREE:
             raise ValueError(f"divisors support degree <= {MAX_DEGREE}, got {d}")
         allvars = tuple(xvar(i) for i in range(n + 1))
@@ -263,8 +267,18 @@ def default_grid(n: int, count: Optional[int] = None) -> list:
     """Direction grid for R^n minus the origin; deterministic for all n.
 
     count defaults to DEFAULT_GRID_N2 for n = 2 and DEFAULT_GRID_N3 above;
-    a count below 1 or above MAX_GRID raises ValueError.
+    a count below 1 or above MAX_GRID raises ValueError.  Each call returns
+    a fresh list, copied from `_grid`.
     """
+    return list(_grid(n, count))
+
+
+@lru_cache(maxsize=8)
+def _grid(n: int, count: Optional[int]) -> tuple:
+    """`default_grid` as a tuple, memoized for the last 8 (n, count) keys,
+    which `in_E` iterates.  A grid of MAX_GRID directions holds about 13 MB
+    at n = 2, 15 MB at n = 3 and 62 MB at n = 16, so the memo's worst case,
+    8 such grids at n = 16, holds about 0.5 GB."""
     if count is None:
         count = DEFAULT_GRID_N2 if n == 2 else DEFAULT_GRID_N3
     elif count < 1:
@@ -272,18 +286,18 @@ def default_grid(n: int, count: Optional[int] = None) -> list:
     elif count > MAX_GRID:
         raise ValueError(f"grid count must be at most {MAX_GRID}, got {count}")
     if n == 1:
-        return [(1,)]
+        return ((1,),)
     if n == 2:
-        return circle_grid(count)
+        return tuple(circle_grid(count))
     if n == 3:
-        return sphere_grid(count)
+        return tuple(sphere_grid(count))
     rng = random.Random(0)
     out = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for _ in range(count):
         v = tuple(rng.randint(-999, 999) for _ in range(n))
         if any(v):
             out.append(v)
-    return out
+    return tuple(out)
 
 
 def _fiber_poly(D: Divisor, direction: Sequence[Rational]) -> SparsePoly:
@@ -302,13 +316,17 @@ def _integer_coefficients(D: Divisor):
 
 
 class _FiberChecker:
-    """Per-divisor sample loop: integer p_i, then one integer Sturm chain.
+    """Per-divisor sample loop: integer p_i, then one point verdict.
 
     The direction grid is integral, so after clearing the coefficient
     denominators once (sign-safe: scaling a_i by Q^i with Q > 0 scales the
     roots by Q) every sample runs in plain int arithmetic.  A term of p_i
     is compiled to c Q^i and the indices of its powers x_v^e in one table
-    of powers per direction.
+    of powers per direction.  `in_E` takes each direction's verdict from
+    `critical._point_verdict`, which keeps no chain.  `check` adds the
+    route and, off TRUE, the Sturm count of the full integer chain; it
+    runs only on the single n = 1 direction and on the first direction
+    whose verdict is not TRUE.
     """
 
     def __init__(self, D: Divisor):
@@ -323,8 +341,10 @@ class _FiberChecker:
                        for exps, c in p.items()]
                       for p in ps]
 
-    def coeff_point(self, direction) -> list:
-        """Integers a_i proportional to the fiber coefficients (weight i)."""
+    def fiber(self, direction) -> list:
+        """The monic fiber along an integer direction as ascending integers
+        a_d, ..., a_1, 1, the a_i proportional to its coefficients
+        (weight i)."""
         pw = []
         for v, m in zip(direction, self.x_maxexp):
             v, t = int(v), 1
@@ -332,7 +352,7 @@ class _FiberChecker:
             for _ in range(m):
                 t *= v
                 pw.append(t)
-        out = []
+        out = [1]
         for terms in self.terms:
             s = 0
             for c, idx in terms:
@@ -340,20 +360,21 @@ class _FiberChecker:
                     c *= pw[k]
                 s += c
             out.append(s)
-        return out
+        return out[::-1]
 
     def check(self, direction):
         """(fiber along an integer direction has d distinct real roots,
-        certificate dict)."""
+        certificate dict with the route and, unless TRUE, the Sturm count
+        of the full chain)."""
         cert: dict = {"direction": [str(c) for c in direction]}
-        chain = _int_chain(self.coeff_point(direction)[::-1] + [1])[0]
-        v = _chain_verdict(chain)
+        p0 = self.fiber(direction)
+        v = _point_verdict(p0)
         if v is RootVerdict.TRUE:
             cert["route"] = "critical"
             return True, cert
         cert["route"] = "critical" if v is RootVerdict.FALSE \
             else "critical-degenerate"
-        v_neg, v_pos = _changes_at_infinity(chain)
+        v_neg, v_pos = _changes_at_infinity(_int_chain(p0)[0])
         cert["sturm_count"] = v_neg - v_pos
         return v_neg - v_pos == self.d, cert
 
@@ -363,8 +384,9 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     divisor in d distinct real points.
 
     n = 1 is decided exactly.  For n >= 2 a positive answer is evidence
-    over the deterministic grid (every sample individually certified);
-    a negative answer is exact, with a witnessed direction.
+    over the deterministic grid (every sample individually certified by
+    its point verdict); a negative answer is exact, with a witnessed
+    direction whose certificate `_FiberChecker.check` builds.
     """
     ok, norm = in_div_prime(D)
     if not ok:
@@ -373,15 +395,17 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     D = norm
     checker = _FiberChecker(D)
     if D.n == 1:
-        (direction,) = default_grid(1, grid_size)
+        (direction,) = _grid(1, grid_size)
         good, cert = checker.check(direction)
         if good:
             return MembershipReport("E", "member", "exact",
                                     data={"certificate": cert})
         return MembershipReport("E", "non_member", "exact",
                                 witness=(Fraction(1),), data={"certificate": cert})
-    grid = default_grid(D.n, grid_size)
+    grid = _grid(D.n, grid_size)
     for direction in grid:
+        if _point_verdict(checker.fiber(direction)) is RootVerdict.TRUE:
+            continue
         good, cert = checker.check(direction)
         if not good:
             return MembershipReport(

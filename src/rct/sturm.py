@@ -38,7 +38,8 @@ only for the intervals returned.  The tree and the walk visit the same points as
 plain Fraction bisection, so the intervals are the same.
 
 Queries accept degrees up to MAX_DEGREE, and isolation refuses a
-precision whose refinement would cost more than MAX_ISOLATION_WORK.
+precision whose refinement, or a pair of roots whose separation, would
+cost more than MAX_ISOLATION_WORK.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ products of numbers of up to m K bits by K bits, so n m^2 K^3 bounds
 the refinement's bit work up to a constant: 0.25-1.4 ps per unit on a
 2-core host, so an admitted refinement takes at most about 1.5 s.
 Larger input raises ValueError before the first refinement.  A large
-coefficient ratio widens the Cauchy interval and so counts through K."""
+coefficient ratio widens the Cauchy interval and so counts through K.
+Roots closer than the precision are separated by tree levels past K,
+each a sign of every chain entry at that level: the split loop raises
+ValueError at the first node whose level L makes n m^2 L^3 exceed the cap."""
 
 
 class EndpointRootError(ValueError):
@@ -470,6 +474,12 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
                 break
             k = 3 if k == 1 else k + 1
             frac = (1 << (k - 1)) + 1
+        # a node past level K separates roots closer than the precision;
+        # its descent is priced like a refinement to its level
+        if L + k > K and roots * m * m * (L + k) ** 3 > MAX_ISOLATION_WORK:
+            raise ValueError(f"separating {roots} roots of degree {m} takes "
+                             f"{L + k} or more halvings: n*m^2*L^3 exceeds "
+                             f"the isolation cap {MAX_ISOLATION_WORK:.0e}")
         vm = changes(um, L + k)
         stack.append((um, ub << k, L + k, vm, vb))
         stack.append((ua << k, um, L + k, va, vm))

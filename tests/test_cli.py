@@ -169,6 +169,14 @@ def _one_line_error(err):
     ["sturm", "isolate", "x^8 - 2", "--precision", "1e-4200"],
     ["sturm", "isolate", "x^256 - 3*x^2 + 1", "--precision", "1e-300"],
     ["sturm", "isolate", "x^2 - 10^4000"],
+    # close roots: the descent that separates them past the precision's
+    # level is priced like a refinement
+    ["sturm", "isolate", "x^200 - 2*(10^6*x - 1)^2"],
+    # a divisor of degree 0
+    ["div", "in-e", "--poly", "1"],
+    ["div", "in-div2", "--poly", "1"],
+    ["fan", "demo", "--divisor", json.dumps(
+        {"n": 2, "f": {"vars": ["x0"], "terms": [{"coeff": "1", "exp": [0]}]}})],
 ])
 def test_malformed_input_exits_two(capsys, argv):
     # input length, nesting depth, literal digits, grid count, powers,

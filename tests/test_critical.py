@@ -23,7 +23,7 @@ from rct.critical import _BITS
 from rct.hankel import divexact, to_sparse
 from rct.parse import parse_poly
 from rct.poly import SparsePoly, divide_exact
-from rct.sturm import count_distinct_roots_total, sturm_sequence
+from rct.sturm import _int_chain, count_distinct_roots_total, sturm_sequence
 
 
 def _coeff_point(rng, d, span=6):
@@ -199,6 +199,60 @@ def test_in_S_n_matches_sturm_random():
                 "x", list(reversed([Fraction(1)] + coeffs)))
             want = count_distinct_roots_total(f, "x") == d
             assert in_S_n(coeffs) is want, coeffs
+
+
+def _oracle_verdict(p0):
+    # the full primitive PRS: degrees d, d - 1, ..., 0, then the signs of
+    # its leading coefficients
+    chain = _int_chain(p0)[0]
+    if [len(p) for p in chain] != list(range(len(p0), 0, -1)):
+        return RootVerdict.DEGENERATE, len(chain[-1]) > 1
+    return (RootVerdict.TRUE if all(p[-1] > 0 for p in chain)
+            else RootVerdict.FALSE), False
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _seeded_point(rng, d):
+    """Integer p0 of degree d (ascending): sparse random coefficients, or a
+    product of real linear factors, some repeated, and complex pairs."""
+    if rng.random() < 0.4:
+        return [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(d)] \
+            + [rng.randint(1, 3)]
+    p0, roots = [rng.choice((1, 1, 2, -1))], []
+    while len(p0) <= d:
+        if len(p0) < d and rng.random() < 0.25:
+            b = rng.randint(-3, 3)
+            p0 = _poly_mul(p0, [b * b // 4 + rng.randint(1, 4), b, 1])
+            continue
+        r = rng.choice(roots) if roots and rng.random() < 0.3 \
+            else rng.randint(-6, 6)
+        roots.append(r)
+        p0 = _poly_mul(p0, [-r, 1])
+    return p0
+
+
+def test_point_verdict_matches_full_chain():
+    # the walk that keeps two PRS entries reads what the full chain reads,
+    # on degrees 1..12 with repeated roots, complex pairs, zero
+    # coefficients and degree drops of squarefree points
+    rng = random.Random(18)
+    seen = set()
+    for d in range(1, 13):
+        for _ in range(80):
+            p0 = _seeded_point(rng, d)
+            want, repeated = _oracle_verdict(p0)
+            assert crit._point_verdict(p0) is want, p0
+            seen.add((want, repeated))
+    assert seen == {(RootVerdict.TRUE, False), (RootVerdict.FALSE, False),
+                    (RootVerdict.DEGENERATE, False),
+                    (RootVerdict.DEGENERATE, True)}
 
 
 def test_degree_bounds_enforced():

@@ -125,12 +125,31 @@ def test_grids_are_deterministic_and_nonzero():
         assert math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2])) == 1
     c = default_grid(4, 30)
     assert c == default_grid(4, 30)
+    # each call returns a fresh list: mutating one leaves the next intact
+    want = list(c)
+    c[0] = (7, 7, 7, 7)
+    c.clear()
+    assert default_grid(4, 30) == want
     assert default_grid(1) == [(1,)]
     assert len(default_grid(2, 1)) == 3  # the two axes plus one sample
     for n in (1, 2, 3, 4):
         for bad in (0, -5):
             with pytest.raises(ValueError, match="at least 1"):
                 default_grid(n, bad)
+
+
+def test_in_e_members_build_no_chain(monkeypatch):
+    # a member walks each direction's PRS and keeps no chain; only a
+    # refuting direction builds the full chain for its certificate
+    def refuse(p0):
+        raise AssertionError("built a full chain")
+
+    monkeypatch.setattr("rct.divisors._int_chain", refuse)
+    for n, grid in ((2, 200), (3, 300)):
+        rep = in_E(paper_family(n, 2)[1], grid)
+        assert rep.verdict == "evidence_only", n
+    with pytest.raises(AssertionError, match="full chain"):
+        in_E(Divisor(P("x0^2 + x1^2 + x2^2")), 50)
 
 
 def test_in_e_line_case_exact():
@@ -281,7 +300,7 @@ def test_e_certificates_positive_iff_member():
         checker = _FiberChecker(D)
         full = 0
         for v in circle_grid(24):
-            chain = _int_chain(checker.coeff_point(v)[::-1] + [1])[0]
+            chain = _int_chain(checker.fiber(v))[0]
             if len(chain) != D.d + 1:
                 continue
             full += 1
