@@ -273,12 +273,18 @@ def default_grid(n: int, count: Optional[int] = None) -> list:
     return list(_grid(n, count))
 
 
+_COORDINATES = tuple(range(-999, 1000))
+
+
 @lru_cache(maxsize=8)
 def _grid(n: int, count: Optional[int]) -> tuple:
     """`default_grid` as a tuple, memoized for the last 8 (n, count) keys,
-    which `in_E` iterates.  A grid of MAX_GRID directions holds about 13 MB
-    at n = 2, 15 MB at n = 3 and 62 MB at n = 16, so the memo's worst case,
-    8 such grids at n = 16, holds about 0.5 GB."""
+    which `in_E` iterates.  For n >= 4 the directions are drawn from
+    random.Random(0) as the stream rng.randint(-999, 999) would, but as
+    indices into `_COORDINATES`, so every direction shares its int
+    objects.  A grid of MAX_GRID directions holds about 13 MB at n = 2,
+    15 MB at n = 3 and 18 MB at n = 16 (tracemalloc), so the memo's worst
+    case, 8 such grids at n = 16, holds about 141 MB."""
     if count is None:
         count = DEFAULT_GRID_N2 if n == 2 else DEFAULT_GRID_N3
     elif count < 1:
@@ -294,7 +300,7 @@ def _grid(n: int, count: Optional[int]) -> tuple:
     rng = random.Random(0)
     out = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for _ in range(count):
-        v = tuple(rng.randint(-999, 999) for _ in range(n))
+        v = tuple(rng.choice(_COORDINATES) for _ in range(n))
         if any(v):
             out.append(v)
     return tuple(out)

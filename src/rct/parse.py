@@ -14,6 +14,11 @@ nesting of parentheses and unary minus signs past MAX_DEPTH, a power
 whose expansion would pass MAX_POWER_DEGREE, MAX_POWER_TERMS or
 MAX_POWER_BITS, and a product whose expansion would pass MAX_POWER_DEGREE
 or MAX_POWER_TERMS; each is refused before anything is expanded or multiplied.
+
+The parser carries every subexpression as a term dict over the sorted
+names of the text's variables, multiplies and raises to powers with the
+term-dict helpers SparsePoly's own `*` and `**` use, and builds one
+SparsePoly per text, at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import re
 from fractions import Fraction
 from math import comb, prod
 
-from .poly import SparsePoly
+from .poly import NEG_INF, SparsePoly, _mul_terms, _pow_terms
 
 MAX_INPUT_CHARS = 65536
 """Longest polynomial, JSON or coefficient-list text read from outside.  The
@@ -78,8 +83,8 @@ class PolyParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:\s*/\s*\d+)?)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<rat>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)"
+    r"|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
 )
 
 
@@ -92,46 +97,57 @@ def _tokenize(text: str):
             if text[pos:].strip() == "":
                 break
             raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("rat"):
-            num, _, den = m.group("rat").replace(" ", "").partition("/")
+        kind = m.lastgroup
+        if kind == "rat":
+            num, den = m["num"], m["den"]
             try:
-                num, den = _literal_int(num), _literal_int(den or "1")
+                num, den = _literal_int(num), _literal_int(den) if den else 1
             except ValueError as exc:
                 raise PolyParseError(str(exc), m.start()) from None
             if den == 0:
                 raise PolyParseError("zero denominator", m.start())
             tokens.append(("rat", Fraction(num, den), m.start()))
-        elif m.group("var"):
-            tokens.append(("var", m.group("var"), m.start()))
         else:
-            tokens.append(("op", m.group("op"), m.start()))
+            tokens.append((kind, m[kind], m.start()))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-def _check_power(p: SparsePoly, n: int, pos: int):
+def _degree(t: dict):
+    """Total degree of a term dict; NEG_INF when it is empty."""
+    return max(map(sum, t), default=NEG_INF)
+
+
+def _var_degrees(t: dict) -> list:
+    """Degree in each variable of a non-empty term dict."""
+    return [max(col) for col in zip(*t)]
+
+
+def _check_power(p: dict, n: int, pos: int):
     """Refuse p^n before expanding it if the result passes a MAX_POWER_* cap."""
-    if n < 2 or p.is_zero():
+    if n < 2 or not p:
         return
-    degree = n * p.degree()
+    degree = n * _degree(p)
     if degree > MAX_POWER_DEGREE:
         raise PolyParseError(f"power of degree {degree} exceeds the cap "
                              f"{MAX_POWER_DEGREE}", pos)
     bits = n * max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                   for c in p.terms.values())
+                   for c in p.values())
     if bits > MAX_POWER_BITS:
         raise PolyParseError(f"power needs {bits}-bit coefficients, over the "
                              f"cap {MAX_POWER_BITS}", pos)
-    t = len(p.terms)
-    box = prod(n * p.degree_in(v) + 1 for v in p.vars)
+    t = len(p)
+    if t == 1:  # a power of one term is one term
+        return
+    box = prod(n * k + 1 for k in _var_degrees(p))
     terms = min(comb(t + n - 1, t - 1), box)
     if terms > MAX_POWER_TERMS:
         raise PolyParseError(f"power may expand to {terms} terms, over the "
                              f"cap {MAX_POWER_TERMS}", pos)
 
 
-def _check_product(p: SparsePoly, p_degree, q: SparsePoly, pos: int):
+def _check_product(p: dict, p_degree, q: dict, pos: int):
     """Refuse p * q before multiplying if the product passes
     MAX_POWER_DEGREE or MAX_POWER_TERMS; return the product's degree.
 
@@ -140,15 +156,13 @@ def _check_product(p: SparsePoly, p_degree, q: SparsePoly, pos: int):
     read.  The exponent box is read only when the product of the term
     counts passes the cap.  A zero factor has degree -inf and passes.
     """
-    degree = p_degree + q.degree()
+    degree = p_degree + _degree(q)
     if degree > MAX_POWER_DEGREE:
         raise PolyParseError(f"product of degree {degree} exceeds the cap "
                              f"{MAX_POWER_DEGREE}", pos)
-    terms = len(p.terms) * len(q.terms)
+    terms = len(p) * len(q)
     if terms > MAX_POWER_TERMS:
-        box = prod((p.degree_in(v) if v in p.vars else 0)
-                   + (q.degree_in(v) if v in q.vars else 0) + 1
-                   for v in set(p.vars) | set(q.vars))
+        box = prod(a + b + 1 for a, b in zip(_var_degrees(p), _var_degrees(q)))
         terms = min(terms, box)
         if terms > MAX_POWER_TERMS:
             raise PolyParseError(f"product may expand to {terms} terms, over "
@@ -157,9 +171,20 @@ def _check_product(p: SparsePoly, p_degree, q: SparsePoly, pos: int):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every subexpression is a
+    {exponent tuple: Fraction} dict over `vars`, the sorted names of the
+    text's variables, which is the variable tuple the left-to-right chain
+    of SparsePoly sums and products would end with; `parse` wraps the
+    result in the one SparsePoly built per text."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
+        self.vars = tuple(sorted({val for kind, val, _ in self.tokens
+                                  if kind == "var"}))
+        self.units = {v: tuple(int(u == v) for u in self.vars)
+                      for v in self.vars}
+        self.origin = (0,) * len(self.vars)
         self.i = 0
         self.depth = 0
 
@@ -181,51 +206,47 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise PolyParseError(f"trailing input {_brief(val)}", pos)
-        return p
+        return SparsePoly(self.vars, p)
 
-    def expr(self) -> SparsePoly:
-        """A signed sum of terms, added up in one dict.  The variables are
-        those of the terms when all share them, else their sorted union,
-        as in the left-to-right chain of SparsePoly sums."""
+    def expr(self) -> dict:
+        """A signed sum of terms, added up in one dict."""
         kind, val, _ = self.peek()
+        sign = 1
         if kind == "op" and val == "-":
             self.take()
-            parts = [(-1, self.term())]
-        else:
-            parts = [(1, self.term())]
-        while True:
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in "+-":
-                break
-            self.take()
-            parts.append((1 if val == "+" else -1, self.term()))
-        vs = parts[0][1].vars
-        if any(p.vars != vs for _, p in parts):
-            vs = tuple(sorted({v for _, p in parts for v in p.vars}))
+            sign = -1
         acc: dict = {}
-        for sign, p in parts:
-            for e, c in (p.terms if p.vars == vs else p._remap(vs)).items():
-                s = acc.get(e, 0) + sign * c
-                if s:
-                    acc[e] = s
+        while True:
+            for e, c in self.term().items():
+                if sign < 0:
+                    c = -c
+                s = acc.get(e)
+                if s is not None:
+                    c += s
+                if c:
+                    acc[e] = c
                 else:
                     del acc[e]
-        return SparsePoly(vs, acc)
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                return acc
+            self.take()
+            sign = 1 if val == "+" else -1
 
-    def term(self) -> SparsePoly:
+    def term(self) -> dict:
         p = self.factor()
-        degree = p.degree()
+        degree = _degree(p)
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
                 q = self.factor()
                 degree = _check_product(p, degree, q, pos)
-                p = p * q
+                p = _mul_terms(p, q)
             else:
                 return p
 
-    def factor(self) -> SparsePoly:
+    def factor(self) -> dict:
         p = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -234,15 +255,15 @@ class _Parser:
             if kind != "rat" or val.denominator != 1 or val < 0:
                 raise PolyParseError("exponent must be a non-negative integer", pos)
             _check_power(p, int(val), pos)
-            p = p ** int(val)
+            p = _pow_terms(p, int(val), len(self.vars))
         return p
 
-    def atom(self) -> SparsePoly:
+    def atom(self) -> dict:
         kind, val, pos = self.take()
         if kind == "rat":
-            return SparsePoly.constant(val)
+            return {self.origin: val} if val else {}
         if kind == "var":
-            return SparsePoly.variable(val)
+            return {self.units[val]: Fraction(1)}
         if kind == "op" and val in ("(", "-"):
             self.depth += 1
             if self.depth > MAX_DEPTH:
@@ -251,7 +272,7 @@ class _Parser:
                 p = self.expr()
                 self.expect_op(")")
             else:
-                p = -self.factor()
+                p = {e: -c for e, c in self.factor().items()}
             self.depth -= 1
             return p
         raise PolyParseError("expected a rational, variable, or parenthesis", pos)

@@ -173,18 +173,7 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         vs, ta, tb = self._aligned(self, other)
-        out: dict = {}
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SparsePoly(vs, out)
+        return SparsePoly(vs, _mul_terms(ta, tb))
 
     __rmul__ = __mul__
 
@@ -197,18 +186,7 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        if len(self.terms) == 1:
-            # (c x^e)^n = c^n x^(n e), without the repeated squaring
-            (exp, c), = self.terms.items()
-            return SparsePoly(self.vars, {tuple(n * k for k in exp): c ** n})
-        result = SparsePoly.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return SparsePoly(self.vars, _pow_terms(self.terms, n, len(self.vars)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -464,6 +442,40 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({format_poly(self)!r})"
+
+
+def _mul_terms(ta: Mapping[tuple, Fraction], tb: Mapping[tuple, Fraction]) -> dict:
+    """The product of two term dicts over one variable tuple, without the
+    zero terms; the shorter one drives the outer loop."""
+    out: dict = {}
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _pow_terms(t: Mapping[tuple, Fraction], n: int, nvars: int) -> dict:
+    """The n-th power of a term dict over nvars variables, n >= 0, by
+    repeated squaring with `_mul_terms`; a single term c x^e gives
+    c^n x^(n e) at once."""
+    if len(t) == 1:
+        (exp, c), = t.items()
+        return {tuple(n * k for k in exp): c ** n}
+    result, base = {(0,) * nvars: Fraction(1)}, t
+    while n:
+        if n & 1:
+            result = _mul_terms(result, base)
+        if n > 1:
+            base = _mul_terms(base, base)
+        n >>= 1
+    return result
 
 
 def _format_rational(c: Fraction) -> str:

@@ -16,9 +16,9 @@ products, and the content is gathered on the way (`_drop_one`).
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
 between them, multiplicities ignored.  Every query reads the integer
-chain, and every sign comes from one Horner kernel, `_sign`.  The last
-chain built is kept, keyed by the polynomial object and the variable, so
-counting and isolating one polynomial builds its chain once.
+chain, and every value and sign comes from one Horner kernel, `_value`.
+The last chain built is kept, keyed by the polynomial object and the
+variable, so counting and isolating one polynomial builds its chain once.
 
 Isolation bisects from the Cauchy bound P/Q and splits until every
 interval holds one root.  Every tree point is an integer u at a level L,
@@ -31,11 +31,15 @@ the sign changes equal those at the infinity on x's side, and one
 integer comparison tells whether a node lies there: a split point
 beyond far is counted without evaluating anything, so the root-free
 descent from the Cauchy bound costs a shift and a comparison per level.
-An interval holding a single root is refined on the sign of the
-squarefree part f / gcd(f, f') alone, walking the integer index of the
-dyadic grid its bisection ends on (see `_refine`); Fractions are built
-only for the intervals returned.  The tree and the walk visit the same points as
-plain Fraction bisection, so the intervals are the same.
+An interval holding a single root is refined on the values of the
+squarefree part f / gcd(f, f') alone, by quadratic interval refinement
+on the integer index of the dyadic grid its bisection would end on: each
+step probes the grid point nearest the secant and its neighbour, and
+falls back to one bisection step when they miss the root (see
+`_refine`).  Fractions are built only for the intervals returned.  The
+tree visits the same points as plain Fraction bisection, and any
+bracketing search on that grid ends in the same cell, so the intervals
+are the same.
 
 Queries accept degrees up to MAX_DEGREE, and isolation refuses a
 precision whose refinement, or a pair of roots whose separation, would
@@ -47,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .poly import NEG_INF, SparsePoly, as_rational
@@ -63,10 +67,17 @@ fourth power of the degree, seconds at 256 and close to a minute at 512."""
 MAX_ISOLATION_WORK = 10 ** 12
 """Largest n m^2 K^3 an isolation accepts, for n real roots of a degree-m
 polynomial and K halvings from the Cauchy interval to the precision.
-Each root is refined by at most K signs, each a Horner pass of m
-products of numbers of up to m K bits by K bits, so n m^2 K^3 bounds
-the refinement's bit work up to a constant: 0.25-1.4 ps per unit on a
-2-core host, so an admitted refinement takes at most about 1.5 s.
+Each root is refined by at most 3 K + 2 probes (see `_refine`), each a
+Horner pass of m products of numbers of up to m K bits by K bits, so
+n m^2 K^3 bounds the refinement's bit work up to a constant.  Bisection,
+one probe per halving, took 0.25-1.4 ps per unit on a 2-core host, so an
+admitted refinement takes at most about three times 1.5 s.  Refinement
+rarely comes near that bound.  On the cases of the cap test, x^2 - 2 at
+2^-4997 (K = 5000) takes 2-3 ms where bisection took 0.22-0.32 s, and
+x^256 - 3 x^2 + 1 at 10^-12 takes 17-26 ms (bisection 40-55 ms).  A
+cubic whose root has a complex pair 2^-4700 beside it, refined to
+2^-4700 near the cap, takes 1.2 K probes and 1.5-1.8 s (bisection
+1.2-1.3 s).
 Larger input raises ValueError before the first refinement.  A large
 coefficient ratio widens the Cauchy interval and so counts through K.
 Roots closer than the precision are separated by tree levels past K,
@@ -82,7 +93,9 @@ def _main_var(f: SparsePoly, var: str = None) -> str:
     if var is not None:
         return var
     cands = [v for v in f.vars if f.degree_in(v) not in (0, NEG_INF)]
-    if len(cands) != 1:
+    if not cands:
+        raise ValueError("need a non-constant polynomial")
+    if len(cands) > 1:
         raise ValueError(f"main variable is ambiguous for {f}; pass var=")
     return cands[0]
 
@@ -145,19 +158,25 @@ def _scaled(cs: Sequence[int], q: int) -> list:
     return out
 
 
-def _sign(scaled: Sequence[int], t: int, e: int) -> int:
-    """Sign of g at t / (q 2^e), from the `_scaled` coefficients of g by q.
+def _value(scaled: Sequence[int], t: int, e: int) -> int:
+    """(q 2^e)^m g(t / (q 2^e)), from the `_scaled` coefficients of g by q.
 
-    For g = sum g_i x^i of degree m, the sum of g_i t^i (q 2^e)^(m-i) is
-    (q 2^e)^m g(t / (q 2^e)), so it has the sign of g there; Horner runs in
-    t, and the powers of 2^e are shifts.  Every sign query of this module
-    goes through here.
+    For g = sum g_i x^i of degree m this is the sum of g_i t^i (q 2^e)^(m-i):
+    Horner runs in t, and the powers of 2^e are shifts.  It has the sign
+    of g at t / (q 2^e), and at one e its ratios are those of g's values.
+    Every value and sign of this module comes from here.
     """
     acc = sh = 0
     for c in scaled:
         acc = acc * t + (c << sh)
         sh += e
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign(scaled: Sequence[int], t: int, e: int) -> int:
+    """Sign of g at t / (q 2^e): the sign of `_value`."""
+    v = _value(scaled, t, e)
+    return (v > 0) - (v < 0)
 
 
 def _signs_at(polys: Sequence[Sequence[int]], x: Fraction) -> SignSeq:
@@ -373,14 +392,32 @@ def _fujiwara_far(cs: Sequence[int]) -> Fraction:
 
 def _refine(sqf: Sequence[int], P: int, Q: int, ua: int, ub: int, L: int,
             precision: Fraction):
-    """Bisect the tree node (ua, ub, L) to width <= precision.  It holds
+    """Narrow the tree node (ua, ub, L) to width <= precision.  It holds
     exactly one root of the squarefree sqf (`_scaled` by Q), whose sign
-    therefore differs at its ends.  A midpoint that is the root gives [m, m].
+    therefore differs at its ends.  A probe that is the root gives [m, m].
 
-    Every midpoint of that bisection lies on the node's level-(L + K)
-    grid u_j = ua 2^K + j (ub - ua), where K is the fewest halvings that
-    bring the width to <= precision, so the walk runs on the index j
-    alone and visits the points plain Fraction bisection would.
+    The search runs on the node's level-(L + k) grid
+    u_j = ua 2^k + j (ub - ua), where k is the fewest halvings that bring
+    the width to <= precision, and keeps a bracket (lo, hi) of grid
+    indices with the values of sqf at both ends, by quadratic interval
+    refinement (Abbott 2006; Kerber and Sagraloff 2011).  A step cuts the
+    bracket into N parts at grid points, N a power of two clipped to the
+    width, and probes the cut point nearest the secant's root, then its
+    neighbour towards the root.  When the two catch the root, the bracket
+    shrinks to their part and N squares.  Otherwise N takes its square
+    root, down to 4, the bracket shrinks to the side beyond the
+    neighbour, and a bisection step runs if that side is more than half
+    the bracket.  Near a simple root the secant is right to second order,
+    so the steps needed fall from k to about log2 k; a failing step costs
+    at most 3 probes and halves the bracket, so no node takes more than
+    3 k + 2 probes.  The secant is aimed with the top bits of the values,
+    32 more than the cell count has: any aim gives the same interval, a
+    good one only fewer probes.
+
+    Each root lies in exactly one cell of the grid, and a bracketing
+    search probes a root that sits on a grid point before the bracket
+    reaches width 1, so the intervals are the ones plain bisection on the
+    same grid returns.
     """
     w = ub - ua
     # the width P w / (Q 2^L) over the precision, rounded up
@@ -391,22 +428,60 @@ def _refine(sqf: Sequence[int], P: int, Q: int, ua: int, ub: int, L: int,
         return Fraction(P * ua, Q << L), Fraction(P * ub, Q << L)
     base, level = ua << k, L + k
 
-    def sign(j: int) -> int:
-        return _sign(sqf, P * (base + j * w), level)
+    def value(j: int) -> int:
+        return _value(sqf, P * (base + j * w), level)
 
-    lo, hi, s_lo = 0, 1 << k, sign(0)
+    def point(j: int) -> Fraction:
+        return Fraction(P * (base + j * w), Q << level)
+
+    lo, hi, n = 0, 1 << k, 4
+    v_lo, v_hi = value(lo), value(hi)
+    up = v_lo > 0  # the sign on lo's side of the root
     while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        s_mid = sign(mid)
-        if s_mid == 0:
-            m = Fraction(P * (base + mid * w), Q << level)
-            return m, m
-        if s_mid == s_lo:
-            lo = mid
+        width = hi - lo
+        cells = min(n, width)
+        # the secant's root, rounded to a cut point lo + i width / cells
+        # strictly inside; 32 bits past the cell count aim the probe
+        a, b = v_lo, v_lo - v_hi
+        drop = b.bit_length() - cells.bit_length() - 32
+        if drop > 0:
+            a, b = a >> drop, b >> drop
+        if b < 0:
+            a, b = -a, -b
+        i = min(max((2 * cells * a + b) // (2 * b), 1), cells - 1)
+        j = lo + i * width // cells
+        v = value(j)
+        if v == 0:
+            return point(j), point(j)
+        right = (v > 0) == up
+        near = lo + (i + 1 if right else i - 1) * width // cells
+        u = v_hi if near == hi else v_lo if near == lo else value(near)
+        if u == 0:
+            return point(near), point(near)
+        if (u > 0) != (v > 0):
+            if right:
+                lo, v_lo, hi, v_hi = j, v, near, u
+            else:
+                lo, v_lo, hi, v_hi = near, u, j, v
+            n *= n
+            continue
+        # the root lies beyond near; bisect what is left if it is more
+        # than half the bracket
+        n = max(isqrt(n), 4)
+        if right:
+            lo, v_lo = near, u
         else:
-            hi = mid
-    return (Fraction(P * (base + lo * w), Q << level),
-            Fraction(P * (base + hi * w), Q << level))
+            hi, v_hi = near, u
+        if 2 * (hi - lo) > width:
+            mid = (lo + hi) >> 1
+            v = value(mid)
+            if v == 0:
+                return point(mid), point(mid)
+            if (v > 0) == up:
+                lo, v_lo = mid, v
+            else:
+                hi, v_hi = mid, v
+    return point(lo), point(hi)
 
 
 def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:

@@ -68,6 +68,16 @@ def test_sturm_count_interval_and_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("text", ["5", "x^0", "0*x"])
+def test_constant_polynomial_is_refused_as_constant(capsys, text):
+    # with or without --var the message names the input's fault
+    for extra in ([], ["--var", "x"]):
+        for cmd in ("count", "isolate"):
+            code, out, err = run(capsys, "sturm", cmd, text, *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: need a non-constant polynomial\n"
+
+
 def _json_divisor(n, degree):
     """x0^degree - x1^degree as divisor JSON, past the parser's power caps."""
     return json.dumps({"n": n, "f": {"vars": ["x0", "x1"], "terms": [

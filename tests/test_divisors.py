@@ -1,5 +1,6 @@
 """Divisor classes: Div', E, Div'' and their certificates."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,6 +8,7 @@ from math import gcd
 import pytest
 
 from rct.divisors import (
+    DEFAULT_GRID_N3,
     Divisor,
     _FiberChecker,
     _fiber_poly,
@@ -108,6 +110,16 @@ def test_paper_family_hand_expansions():
     assert (G2.d, Gp2.d) == (4, 5)
     with pytest.raises(ValueError):
         paper_family(0, 1)
+
+
+@pytest.mark.parametrize("n,digest", [(4, "a499f32a4def6808"),
+                                      (16, "ccc7e1d514c5048f")])
+def test_default_grid_digest(n, digest):
+    # the n >= 4 grids are the stream random.Random(0).randint(-999, 999)
+    # would draw; the digests were taken from that stream
+    grid = default_grid(n)
+    assert len(grid) == n + DEFAULT_GRID_N3
+    assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == digest
 
 
 def test_grids_are_deterministic_and_nonzero():

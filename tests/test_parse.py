@@ -164,3 +164,71 @@ def test_sum_matches_left_to_right_chain():
         want = _chain_sum(terms)
         assert got.vars == want.vars, text
         assert list(got.terms.items()) == list(want.terms.items()), text
+
+
+def _random_expr(rng, names, depth=0):
+    """(text, SparsePoly) for a random expression, the polynomial built
+    with SparsePoly's own operators along the same tree."""
+    r = rng.random()
+    if depth >= 3 or r < 0.3:
+        if rng.random() < 0.5:
+            v = rng.choice(names)
+            return v, SparsePoly.variable(v)
+        c = Fraction(rng.randint(0, 9), rng.randint(1, 4))
+        return str(c), SparsePoly.constant(c)
+    a_text, a = _random_expr(rng, names, depth + 1)
+    if r < 0.4:
+        return f"-{a_text}", -a
+    if r < 0.45:
+        return f"({a_text} - {a_text})", a - a  # a zero, with a's variables
+    if r < 0.55:
+        n = rng.randint(0, 3)
+        return f"({a_text})^{n}", a ** n
+    b_text, b = _random_expr(rng, names, depth + 1)
+    if r < 0.75:
+        return f"{a_text}*{b_text}", a * b
+    if rng.random() < 0.5:
+        return f"({a_text} + {b_text})", a + b
+    return f"({a_text} - {b_text})", a - b
+
+
+def test_parse_matches_sparse_poly_operators():
+    # one term dict per subexpression, over the text's sorted variables,
+    # gives what the chain of SparsePoly operations gives
+    rng = random.Random(19)
+    zeros = 0
+    for _ in range(2000):
+        names = rng.sample(["x", "y", "z1", "a_2"], rng.randint(1, 3))
+        text, want = _random_expr(rng, names)
+        got = parse_poly(text)
+        assert got.vars == want.vars, text
+        assert got.terms == want.terms, text
+        zeros += got.is_zero()
+    assert zeros > 100
+
+
+@pytest.mark.parametrize("text,pos,message", [
+    ("x^513", 2, "power of degree 513 exceeds the cap 512"),
+    ("((x + 1)^256)^3", 14, "power of degree 768 exceeds the cap 512"),
+    ("2^8193", 2, "power needs 16386-bit coefficients, over the cap 16384"),
+    ("3^1000000000", 2, "power needs 2000000000-bit coefficients, over the cap 16384"),
+    ("(x + y + z + 1)^25", 16, "power may expand to 3276 terms, over the cap 2048"),
+    ("x^256 * x^257", 5, "product of degree 513 exceeds the cap 512"),
+    ("(x+1)^256*(x+1)^256*(x+1)", 19, "product of degree 513 exceeds the cap 512"),
+    ("*".join(f"(x{i} + y{i})" for i in range(12)), 111,
+     "product may expand to 4096 terms, over the cap 2048"),
+    ("(" * 101 + "x" + ")" * 101, 100, "nesting deeper than 100"),
+    ("-" * 102 + "x", 101, "nesting deeper than 100"),
+    ("x^-2", 2, "exponent must be a non-negative integer"),
+    ("x^(1/2)", 2, "exponent must be a non-negative integer"),
+    ("x^1/2", 2, "exponent must be a non-negative integer"),
+    ("x^y", 2, "exponent must be a non-negative integer"),
+    ("x^1.5", 3, "unexpected character '.'"),
+    ("(x^2 + 1)^2^2", 11, "trailing input '^'"),
+    ("x^2 -", 5, "expected a rational, variable, or parenthesis"),
+])
+def test_hostile_text_message_and_position(text, pos, message):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at position {pos})"

@@ -462,3 +462,86 @@ def test_fujiwara_far_bounds_every_root():
         assert far.denominator & (far.denominator - 1) == 0
         assert all(m2 < far * far for m2 in moduli2), (f, far)
     assert _fujiwara_far([0, 0, 0, 5]) == 1  # 5 x^3: the only root is 0
+
+
+def _bisect_node(sqf, P, Q, ua, ub, L, precision):
+    """Plain Fraction bisection of a `_refine` node to width <= precision.
+    sqf is descending and scaled by Q, so at y = Q x it sums to Q^m g(x)."""
+    def sign(x):
+        acc = 0
+        for c in sqf:
+            acc = acc * Q * x + c
+        return (acc > 0) - (acc < 0)
+
+    a, b = Fraction(P * ua, Q << L), Fraction(P * ub, Q << L)
+    s_a = sign(a)
+    while b - a > precision:
+        m = (a + b) / 2
+        s = sign(m)
+        if s == 0:
+            return m, m
+        if s == s_a:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def _refine_nodes(monkeypatch, f, precision):
+    """The argument tuples of every `_refine` call isolating f."""
+    nodes, refine = [], sturm._refine
+
+    def record(*args):
+        nodes.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(sturm, "_refine", record)
+    isolate_roots_bisection(f, precision, "x")
+    monkeypatch.setattr(sturm, "_refine", refine)
+    return nodes
+
+
+def test_refine_matches_plain_bisection(monkeypatch):
+    # quadratic interval refinement returns bisection's intervals on
+    # every node, roots on grid points as [m, m] included
+    rng = random.Random(19)
+    cases = [_roots_shape(rng, rng.randint(1, 6), rng.randint(0, 3))
+             for _ in range(70)]
+    # roots on grid points of the Cauchy bound's dyadic tree
+    cases += [parse_poly(text) for text in (
+        "(x + 13/4)*(x + 1/4)*(x - 1/8)*(x - 3/8)", "(x - 1)*(x - 3)*(x - 15)",
+        "(x + 3/8)*(x - 3/8)*(x - 2)", "x^3 - x", "(x^2 - 1/4)*(x - 7)")]
+    nodes = []
+    for f in cases:
+        for precision in (Fraction(1, 2 ** 20), Fraction(1, 10 ** 12),
+                          Fraction(1, 3), Fraction(1, 2 ** 40)):
+            nodes += _refine_nodes(monkeypatch, f, precision)
+    exact = 0
+    for node in nodes:
+        got = sturm._refine(*node)
+        assert got == _bisect_node(*node), node[1:]
+        exact += got[0] == got[1]
+    assert len(nodes) > 1400 and exact >= 40
+
+
+@pytest.mark.parametrize("text,precision,k,probes", [
+    # near a simple root the secant converges quadratically: 16 probes
+    # where bisection takes 202
+    ("x^2 - 2", Fraction(1, 2 ** 200), 202, 16),
+    # a complex pair 2^-38 beside the root makes the bracket look like a
+    # cube at every scale above 2^-38, so the secant fails there: more
+    # probes than bisection's 43, within the bound 3 k + 2
+    ("(x - 1/3)*((x - 1/3 - 1/2^38)^2 + 1/2^100)", Fraction(1, 2 ** 40), 43, 47),
+])
+def test_refine_probe_count(monkeypatch, text, precision, k, probes):
+    f = parse_poly(text)
+    (node, *_) = _refine_nodes(monkeypatch, f, precision)
+    _, P, Q, ua, ub, L, _ = node
+    # k halvings take the node's width to the precision
+    assert 2 ** (k - 1) < Fraction(P * (ub - ua), Q << L) / precision <= 2 ** k
+    calls, value = [], sturm._value
+    monkeypatch.setattr(sturm, "_value", lambda *a: calls.append(a) or value(*a))
+    got = sturm._refine(*node)
+    monkeypatch.setattr(sturm, "_value", value)
+    assert got == _bisect_node(*node)
+    assert len(calls) == probes <= 3 * k + 2
