@@ -46,15 +46,22 @@ leading coefficients F_2..F_d: f has d distinct real roots exactly when
 every F_j is positive at the coefficient point, and a vanishing F_j
 marks a degenerate point where the generic chain does not specialize.
 
-Point verdicts build no symbolic chain: they read the same signs off the
-primitive integer PRS (pseudo-remainder sequence) of the point and its
+Point verdicts build no symbolic chain: they read the same signs off an
+integer PRS (pseudo-remainder sequence) of the point and its
 derivative.  By the subresultant structure theorem (Basu-Pollack-Roy
-ch. 9) that PRS has the degrees d, d - 1, ..., 0 exactly when every
-Hankel pivot D_{j,0} is nonzero, and then the sign of the leading
-coefficient of its entry j is the sign of D_{j,0}, that is of F_j.  So
-`_point_verdict` walks the PRS keeping only its last two entries and
-returns DEGENERATE at the first step whose degree drops by more than
-one, else TRUE when every leading coefficient is positive.  By Hermite's
+ch. 9) the primitive PRS has the degrees d, d - 1, ..., 0 exactly when
+every Hankel pivot D_{j,0} is nonzero, and then the sign of the leading
+coefficient of its entry j is the sign of D_{j,0}, that is of F_j.
+`_point_verdict` walks the subresultant PRS instead (Brown and Traub,
+J. ACM 1971), which needs no gcd: while every degree drops by one, the
+first negated pseudo-remainder is kept whole and each later one is
+divided exactly by lc(its dividend)^2.  A pseudo-remainder of positive
+multiples of two entries is a positive multiple of theirs, and these
+divisors are positive, so every entry is a positive multiple of the
+primitive one: the degrees and leading signs, and so the verdicts, are
+the same.  The walk keeps only the last two entries and returns
+DEGENERATE at the first step whose degree drops by more than one, else
+TRUE when every leading coefficient is positive.  By Hermite's
 theorem the Hankel form (p_{r+s}) has rank the number of distinct roots
 and signature the number of distinct real roots, so f has d distinct
 real roots exactly when that form is positive definite, which by
@@ -165,6 +172,11 @@ def _verify_chain(ch) -> bool:
     passes with probability at most d(d - 1) / (2^32 - 1) (Schwartz-Zippel).
     Redrawing, which happens with probability below 2 * 10^-8 at d = 8,
     raises that bound by a factor below 1 + 2 * 10^-8.
+
+    A key's weight and its monomial at n are the sums and products of
+    those of its low four fields (a_1..a_4) and its high four (a_5..a_8),
+    and the keys share few halves (660 low and 503 high at d = 8), so each
+    half is weighed and evaluated once (`_Halves`).
     """
     d = ch.d
     if len(ch.prs) != d + 1:
@@ -179,20 +191,51 @@ def _verify_chain(ch) -> bool:
         except ZeroDivisionError:  # a Bareiss pivot vanishes at n
             continue
         break
+    top = d * (d - 1)
     limit = 1 << (_BITS * d)
-    npow = [[v ** e for e in range(d * (d - 1) // w + 1)]
-            for w, v in enumerate(n, 1)]
+    npow = [[v ** e for e in range(top // w + 1)] for w, v in enumerate(n, 1)]
+    low, high = _Halves(0, npow, top), _Halves(_HALF, npow, top)
+    shift = _BITS * _HALF
+    mask = (1 << shift) - 1
     for j, (xp, ref_xp) in enumerate(zip(ch.prs, ref)):
         for m, (c, r) in enumerate(zip(xp, ref_xp)):
             weight = j * (j - 1) + d - j - m
             total = 0
             for k, v in c.items():
-                if not 0 <= k < limit or _weight(k, d) != weight:
+                if not 0 <= k < limit:
                     return False
-                total += v * prod(map(getitem, npow, k.to_bytes(d, "little")))
+                wl, pl = low[k & mask]
+                wh, ph = high[k >> shift]
+                if wl + wh != weight:
+                    return False
+                total += v * pl * ph
             if total != r.get(0, 0):
                 return False
     return True
+
+
+_HALF = 4  # fields per key half: D_MAX_DEFAULT / 2
+
+
+class _Halves(dict):
+    """Memo of (weight, monomial at the point) for the four fields of a
+    key half, the exponents of a_(first+1)..a_(first+4), of which those
+    past a_d are 0 by the range test.  The monomial is 0 when the weight
+    passes top, so that no exponent runs off its power table (such a key
+    fails its weight test anyway)."""
+
+    def __init__(self, first: int, npow: list, top: int):
+        super().__init__()
+        self.weights = _FIELD_WEIGHTS[first:]
+        self.npow = npow[first:]
+        self.top = top
+
+    def __missing__(self, half: int) -> tuple:
+        es = half.to_bytes(_HALF, "little")
+        weight = sum(map(mul, es, self.weights))
+        value = 0 if weight > self.top else prod(map(getitem, self.npow, es))
+        self[half] = weight, value
+        return weight, value
 
 
 _CACHE_FORMAT = 1
@@ -377,16 +420,24 @@ def _point_poly(coeffs: Sequence) -> list:
 def _point_verdict(p0: Sequence[int]) -> RootVerdict:
     """Verdict for the integer polynomial p0 (ascending, degree >= 1).
 
-    Walks the primitive PRS of p0 and p0' with the steps of
-    `sturm._int_chain`, keeping only its last two entries: DEGENERATE at
-    the first remainder whose degree drops by more than one (a zero
-    remainder included), else TRUE when every leading coefficient is
-    positive, else FALSE.
+    Walks the subresultant PRS of p0 and its primitive derivative,
+    keeping only its last two entries: each remainder is
+    `sturm._drop_one`'s negated pseudo-remainder, the first undivided and
+    each later one divided exactly by lc(its dividend)^2, which is the
+    lb^2 of the step before.  DEGENERATE at the first remainder whose
+    degree drops by more than one (a zero remainder included), else TRUE
+    when every leading coefficient is positive, else FALSE.
+
+    In-process on a 2-core host it takes 28 % less time than the
+    primitive walk on dense random points of degree 3..16 and 9 % less
+    on split points; on the product family's fibers, whose entries carry
+    large contents that the primitive walk strips, it takes 3-6 % more.
     """
     a, b = p0, _primitive([k * c for k, c in enumerate(p0)][1:])[1]
     positive = a[-1] > 0 and b[-1] > 0
+    div = 1
     while len(b) > 1:
-        r = _drop_one(a, b)[1]
+        _, r, div = _drop_one(a, b, div)
         if len(r) != len(b) - 1:
             return RootVerdict.DEGENERATE
         positive = positive and r[-1] > 0

@@ -33,6 +33,7 @@ from .sturm import (
     MAX_DEGREE,
     _changes_at_infinity,
     _int_chain,
+    _primitive,
     count_distinct_roots_in,
 )
 
@@ -306,11 +307,6 @@ def _grid(n: int, count: Optional[int]) -> tuple:
     return tuple(out)
 
 
-def _fiber_poly(D: Divisor, direction: Sequence[Rational]) -> SparsePoly:
-    sub = {xvar(i + 1): as_rational(c) for i, c in enumerate(direction)}
-    return D.f.substitute(sub)
-
-
 def _integer_coefficients(D: Divisor):
     """Q > 0, the lcm of the denominators, and Q^i p_i as {exponents: int}."""
     xs, ps = D.f.vars[1:], D.x0_coefficients()
@@ -322,7 +318,7 @@ def _integer_coefficients(D: Divisor):
 
 
 class _FiberChecker:
-    """Per-divisor sample loop: integer p_i, then one point verdict.
+    """Per-divisor fiber kernel: integer p_i, evaluated in plain ints.
 
     The direction grid is integral, so after clearing the coefficient
     denominators once (sign-safe: scaling a_i by Q^i with Q > 0 scales the
@@ -332,12 +328,13 @@ class _FiberChecker:
     `critical._point_verdict`, which keeps no chain.  `check` adds the
     route and, off TRUE, the Sturm count of the full integer chain; it
     runs only on the single n = 1 direction and on the first direction
-    whose verdict is not TRUE.
+    whose verdict is not TRUE.  `fan.psi_demo` reads its fibers along
+    rational directions from `primitive_fiber`.  D must be normalized.
     """
 
     def __init__(self, D: Divisor):
         self.d = D.d
-        ps = _integer_coefficients(D)[1]
+        self.Q, ps = _integer_coefficients(D)
         self.x_maxexp = [max((e[v] for p in ps for e in p), default=0)
                          for v in range(D.n)]
         offset = [0]
@@ -367,6 +364,21 @@ class _FiberChecker:
                 s += c
             out.append(s)
         return out[::-1]
+
+    def primitive_fiber(self, direction) -> list:
+        """f(s, w) along a rational direction w as primitive integers in s,
+        ascending, with a positive leading coefficient.
+
+        With l the lcm of w's denominators, `fiber`(l w) has a_i =
+        (Q l)^i p_i(w), so its s^m entry times (Q l)^m is (Q l)^d p_(d-m)(w):
+        the s^m coefficient of (Q l)^d f(s, w)."""
+        lam = math.lcm(*(c.denominator for c in direction))
+        ql, w, out = self.Q * lam, 1, []
+        for c in self.fiber([c.numerator * (lam // c.denominator)
+                             for c in direction]):
+            out.append(c * w)
+            w *= ql
+        return _primitive(out)[1]
 
     def check(self, direction):
         """(fiber along an integer direction has d distinct real roots,

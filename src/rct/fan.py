@@ -13,19 +13,28 @@ x_11 = (1:1:0:...:0),
 
 which is the identity on the hyperplane {x_0 = 0} carrying Z, so the
 limit divisor map at t = 0 is multiplication by d on the nose.
+
+The fibers stay integers.  f_t along q is f along t q, since the
+coefficient p_i of x_0^(d-i) is homogeneous of degree i, so
+t^i p_i(q) = p_i(t q).  `divisors._FiberChecker`, the kernel `in_E`
+samples with, compiles f's integer forms once per call and reads each
+fiber along t q as a primitive integer polynomial, the one Sturm
+isolation would build from the rational fiber, so the chain and the
+intervals are the same.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .divisors import Divisor, in_div_double_prime, scale_divisor, xvar
-from .parse import _brief
-from .poly import Rational, SparsePoly, as_rational
-from .sturm import isolate_roots_bisection
+from .divisors import Divisor, _FiberChecker, in_div_double_prime, scale_divisor
+from .parse import _brief, _check_fraction_text
+from .poly import Rational, as_rational
+from .sturm import _int_chain, _isolate
 
 __all__ = [
     "ZeroCycle",
@@ -53,6 +62,9 @@ class FiberError(ValueError):
             f"expected {d}: divisor is not in E along this line")
 
 
+_PIVOT_FLOOR = Fraction(1, 10 ** 9)
+
+
 def _normalize_coords(coords):
     """Scale so the first coordinate of modulus at least 1e-9 times the
     largest becomes 1.  Magnitudes compare exactly, and exact coordinates
@@ -61,7 +73,7 @@ def _normalize_coords(coords):
     biggest = max(mags, default=0)
     if not biggest:
         raise ValueError("zero coordinate vector")
-    floor = biggest * Fraction(1, 10 ** 9)
+    floor = biggest * _PIVOT_FLOOR
     pivot = next(c for c, m in zip(coords, mags) if m >= floor)
     if isinstance(pivot, int):
         pivot = Fraction(pivot)
@@ -103,8 +115,13 @@ class ZeroCycle:
         return sum(m for _, m in self.points)
 
     def scaled(self, k: int) -> "ZeroCycle":
-        """The cycle k*Z."""
-        return ZeroCycle([(c, m * k) for c, m in self.points], self.ambient)
+        """The cycle k*Z, on Z's normalized points as they are."""
+        if k < 1:
+            raise ValueError("multiplicities must be positive")
+        out = ZeroCycle.__new__(ZeroCycle)
+        out.points = tuple((c, m * k) for c, m in self.points)
+        out.ambient = self.ambient
+        return out
 
     def __eq__(self, other):
         return isinstance(other, ZeroCycle) and self.points == other.points
@@ -142,6 +159,7 @@ class ZeroCycle:
 def _coord_in(text):
     """An exact coordinate from a JSON number or a decimal or p/q string."""
     if type(text) in (int, float, str):
+        _check_fraction_text(str(text))
         try:
             return Fraction(str(text))
         except (ValueError, ZeroDivisionError):
@@ -187,11 +205,13 @@ def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:
     """Matching distance: greedy minimal assignment, largest pair wins.
 
     The greedy runs over distinct points with their multiplicities.  Pairs
-    (distance, i, j) of distinct points are visited in sorted order, and
-    each matches min(left_a[i], left_b[j]) copies at once.  This is the
-    value of the greedy over every copy of every point: copies of one point
-    sit at equal distances with adjacent indices, so each copy there takes
-    the first free copy of the lowest-index tied point, as the bulk min does.
+    (distance, i, j) of distinct points are popped from a heap in sorted
+    order (the tuples are distinct, so the order is the sort's), and
+    each matches min(left_a[i], left_b[j]) copies at once; the greedy
+    usually ends long before the last pair.  This is the value of the
+    greedy over every copy of every point: copies of one point sit at
+    equal distances with adjacent indices, so each copy there takes the
+    first free copy of the lowest-index tied point, as the bulk min does.
     """
     if A.degree() != B.degree():
         raise ValueError(f"degree mismatch: {A.degree()} vs {B.degree()}")
@@ -199,11 +219,13 @@ def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:
     pb = [_unit(c) for c, _ in B.points]
     left_a = [m for _, m in A.points]
     left_b = [m for _, m in B.points]
-    pairs = sorted((_chordal(u, v), i, j)
-                   for i, u in enumerate(pa) for j, v in enumerate(pb))
+    pairs = [(_chordal(u, v), i, j)
+             for i, u in enumerate(pa) for j, v in enumerate(pb)]
+    heapq.heapify(pairs)
     todo = A.degree()
     worst = 0.0
-    for dist, i, j in pairs:
+    while todo:
+        dist, i, j = heapq.heappop(pairs)
         k = min(left_a[i], left_b[j])
         if not k:
             continue
@@ -211,29 +233,7 @@ def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:
         left_b[j] -= k
         worst = max(worst, dist)
         todo -= k
-        if not todo:
-            break
     return worst
-
-
-def _line_fiber(D_t: Divisor, q, d: int):
-    """Roots of the scaled divisor along the line (s : q), certified.
-
-    One Sturm chain serves both the count and the roots: the isolating
-    intervals number exactly the distinct real roots, so their count is
-    the Sturm count recorded as `sturm_count`.
-    """
-    point = {xvar(i + 1): as_rational(c) for i, c in enumerate(q)}
-    g = D_t.f.substitute(point)
-    intervals = isolate_roots_bisection(g, BISECTION_WIDTH, xvar(0))
-    count = len(intervals)
-    if count != d:
-        raise FiberError(q, count, d)
-    roots = [(lo + hi) / 2 for lo, hi in intervals]
-    cert = {"q": [str(c) for c in q],
-            "sturm_count": count,
-            "intervals": [[str(lo), str(hi)] for lo, hi in intervals]}
-    return roots, cert
 
 
 def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
@@ -245,8 +245,13 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
     every line (s : q) then carries a monic degree-d polynomial in s.
     Each fiber passes an exact Sturm gate: its isolating intervals must
     number d.  Z's coordinates must be exact (int or Fraction), so each
-    certificate is for the line over Z's own point; floats enter only at
-    the final midpoint extraction.
+    certificate is for the line over Z's own point.  The fiber along q is
+    read as f's along t q from D's integer forms, compiled once per call
+    (see the module docstring), and isolated on its integer Sturm chain
+    to width BISECTION_WIDTH, as `isolate_roots_bisection` would.  Floats
+    enter only at the end: the first output coordinate q_0 - (lo + hi)/2
+    of a root in [lo, hi] is one correctly rounded division of integers,
+    the float of that Fraction.
     """
     if not all(isinstance(c, (int, Fraction)) for q, _ in Z.points for c in q):
         raise ValueError("psi_demo needs exact cycle coordinates "
@@ -261,21 +266,32 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
         rep = in_div_double_prime(D)
         if rep.verdict == "non_member":
             raise ValueError(f"divisor rejected: {rep.data.get('reason')}")
-    D_t = scale_divisor(D, t)
+    if not D.normalized:
+        raise ValueError("scale_divisor needs a normalized divisor")
+    checker = _FiberChecker(D)
     d = D.d
 
     out_points = []
     certs = []
     for coords, mult in Z.points:
         q = [as_rational(c) for c in coords]
-        roots, cert = _line_fiber(D_t, q, d)
-        for s in roots:
-            x = (s,) + tuple(q)  # the fiber point (s : q) in P^{n+2}
-            assert any(c != 0 for c in x[2:]) or x[0] != x[1], \
+        p0 = checker.primitive_fiber([t * c for c in q])
+        intervals = _isolate(_int_chain(p0)[0], BISECTION_WIDTH)
+        if len(intervals) != d:
+            raise FiberError(q, len(intervals), d)
+        certs.append({"q": [str(c) for c in q],
+                      "sturm_count": d,
+                      "intervals": [[str(lo), str(hi)] for lo, hi in intervals]})
+        rest = tuple(float(c) for c in q[1:])
+        n0, d0 = q[0].numerator, q[0].denominator
+        for lo, hi in intervals:
+            a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            # q_0 - (a/b + c/e)/2 over 2 d0 b e; zero at the projection
+            # center (s : q) = (1 : 1 : 0 : ... : 0)
+            num = 2 * n0 * b * e - d0 * (a * e + c * b)
+            assert num or any(q[1:]), \
                 "fiber point collides with the projection center"
-            image = (q[0] - s,) + tuple(q[1:])
-            out_points.append((tuple(float(c) for c in image), mult))
-        certs.append(cert)
+            out_points.append(((num / (2 * d0 * b * e),) + rest, mult))
     output = ZeroCycle(out_points, Z.ambient)
     assert output.degree() == d * Z.degree()
     residual = cycle_distance(output, Z.scaled(d))

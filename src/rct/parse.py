@@ -57,7 +57,9 @@ denominators of at most b bits (the size of c^n for a single term)."""
 MAX_LITERAL_DIGITS = 4300
 """Most digits in one integer literal, of polynomial text or of a JSON
 argument: Python's default limit on converting a decimal string to an
-int."""
+int.  A rational or decimal argument ("p/q", "1.5e-7") is refused, from
+its text, when its numerator or denominator would have more digits; so
+10^-4299 is the smallest power of ten a precision may take."""
 
 
 def _brief(value) -> str:
@@ -290,8 +292,39 @@ def check_length(text: str) -> str:
     return text
 
 
+# the shapes Fraction(text) reads: p, p/q, and decimals with an exponent,
+# digits grouped by single underscores
+_DIGITS = r"\d+(?:_\d+)*"
+_FRACTION_TEXT = re.compile(
+    rf"\s*[-+]?(?P<num>{_DIGITS})?(?:\s*/\s*(?P<den>{_DIGITS})"
+    rf"|(?:\.(?P<dec>{_DIGITS})?)?(?:[eE](?P<exp>[-+]?{_DIGITS}))?)\s*\Z")
+
+
+def _check_fraction_text(text: str) -> None:
+    """ValueError naming MAX_LITERAL_DIGITS when Fraction(text) would have
+    a numerator or denominator of more digits, before it is built: the
+    mantissa's digits plus a positive exponent, or the decimal places
+    minus a negative exponent and one more for the 1 of 10^k."""
+    m = _FRACTION_TEXT.match(text)
+    if not m:
+        return  # not a literal: Fraction refuses it
+    num, den, dec, exp = (m[k].replace("_", "") if m[k] else ""
+                          for k in ("num", "den", "dec", "exp"))
+    if len(exp) > MAX_LITERAL_DIGITS:  # its value is past the cap too
+        digits = len(exp)
+    else:
+        e = int(exp or 0)
+        digits = max(len(num) + len(dec) + max(e, 0),
+                     len(den) if den else len(dec) + max(-e, 0) + 1)
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"literal {_brief(text)} has a numerator or "
+                         f"denominator of more than {MAX_LITERAL_DIGITS} digits")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' (optionally signed) into a Fraction."""
+    """Parse 'p' or 'p/q' (optionally signed) into a Fraction; a literal
+    past MAX_LITERAL_DIGITS is refused before it is built."""
+    _check_fraction_text(text)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -413,7 +413,10 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
-        """Inverse of to_json_dict; a wrong shape raises ValueError."""
+        """Inverse of to_json_dict; a wrong shape raises ValueError, and so
+        does a coefficient string past parse.MAX_LITERAL_DIGITS."""
+        from .parse import _check_fraction_text  # parse imports poly
+
         if not isinstance(data, Mapping) or not isinstance(data.get("vars"), list) \
                 or not isinstance(data.get("terms"), list):
             raise ValueError('a polynomial needs a "vars" list and a "terms" list')
@@ -428,6 +431,8 @@ class SparsePoly:
                     or not all(type(k) is int for k in t["exp"]):
                 raise ValueError('each term needs a "coeff" and an "exp" list '
                                  f'of {len(vs)} integers')
+            if isinstance(t["coeff"], str):
+                _check_fraction_text(t["coeff"])
             try:
                 c = Fraction(t["coeff"])
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):

@@ -11,7 +11,9 @@ everywhere.  The chain records each multiple exactly, as the content and
 the |lc|^k divided out at its step, and `SturmSeq.polys` rebuilds the
 Euclid chain from them on demand.  A step whose degree drops by one, the
 generic case, is one pass: each remainder coefficient is a sum of three
-products, and the content is gathered on the way (`_drop_one`).
+products, and one gcd call over them gives the content (`_drop_one`,
+which divides by a given exact divisor instead for the subresultant
+walk of `critical._point_verdict`).
 
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
@@ -40,6 +42,10 @@ falls back to one bisection step when they miss the root (see
 tree visits the same points as plain Fraction bisection, and any
 bracketing search on that grid ends in the same cell, so the intervals
 are the same.
+
+Isolation runs on the integer chain alone (`_isolate`), so a caller
+holding integer coefficients, such as `fan.psi_demo`, isolates without
+a SparsePoly.
 
 Queries accept degrees up to MAX_DEGREE, and isolation refuses a
 precision whose refinement, or a pair of roots whose separation, would
@@ -241,8 +247,13 @@ class SturmSeq:
 
     def squarefree_part(self) -> list:
         """f / gcd(f, f') as a primitive integer polynomial, up to sign."""
-        g = self.chain[-1]
-        return list(self.chain[0]) if len(g) == 1 else _exact_quotient(self.chain[0], g)
+        return _squarefree(self.chain)
+
+
+def _squarefree(chain: Sequence[Sequence[int]]) -> list:
+    """chain[0] / gcd(chain[0], chain[0]') from its integer Sturm chain."""
+    g = chain[-1]
+    return list(chain[0]) if len(g) == 1 else _exact_quotient(chain[0], g)
 
 
 # the most recent chain as (f, var, chain); SparsePoly is immutable, so a
@@ -292,24 +303,24 @@ def _int_chain(p0: Sequence[int]):
     return chain, steps
 
 
-def _drop_one(a: Sequence[int], b: Sequence[int]):
-    """(g, r / g, lb^2) for (r, lb^2) = `_neg_prem`(a, b) and g the content
-    of r (0 if r = 0), in one pass, for deg a = deg b + 1 = m + 1.
+def _drop_one(a: Sequence[int], b: Sequence[int], div: int = 0):
+    """(g, r / g, lb^2) for (r, lb^2) = `_neg_prem`(a, b), in one pass, for
+    deg a = deg b + 1 = m + 1: g is the exact divisor div when it is given,
+    else the content of r (0 if r = 0).
 
     lb^2 a = (u x + t0) b + prem with lb = lc(b), t1 = lc(a), u = lb t1
     and t0 = lb a_m - t1 b_(m-1), so r_i = u b_(i-1) + t0 b_i - lb^2 a_i.
     """
     lb, t1 = b[-1], a[-1]
     t0, u, mult = lb * a[-2] - t1 * b[-2], lb * t1, lb * lb
-    r, g, x = [], 0, 0
+    r, x = [], 0
     for y, z in zip(b, a):
-        c = u * x + t0 * y - mult * z
-        r.append(c)
-        g = gcd(g, c)
+        r.append(u * x + t0 * y - mult * z)
         x = y
     r.pop()  # the x^m entry, zero by construction
     while r and r[-1] == 0:
         r.pop()
+    g = div or gcd(*r)
     if g > 1:
         r = [c // g for c in r]
     return g, r, mult
@@ -495,13 +506,18 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     precision = as_rational(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    seq = sturm_sequence(f, var)
+    return _isolate(sturm_sequence(f, var).chain, precision)
+
+
+def _isolate(chain: Sequence[Sequence[int]], precision: Fraction) -> list:
+    """`isolate_roots_bisection` on the integer Sturm chain of its
+    polynomial (`_int_chain`), for a Fraction precision > 0."""
     # a tree node (ua, ub, L) is the interval between x = P u / (Q 2^L)
     # for u = ua and u = ub, with P / Q the Cauchy bound
-    bound = _cauchy_bound(seq.chain[0])
+    bound = _cauchy_bound(chain[0])
     P, Q = bound.numerator, bound.denominator
-    v_neg, v_pos = _changes_at_infinity(seq.chain)
-    roots, m = v_neg - v_pos, len(seq.chain[0]) - 1
+    v_neg, v_pos = _changes_at_infinity(chain)
+    roots, m = v_neg - v_pos, len(chain[0]) - 1
     # the halvings from the width 2 P / Q to at most the precision
     K = (-(-2 * P * precision.denominator // (Q * precision.numerator))
          - 1).bit_length()
@@ -509,12 +525,11 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
         raise ValueError(f"isolating {roots} roots of degree {m} takes {K} "
                          f"halvings each: n*m^2*K^3 exceeds the isolation "
                          f"cap {MAX_ISOLATION_WORK:.0e}")
-    chain = [_scaled(g, Q) for g in seq.chain]
-    sqf = _scaled(seq.squarefree_part(), Q)
-
+    sqf = _scaled(_squarefree(chain), Q)
     # no root reaches far, so beyond it the counts are those at infinity;
     # with far = FN / FD, x is at or beyond far iff P FD |u| >= Q FN 2^L
-    far = _fujiwara_far(seq.chain[0])
+    far = _fujiwara_far(chain[0])
+    chain = [_scaled(g, Q) for g in chain]
     PF, QF = P * far.denominator, Q * far.numerator
 
     def beyond(u: int, L: int) -> int:

@@ -28,7 +28,6 @@ from rct.critical import (
 )
 from rct.divisors import (
     Divisor,
-    _fiber_poly,
     circle_grid,
     in_E,
     in_div_double_prime,
@@ -39,6 +38,12 @@ from rct.fan import default_demo, psi_demo
 from rct.parse import parse_poly
 from rct.poly import SparsePoly, divide_exact
 from rct.sturm import count_distinct_roots_total, isolate_roots_bisection
+
+
+def _fiber_poly(D, direction):
+    """D's fiber along a direction, substituted as a SparsePoly in x0."""
+    return D.f.substitute({f"x{i + 1}": Fraction(c)
+                           for i, c in enumerate(direction)})
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

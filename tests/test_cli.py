@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +199,60 @@ def test_malformed_input_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fan", "demo", "--t", "1e-1000000"],
+    ["div", "margin", "--poly", "x1^2+x2^2", "--delta", "1e-100000000"],
+    ["fan", "demo", "--cycle", '{"points":[{"coords":["1e1000000",1]}]}'],
+    ["critical", "test", "--coeffs", "1e100000,1"],
+    ["div", "in-e", "--divisor", json.dumps({"n": 1, "f": {
+        "vars": ["x0", "x1"], "terms": [{"coeff": "1", "exp": [2, 0]},
+                                        {"coeff": "-1e10000000", "exp": [0, 2]}]}})],
+    ["sturm", "isolate", "x^2 - 2", "--precision", "1e-4300"],
+    ["sturm", "isolate", "x^2 - 2", "--precision", "1/1" + "0" * 4300],
+    ["sturm", "count", "x^2 - 2", "--interval", "0," + "1" * 4000 + ".5e400"],
+])
+def test_literals_past_the_digit_cap_are_refused_from_their_text(capsys, argv):
+    # a decimal with a large exponent is refused before its numerator or
+    # denominator is built, with one line naming the cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and str(MAX_LITERAL_DIGITS) in err, err
+
+
+def test_literals_at_the_digit_cap_parse(capsys):
+    code, out, _ = run(capsys, "sturm", "count", "x^2 - 2", "--interval",
+                       "0," + "1" * 4000 + ".5e299")
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, out, _ = run(capsys, "sturm", "count", "x", "--interval=-1e-4299,1")
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, out, _ = run(capsys, "fan", "demo", "--t", "1e-400")
+    assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 400
+
+
+def _pinned_cycle() -> str:
+    """Twelve seeded rational points of P^1, one of them (3 : 0) and some
+    of multiplicity 2, as cycle JSON."""
+    rng = random.Random(20)
+    pts = [{"coords": ["3", "0"], "mult": 2}]
+    while len(pts) < 12:
+        a, b = rng.randint(-40, 40), rng.randint(1, 40)
+        pts.append({"coords": [f"{a}/{b}", str(rng.randint(1, 9))],
+                    "mult": rng.choice((1, 1, 2))})
+    return json.dumps({"points": pts})
+
+
+def test_fan_demo_output_is_pinned(capsys):
+    # the certificates' intervals, the output floats and the residual, byte
+    # for byte, as the rational fiber route printed them
+    code, out, _ = run(capsys, "fan", "demo", "--verbose", "--t", "1/7",
+                       "--cycle", _pinned_cycle())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "49545ada278479757ef569054be98d083d13b80f8c2c6364a60e39461d5ba9c0"
 
 
 def test_limits_admit_their_boundary(capsys):

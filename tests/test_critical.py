@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -238,10 +239,33 @@ def _seeded_point(rng, d):
     return p0
 
 
+def _wide_point(rng, d):
+    """Integer p0 of degree d with 20-bit coefficients and a leading
+    coefficient in 1..50: dense random, or a product of rational linear
+    factors, with or without repeats and complex pairs."""
+    lead = rng.randint(1, 50)
+    if rng.random() < 0.3:
+        return [rng.choice((0, rng.randint(-(1 << 20), 1 << 20)))
+                for _ in range(d)] + [lead]
+    p0, roots = [lead], []
+    repeats, pairs = rng.choice((0, 0, 1 / 3)), rng.choice((0, 0.2))
+    while len(p0) <= d:
+        if len(p0) < d and rng.random() < pairs:
+            b = rng.randint(-30, 30)
+            p0 = _poly_mul(p0, [b * b // 4 + rng.randint(1, 40), b, 1])
+            continue
+        r = rng.choice(roots) if roots and rng.random() < repeats \
+            else (rng.randint(-200, 200), rng.randint(1, 7))
+        roots.append(r)
+        p0 = _poly_mul(p0, [-r[0], r[1]])
+    return p0
+
+
 def test_point_verdict_matches_full_chain():
-    # the walk that keeps two PRS entries reads what the full chain reads,
-    # on degrees 1..12 with repeated roots, complex pairs, zero
-    # coefficients and degree drops of squarefree points
+    # the subresultant walk that keeps two PRS entries reads what the full
+    # primitive chain reads, on degrees 1..12 with repeated roots, complex
+    # pairs, zero coefficients and degree drops of squarefree points, and
+    # on degrees up to 32 with 20-bit and non-monic coefficients
     rng = random.Random(18)
     seen = set()
     for d in range(1, 13):
@@ -253,6 +277,29 @@ def test_point_verdict_matches_full_chain():
     assert seen == {(RootVerdict.TRUE, False), (RootVerdict.FALSE, False),
                     (RootVerdict.DEGENERATE, False),
                     (RootVerdict.DEGENERATE, True)}
+    rng = random.Random(20)
+    seen = set()
+    for d in range(1, 33):
+        for _ in range(8):
+            p0 = _wide_point(rng, d)
+            want, repeated = _oracle_verdict(p0)
+            assert crit._point_verdict(p0) is want, p0
+            seen.add((want, repeated, d > 16))
+    assert seen >= {(v, False, True) for v in RootVerdict} \
+        | {(RootVerdict.DEGENERATE, True, True)}
+
+
+def test_point_verdict_divides_by_the_dividend():
+    # the subresultant walk divides each remainder by lc(its dividend)^2.
+    # Dividing by the lc of the dividend one step back is exact too, but
+    # its coefficients grow: about 2 s for this d = 16 point (roots
+    # -15/2, -13/2, ..., 15/2), against 0.2-0.3 ms for the right divisor
+    p0 = [1]
+    for r in range(-8, 8):
+        p0 = _poly_mul(p0, [-(2 * r + 1), 2])
+    start = time.perf_counter()
+    assert crit._point_verdict(p0) is RootVerdict.TRUE
+    assert time.perf_counter() - start < 0.5
 
 
 def test_degree_bounds_enforced():
@@ -543,6 +590,26 @@ def test_verify_chain_accepts_built_and_rejects_perturbed():
                 prs[i][m][key] += 1
                 bad = crit._Chain(d, prs)
                 assert not crit._verify_chain(bad), (d, i, m)
+
+
+def test_verify_chain_refuses_keys_off_the_half_tables():
+    # keys are weighed and evaluated by halves; a key whose high or low
+    # half alone passes the top weight d(d - 1), one that moves an
+    # exponent between the halves, a negative key and one past a_d are
+    # refused, not raised on
+    import rct.critical as crit
+
+    a = {l: 1 << (crit._BITS * (l - 1)) for l in range(1, 9)}  # a_l's key
+    for d, bad_keys in ((3, (-1, 1 << 24, 255 * a[1])),
+                        (6, (255 * a[5], 255 * a[2] + a[6], a[4] + a[5])),
+                        (8, (255 * a[8], 200 * a[1] + 200 * a[6],
+                             a[4] + a[5], 1 << 64))):
+        ch = crit._get_chain(d)
+        assert crit._verify_chain(ch), d
+        for key in bad_keys:
+            prs = [[dict(c) for c in xp] for xp in ch.prs]
+            prs[2][0][key] = 1
+            assert not crit._verify_chain(crit._Chain(d, prs)), (d, key)
 
 
 def _read_record(crit, d):

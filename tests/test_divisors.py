@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +11,6 @@ from rct.divisors import (
     DEFAULT_GRID_N3,
     Divisor,
     _FiberChecker,
-    _fiber_poly,
     _g_of_t,
     circle_grid,
     default_grid,
@@ -30,6 +29,12 @@ from rct.critical import critical_polynomials
 from rct.parse import parse_poly
 from rct.sturm import _int_chain, count_distinct_roots_total
 from rct.poly import SparsePoly, format_poly, poly_divmod
+
+
+def _fiber_poly(D, direction):
+    """D's fiber along a direction, substituted as a SparsePoly in x0."""
+    return D.f.substitute({f"x{i + 1}": Fraction(c)
+                           for i, c in enumerate(direction)})
 
 
 def P(s):
@@ -162,6 +167,28 @@ def test_in_e_members_build_no_chain(monkeypatch):
         assert rep.verdict == "evidence_only", n
     with pytest.raises(AssertionError, match="full chain"):
         in_E(Divisor(P("x0^2 + x1^2 + x2^2")), 50)
+
+
+def test_primitive_fiber_is_the_substituted_fiber():
+    # along a rational direction, the integer kernel gives the primitive
+    # integer form of the substituted fiber, sign and all
+    rng = random.Random(23)
+    divisors = [paper_family(2, 2)[0], paper_family(3, 1)[1],
+                Divisor(P("x0^3 - 2/3*x0*x1^2 + 5/7*x1*x2^2 - 1/4*x2^3")),
+                Divisor(P("x0^2 - 1/9*x1^2"))]
+    for D in divisors:
+        checker = _FiberChecker(D)
+        for _ in range(20):
+            w = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                 for _ in range(D.n)]
+            fib = _fiber_poly(D, w)
+            if fib.is_zero():
+                continue
+            cs = fib.dense_coeffs("x0")
+            den = lcm(*(c.denominator for c in cs))
+            ints = [int(c * den) for c in cs]
+            g = gcd(*ints)
+            assert checker.primitive_fiber(w) == [c // g for c in ints], (D, w)
 
 
 def test_in_e_line_case_exact():

@@ -12,6 +12,8 @@ import pytest
 
 from rct.divisors import Divisor, paper_family, scale_divisor
 from rct.fan import (
+    BISECTION_WIDTH,
+    FanResult,
     FiberError,
     ZeroCycle,
     _chordal,
@@ -22,6 +24,7 @@ from rct.fan import (
     psi_demo,
 )
 from rct.parse import parse_poly
+from rct.sturm import isolate_roots_bisection
 
 
 def test_zero_cycle_normalizes():
@@ -161,6 +164,111 @@ def test_cycle_distance_matches_all_pairs_greedy():
         assert cycle_distance(B, A) == _all_pairs_greedy(B, A), (A, B)
     with pytest.raises(ValueError, match="degree mismatch"):
         cycle_distance(ZeroCycle([((1, 2), 2)]), ZeroCycle([((1, 2), 3)]))
+
+
+def _sorted_greedy(A, B):
+    """Reference: the bulk greedy over distinct points, on fully sorted
+    (distance, i, j) pairs."""
+    pa = [_unit(c) for c, _ in A.points]
+    pb = [_unit(c) for c, _ in B.points]
+    left_a = [m for _, m in A.points]
+    left_b = [m for _, m in B.points]
+    worst, todo = 0.0, A.degree()
+    for dist, i, j in sorted((_chordal(u, v), i, j)
+                             for i, u in enumerate(pa) for j, v in enumerate(pb)):
+        k = min(left_a[i], left_b[j])
+        if k:
+            left_a[i] -= k
+            left_b[j] -= k
+            worst = max(worst, dist)
+            todo -= k
+            if not todo:
+                break
+    return worst
+
+
+def test_cycle_distance_matches_sorted_greedy():
+    # the heap pops the pairs in the sort's order, tied distances included
+    rng = random.Random(77)
+    ties = 0
+    for _ in range(300):
+        ambient, size = rng.choice((1, 2)), rng.randint(1, 8)
+        coords = rng.choice(((-1, 0, 1), (-2, -1, 1, 2), tuple(range(-5, 6))))
+        A, B = [ZeroCycle([(tuple(rng.choice(coords) for _ in range(ambient))
+                            + (1,), rng.randint(1, 2)) for _ in range(size)])
+                for _ in range(2)]
+        if A.degree() != B.degree():
+            continue
+        dists = [_chordal(_unit(a), _unit(b)) for a, _ in A.points
+                 for b, _ in B.points]
+        ties += len(set(dists)) < len(dists)
+        assert cycle_distance(A, B) == _sorted_greedy(A, B), (A, B)
+        # k*Z keeps Z's points and scales the multiplicities
+        assert A.scaled(3) == ZeroCycle([(c, 3 * m) for c, m in A.points])
+        assert cycle_distance(A.scaled(2), B.scaled(2)) == \
+            _sorted_greedy(A.scaled(2), B.scaled(2))
+    assert ties >= 20
+    with pytest.raises(ValueError, match="positive"):
+        ZeroCycle([(1, 2)]).scaled(0)
+
+
+def _psi_reference(Z, D, t):
+    """psi_demo on the rational route: scale_divisor, substitute, isolate
+    the SparsePoly fiber, Fraction midpoints and the sorted greedy."""
+    D_t = scale_divisor(D, t)
+    points, certs = [], []
+    for coords, mult in Z.points:
+        q = [Fraction(c) for c in coords]
+        g = D_t.f.substitute({f"x{i + 1}": c for i, c in enumerate(q)})
+        intervals = isolate_roots_bisection(g, BISECTION_WIDTH, "x0")
+        if len(intervals) != D.d:
+            raise FiberError(q, len(intervals), D.d)
+        certs.append({"q": [str(c) for c in q], "sturm_count": len(intervals),
+                      "intervals": [[str(lo), str(hi)] for lo, hi in intervals]})
+        for lo, hi in intervals:
+            x = q[0] - (lo + hi) / 2
+            points.append(((float(x),) + tuple(float(c) for c in q[1:]), mult))
+    output = ZeroCycle(points, Z.ambient)
+    scaled = ZeroCycle([(c, m * D.d) for c, m in Z.points], Z.ambient)
+    return FanResult(output, t, _sorted_greedy(output, scaled), certs)
+
+
+def test_psi_demo_matches_the_rational_route():
+    # the integer fibers give the rational route's certificates, output
+    # floats and residual, bit for bit
+    rng = random.Random(19)
+    divisors = [scale_divisor(paper_family(2, k)[0], Fraction(1, 3))
+                for k in (1, 2, 3)]
+    # in E but not symmetric under x1 <-> x2, s -> -s or both
+    divisors += [Divisor(parse_poly(text)) for text in (
+        "x0^2 - 1/9*x1^2 - 2/9*x2^2",
+        "(x0 - 1/5*x1)^2 - 1/9*x1^2 - 1/7*x2^2",
+        "x0*(x0^2 - 3/7*x1^2 - 5/11*x2^2)")]
+    for D in divisors:
+        for t in (Fraction(1), Fraction(1, 7), Fraction(1, rng.randint(2, 5000))):
+            pts = [((Fraction(rng.randint(1, 9)), Fraction(0)), 2)]
+            while len(pts) < 6:
+                q = (Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+                     Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                pts.append((q, rng.randint(1, 2)))
+            Z = ZeroCycle(pts)
+            got = psi_demo(Z, D, t, check_divisor=False)
+            want = _psi_reference(Z, D, t)
+            assert json.dumps(got.to_json_dict(verbose=True)) == \
+                json.dumps(want.to_json_dict(verbose=True)), (D, t)
+            assert got.residual.hex() == want.residual.hex()
+    Z, D = default_demo()
+    got = psi_demo(Z, D, Fraction(1, 7))
+    assert got.to_json_dict(verbose=True) == \
+        _psi_reference(Z, D, Fraction(1, 7)).to_json_dict(verbose=True)
+
+
+def test_psi_demo_refuses_an_unnormalized_divisor():
+    # in Div'' once normalized, so only the normalization check refuses it
+    Z, _ = default_demo()
+    D = Divisor(parse_poly("2*x0^2 - x1^2 - x2^2"))
+    with pytest.raises(ValueError, match="needs a normalized divisor"):
+        psi_demo(Z, D, Fraction(1, 2))
 
 
 def test_default_demo_shapes():
