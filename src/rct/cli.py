@@ -563,8 +563,21 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, OSError) as e:  # parse errors too
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_message(e)}", file=sys.stderr)
         return 2
+
+
+def _message(e: Exception) -> str:
+    """e's text, or rct's own for Python's refusal to convert an int of
+    more than MAX_LITERAL_DIGITS digits (its default limit, which
+    PYTHONINTMAXSTRDIGITS may change) to or from a string.  That limit
+    stays: the conversion takes time quadratic in the digits.  A command
+    builds its whole output before printing any of it, so an output past
+    the limit leaves stdout empty."""
+    if "integer string conversion" in str(e):
+        return (f"a number has more than {sys.get_int_max_str_digits()} "
+                f"digits, the most rct reads or prints (MAX_LITERAL_DIGITS)")
+    return str(e)
 
 
 if __name__ == "__main__":

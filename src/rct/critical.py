@@ -46,28 +46,22 @@ leading coefficients F_2..F_d: f has d distinct real roots exactly when
 every F_j is positive at the coefficient point, and a vanishing F_j
 marks a degenerate point where the generic chain does not specialize.
 
-Point verdicts build no symbolic chain: they read the same signs off an
-integer PRS (pseudo-remainder sequence) of the point and its
-derivative.  By the subresultant structure theorem (Basu-Pollack-Roy
-ch. 9) the primitive PRS has the degrees d, d - 1, ..., 0 exactly when
-every Hankel pivot D_{j,0} is nonzero, and then the sign of the leading
-coefficient of its entry j is the sign of D_{j,0}, that is of F_j.
-`_point_verdict` walks the subresultant PRS instead (Brown and Traub,
-J. ACM 1971), which needs no gcd: while every degree drops by one, the
-first negated pseudo-remainder is kept whole and each later one is
-divided exactly by lc(its dividend)^2.  A pseudo-remainder of positive
-multiples of two entries is a positive multiple of theirs, and these
-divisors are positive, so every entry is a positive multiple of the
-primitive one: the degrees and leading signs, and so the verdicts, are
-the same.  The walk keeps only the last two entries and returns
-DEGENERATE at the first step whose degree drops by more than one, else
-TRUE when every leading coefficient is positive.  By Hermite's
-theorem the Hankel form (p_{r+s}) has rank the number of distinct roots
-and signature the number of distinct real roots, so f has d distinct
-real roots exactly when that form is positive definite, which by
-Sylvester's criterion means every D_{j,0} > 0: `in_S_n` is the verdict
-TRUE, exact at degenerate points too, with no root count.  Point queries
-accept d up to `sturm.MAX_DEGREE`.
+Point verdicts build no symbolic chain: they read the same signs off the
+primitive integer PRS (pseudo-remainder sequence) of the point and its
+derivative, the sequence `sturm._int_chain` builds.  By the subresultant
+structure theorem (Basu-Pollack-Roy ch. 9) that PRS has the degrees
+d, d - 1, ..., 0 exactly when every Hankel pivot D_{j,0} is nonzero, and
+then the sign of the leading coefficient of its entry j is the sign of
+D_{j,0}, that is of F_j.  So `_point_verdict` walks the PRS keeping only
+its last two entries and returns DEGENERATE at the first step whose
+degree drops by more than one, else TRUE when every leading coefficient
+is positive.  By Hermite's theorem the Hankel form (p_{r+s}) has rank
+the number of distinct roots and signature the number of distinct real
+roots, so f has d distinct real roots exactly when that form is
+positive definite, which by Sylvester's criterion means every
+D_{j,0} > 0: `in_S_n` is the verdict TRUE, exact at degenerate points
+too, with no root count.  Point queries accept d up to
+`sturm.MAX_DEGREE`.
 
 The elimination and the packed polynomials it runs on live in
 `hankel`.  The chain, its cache file name and its stored keys use
@@ -420,24 +414,32 @@ def _point_poly(coeffs: Sequence) -> list:
 def _point_verdict(p0: Sequence[int]) -> RootVerdict:
     """Verdict for the integer polynomial p0 (ascending, degree >= 1).
 
-    Walks the subresultant PRS of p0 and its primitive derivative,
-    keeping only its last two entries: each remainder is
-    `sturm._drop_one`'s negated pseudo-remainder, the first undivided and
-    each later one divided exactly by lc(its dividend)^2, which is the
-    lb^2 of the step before.  DEGENERATE at the first remainder whose
-    degree drops by more than one (a zero remainder included), else TRUE
-    when every leading coefficient is positive, else FALSE.
+    Walks the primitive PRS of p0 and p0' with the step of
+    `sturm._int_chain`, `sturm._drop_one`, keeping only its last two
+    entries: DEGENERATE at the first remainder whose degree drops by more
+    than one (a zero remainder included), else TRUE when every leading
+    coefficient is positive, else FALSE.
 
-    In-process on a 2-core host it takes 28 % less time than the
-    primitive walk on dense random points of degree 3..16 and 9 % less
-    on split points; on the product family's fibers, whose entries carry
-    large contents that the primitive walk strips, it takes 3-6 % more.
+    The subresultant PRS, which divides each remainder exactly by
+    lc(its dividend)^2 in place of a gcd, gives the same verdicts and
+    trades one kind of point for another.  Per point, in process on a
+    2-core host (split: d distinct integer roots from [-1000, 1000), like
+    E's member fibers; dense: monic, the other coefficients uniform in
+    [-1000, 1000]):
+
+        point    d     primitive   subresultant
+        split    16    0.53 ms     0.76 ms
+        split    32    15 ms       27 ms
+        split    64    0.57 s      1.13 s
+        dense    8-64  1.3-1.4 times the subresultant time
+
+    No bench workload moves with either side of the trade, so one PRS
+    serves the verdicts and the chains.
     """
     a, b = p0, _primitive([k * c for k, c in enumerate(p0)][1:])[1]
     positive = a[-1] > 0 and b[-1] > 0
-    div = 1
     while len(b) > 1:
-        _, r, div = _drop_one(a, b, div)
+        r = _drop_one(a, b)[1]
         if len(r) != len(b) - 1:
             return RootVerdict.DEGENERATE
         positive = positive and r[-1] > 0

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from . import hankel
 from .critical import RootVerdict, _point_verdict
 from .parse import MAX_POWER_TERMS
-from .poly import Rational, SparsePoly, as_rational
+from .poly import Rational, SparsePoly, as_rational, format_poly
 from .sturm import (
     MAX_DEGREE,
     _changes_at_infinity,
@@ -126,7 +126,6 @@ class Divisor:
         return hash((self.n, self.f))
 
     def __repr__(self):
-        from .poly import format_poly
         return f"Divisor(n={self.n}, d={self.d}, {format_poly(self.f)})"
 
     def to_json_dict(self) -> dict:
@@ -324,16 +323,12 @@ class _FiberChecker:
     denominators once (sign-safe: scaling a_i by Q^i with Q > 0 scales the
     roots by Q) every sample runs in plain int arithmetic.  A term of p_i
     is compiled to c Q^i and the indices of its powers x_v^e in one table
-    of powers per direction.  `in_E` takes each direction's verdict from
-    `critical._point_verdict`, which keeps no chain.  `check` adds the
-    route and, off TRUE, the Sturm count of the full integer chain; it
-    runs only on the single n = 1 direction and on the first direction
-    whose verdict is not TRUE.  `fan.psi_demo` reads its fibers along
-    rational directions from `primitive_fiber`.  D must be normalized.
+    of powers per direction.  `in_E` reads each direction's `fiber` once,
+    and `fan.psi_demo` reads its fibers along rational directions from
+    `primitive_fiber`.  D must be normalized.
     """
 
     def __init__(self, D: Divisor):
-        self.d = D.d
         self.Q, ps = _integer_coefficients(D)
         self.x_maxexp = [max((e[v] for p in ps for e in p), default=0)
                          for v in range(D.n)]
@@ -380,31 +375,19 @@ class _FiberChecker:
             w *= ql
         return _primitive(out)[1]
 
-    def check(self, direction):
-        """(fiber along an integer direction has d distinct real roots,
-        certificate dict with the route and, unless TRUE, the Sturm count
-        of the full chain)."""
-        cert: dict = {"direction": [str(c) for c in direction]}
-        p0 = self.fiber(direction)
-        v = _point_verdict(p0)
-        if v is RootVerdict.TRUE:
-            cert["route"] = "critical"
-            return True, cert
-        cert["route"] = "critical" if v is RootVerdict.FALSE \
-            else "critical-degenerate"
-        v_neg, v_pos = _changes_at_infinity(_int_chain(p0)[0])
-        cert["sturm_count"] = v_neg - v_pos
-        return v_neg - v_pos == self.d, cert
-
 
 def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     """Membership in E: every real line through the vertex meets the
     divisor in d distinct real points.
 
-    n = 1 is decided exactly.  For n >= 2 a positive answer is evidence
-    over the deterministic grid (every sample individually certified by
-    its point verdict); a negative answer is exact, with a witnessed
-    direction whose certificate `_FiberChecker.check` builds.
+    Each grid direction's fiber gets one point verdict, and the first
+    direction whose verdict is not TRUE refutes: by Hermite and
+    Sylvester (see `critical`) its fiber has fewer than d distinct real
+    roots.  Its certificate holds the route and that count, read off the
+    fiber's full Sturm chain, the only one built.  n = 1 has the single
+    direction 1 and is decided exactly; for n >= 2 a positive answer is
+    evidence over the deterministic grid, every sample individually
+    certified by its point verdict, and a negative answer is exact.
     """
     ok, norm = in_div_prime(D)
     if not ok:
@@ -412,24 +395,26 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
                                 data={"reason": "divisor passes through the vertex"})
     D = norm
     checker = _FiberChecker(D)
-    if D.n == 1:
-        (direction,) = _grid(1, grid_size)
-        good, cert = checker.check(direction)
-        if good:
-            return MembershipReport("E", "member", "exact",
-                                    data={"certificate": cert})
-        return MembershipReport("E", "non_member", "exact",
-                                witness=(Fraction(1),), data={"certificate": cert})
     grid = _grid(D.n, grid_size)
     for direction in grid:
-        if _point_verdict(checker.fiber(direction)) is RootVerdict.TRUE:
+        p0 = checker.fiber(direction)
+        v = _point_verdict(p0)
+        if v is RootVerdict.TRUE:
             continue
-        good, cert = checker.check(direction)
-        if not good:
-            return MembershipReport(
-                "E", "non_member", "exact",
-                witness=tuple(as_rational(c) for c in direction),
-                data={"certificate": cert, "grid_size": len(grid)})
+        v_neg, v_pos = _changes_at_infinity(_int_chain(p0)[0])
+        data: dict = {"certificate": {
+            "direction": [str(c) for c in direction],
+            "route": "critical" if v is RootVerdict.FALSE
+            else "critical-degenerate",
+            "sturm_count": v_neg - v_pos}}
+        if D.n > 1:
+            data["grid_size"] = len(grid)
+        return MembershipReport(
+            "E", "non_member", "exact",
+            witness=tuple(as_rational(c) for c in direction), data=data)
+    if D.n == 1:
+        return MembershipReport("E", "member", "exact", data={"certificate": {
+            "direction": ["1"], "route": "critical"}})
     return MembershipReport("E", "evidence_only", "sampled",
                             data={"grid_size": len(grid),
                                   "samples_all_certified": True})
@@ -491,22 +476,19 @@ def positivity_margin(H: SparsePoly, delta: Rational) -> Fraction:
 
 
 def _g_of_t(D: Divisor) -> SparsePoly:
-    """g(t) = f_t(1, 1, 0, ..., 0) as a polynomial in t."""
-    sub = {xvar(i): as_rational(1 if i <= 1 else 0) for i in range(D.n + 1)}
-    # f_t scales the x_0^{i_0} coefficient by t^{d-i_0}; evaluating at
-    # (1,1,0,...,0) leaves sum over i_0+i_1 = d of c * t^{i_1}
-    tvar = SparsePoly.variable("t")
-    total = SparsePoly.zero(("t",))
-    for power, poly in D.f.coeffs_in(xvar(0)).items():
-        point = {v: sub[v] for v in poly.vars}
-        c = poly.evaluate(point)
-        if c != 0:
-            total = total + tvar ** (D.d - power) * c
-    return total
+    """g(t) = f_t(1, 1, 0, ..., 0) as a polynomial in t.
+
+    f_t scales the x_0^{i_0} coefficient by t^{d-i_0}, and at
+    (1, 1, 0, ..., 0) only the terms c x_0^{i_0} x_1^{d-i_0} survive, so
+    g is the sum of c t^{d-i_0} over them."""
+    cs = [0] * (D.d + 1)
+    for exps, c in D.f.terms.items():
+        if not any(exps[2:]):
+            cs[D.d - exps[0]] = c
+    return SparsePoly.from_dense("t", cs)
 
 
 def in_div_double_prime(D: Divisor,
-                        e_report: Optional[MembershipReport] = None,
                         grid_size: Optional[int] = None) -> MembershipReport:
     """Membership in Div'': E-membership plus f_t(1,1,0,...,0) != 0 on (0,1].
 
@@ -518,15 +500,11 @@ def in_div_double_prime(D: Divisor,
         return MembershipReport("DivDoublePrime", "non_member", "exact",
                                 data={"reason": "divisor passes through the vertex"})
     D = norm
-    if e_report is None:
-        e_report = in_E(D, grid_size)
+    e_report = in_E(D, grid_size)
     g = _g_of_t(D)
-    data: dict = {"g": None, "g_exact": True,
-                  "e_verdict": e_report.verdict}
-    from .poly import format_poly
-    data["g"] = format_poly(g)
-    g1 = g.evaluate({"t": Fraction(1)}) if not g.is_constant() else \
-        g.constant_value()
+    data = {"g": format_poly(g), "g_exact": True,
+            "e_verdict": e_report.verdict}
+    g1 = g.evaluate({"t": 1})
     if g1 == 0:
         data["reason"] = "f_t degenerates at t = 1"
         return MembershipReport("DivDoublePrime", "non_member", "exact",

@@ -59,7 +59,9 @@ MAX_LITERAL_DIGITS = 4300
 argument: Python's default limit on converting a decimal string to an
 int.  A rational or decimal argument ("p/q", "1.5e-7") is refused, from
 its text, when its numerator or denominator would have more digits; so
-10^-4299 is the smallest power of ten a precision may take."""
+10^-4299 is the smallest power of ten a precision may take.  The same
+limit holds for an int written as a string, so an output number past it
+ends `rct` with exit 2 and one line naming this cap (`cli._message`)."""
 
 
 def _brief(value) -> str:

@@ -13,7 +13,7 @@ exponent vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import inf
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -260,22 +260,6 @@ class SparsePoly:
         """Terms in descending graded lex order (canonical serialization order)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
                       reverse=True)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer primitive; 0 for the zero poly."""
-        if not self.terms:
-            return Fraction(0)
-        num = gcd(*(c.numerator for c in self.terms.values()))
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return Fraction(num, den)
-
-    def primitive_integer(self) -> "SparsePoly":
-        """Scale by the positive content inverse: coprime integer coefficients,
-        sign pattern preserved."""
-        c = self.content()
-        if c == 0:
-            return self
-        return self * (Fraction(1) / c)
 
     # ---- evaluation and substitution ----
 

@@ -11,9 +11,8 @@ everywhere.  The chain records each multiple exactly, as the content and
 the |lc|^k divided out at its step, and `SturmSeq.polys` rebuilds the
 Euclid chain from them on demand.  A step whose degree drops by one, the
 generic case, is one pass: each remainder coefficient is a sum of three
-products, and one gcd call over them gives the content (`_drop_one`,
-which divides by a given exact divisor instead for the subresultant
-walk of `critical._point_verdict`).
+products, and one gcd call over them gives the content (`_drop_one`).
+`critical._point_verdict` walks the same sequence with the same step.
 
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
@@ -245,10 +244,6 @@ class SturmSeq:
     def signs_at(self, x: Fraction) -> SignSeq:
         return _signs_at(self.chain, x)
 
-    def squarefree_part(self) -> list:
-        """f / gcd(f, f') as a primitive integer polynomial, up to sign."""
-        return _squarefree(self.chain)
-
 
 def _squarefree(chain: Sequence[Sequence[int]]) -> list:
     """chain[0] / gcd(chain[0], chain[0]') from its integer Sturm chain."""
@@ -303,10 +298,9 @@ def _int_chain(p0: Sequence[int]):
     return chain, steps
 
 
-def _drop_one(a: Sequence[int], b: Sequence[int], div: int = 0):
-    """(g, r / g, lb^2) for (r, lb^2) = `_neg_prem`(a, b), in one pass, for
-    deg a = deg b + 1 = m + 1: g is the exact divisor div when it is given,
-    else the content of r (0 if r = 0).
+def _drop_one(a: Sequence[int], b: Sequence[int]):
+    """(g, r / g, lb^2) for (r, lb^2) = `_neg_prem`(a, b) and g the content
+    of r (0 if r = 0), in one pass, for deg a = deg b + 1 = m + 1.
 
     lb^2 a = (u x + t0) b + prem with lb = lc(b), t1 = lc(a), u = lb t1
     and t0 = lb a_m - t1 b_(m-1), so r_i = u b_(i-1) + t0 b_i - lb^2 a_i.
@@ -320,7 +314,7 @@ def _drop_one(a: Sequence[int], b: Sequence[int], div: int = 0):
     r.pop()  # the x^m entry, zero by construction
     while r and r[-1] == 0:
         r.pop()
-    g = div or gcd(*r)
+    g = gcd(*r)
     if g > 1:
         r = [c // g for c in r]
     return g, r, mult

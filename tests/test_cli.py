@@ -233,6 +233,38 @@ def test_literals_at_the_digit_cap_parse(capsys):
     assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 400
 
 
+@pytest.mark.parametrize("argv", [
+    # t^2 = 10^-6000 has a 6001-digit denominator
+    ["div", "scale", "--poly", "x0^2-x1^2", "--t", "1e-3000"],
+    # normalizing by N/3 turns 1/N into 3/N^2, N of MAX_LITERAL_DIGITS digits
+    ["div", "normalize", "--poly",
+     f"{'7' * MAX_LITERAL_DIGITS}/3*x0^2 + 1/{'7' * MAX_LITERAL_DIGITS}*x1^2"],
+])
+def test_outputs_past_the_digit_cap_are_refused(capsys, argv):
+    # an exact output number past the cap exits 2 with one line naming it,
+    # and nothing reaches stdout
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert _one_line_error(err) and "MAX_LITERAL_DIGITS" in err, err
+        assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("text, digest", [
+    # n = 2, refuted at the first direction: a double root of the fiber
+    ("(x0 - x1)^2*(x0 + x2)",
+     "645b0f03c3390e5988f23b4d6ad6bec2c3531f494cd0bc08a5ca5f39c9159567"),
+    # n = 3, refuted at a sampled direction: no real root
+    ("x0^2 - x1^2 - x2^2 - x3^2 + 3*x1*x2",
+     "b5a5d1ab39b87a35f343f4aa20249367932c31f1daf602cf227c9c0e6d1a119c"),
+])
+def test_in_e_refutations_are_pinned(capsys, text, digest):
+    # the witness and its certificate (route, Sturm count), byte for byte
+    code, out, _ = run(capsys, "div", "in-e", "--verbose", "--poly", text)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _pinned_cycle() -> str:
     """Twelve seeded rational points of P^1, one of them (3 : 0) and some
     of multiplicity 2, as cycle JSON."""

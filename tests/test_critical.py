@@ -262,10 +262,10 @@ def _wide_point(rng, d):
 
 
 def test_point_verdict_matches_full_chain():
-    # the subresultant walk that keeps two PRS entries reads what the full
-    # primitive chain reads, on degrees 1..12 with repeated roots, complex
-    # pairs, zero coefficients and degree drops of squarefree points, and
-    # on degrees up to 32 with 20-bit and non-monic coefficients
+    # the walk that keeps two PRS entries reads what the full primitive
+    # chain reads, on degrees 1..12 with repeated roots, complex pairs,
+    # zero coefficients and degree drops of squarefree points, and on
+    # degrees up to 32 with 20-bit and non-monic coefficients
     rng = random.Random(18)
     seen = set()
     for d in range(1, 13):
@@ -290,10 +290,10 @@ def test_point_verdict_matches_full_chain():
 
 
 def test_point_verdict_divides_by_the_dividend():
-    # the subresultant walk divides each remainder by lc(its dividend)^2.
-    # Dividing by the lc of the dividend one step back is exact too, but
-    # its coefficients grow: about 2 s for this d = 16 point (roots
-    # -15/2, -13/2, ..., 15/2), against 0.2-0.3 ms for the right divisor
+    # a split point keeps its PRS small: 0.1-0.2 ms for this d = 16 point
+    # (roots -15/2, -13/2, ..., 15/2) on the primitive walk.  The bound
+    # catches a walk whose entries grow: dividing each remainder by the lc
+    # of the dividend one step back, exact too, takes about 2 s here
     p0 = [1]
     for r in range(-8, 8):
         p0 = _poly_mul(p0, [-(2 * r + 1), 2])

@@ -25,6 +25,7 @@ from rct.divisors import (
     sphere_grid,
 )
 import rct.critical as critical
+import rct.divisors as divisors_mod
 from rct.critical import critical_polynomials
 from rct.parse import parse_poly
 from rct.sturm import _int_chain, count_distinct_roots_total
@@ -226,7 +227,10 @@ def _euclid_length(f, var):
         chain.append(-r)
 
 
-def test_fiber_checker_matches_sturm():
+def test_in_e_certificates_match_sturm(monkeypatch):
+    # in_E over a one-direction grid: a member sample has d distinct real
+    # roots, and a refuting certificate holds the route of the full chain
+    # and its count, the count of the substituted fiber, below d
     rng = random.Random(72)
     divisors = [
         paper_family(2, 1)[0],
@@ -237,25 +241,51 @@ def test_fiber_checker_matches_sturm():
     ]
     routes = set()
     for D in divisors:
-        checker = _FiberChecker(D)
         for _ in range(40):
             v = (rng.randint(-20, 20), rng.randint(-20, 20))
             if not any(v):
                 continue
-            good, cert = checker.check(v)
+            monkeypatch.setattr(divisors_mod, "_grid", lambda n, count: (v,))
+            rep = in_E(D)
             fib = _fiber_poly(D, v)
             count = count_distinct_roots_total(fib, "x0")
-            assert good == (count == D.d)
-            if "sturm_count" not in cert:
-                assert cert["route"] == "critical" and good
+            if rep.verdict == "evidence_only":
+                assert count == D.d
+                routes.add("member")
                 continue
-            # not TRUE: a chain short of d + 1 entries is degenerate, and
-            # the count is read from the same chain
+            assert rep.verdict == "non_member" and rep.witness == v
+            cert = rep.data["certificate"]
+            assert cert["direction"] == [str(c) for c in v]
+            # a chain short of d + 1 entries is degenerate
             full = _euclid_length(fib, "x0") == D.d + 1
             assert cert["route"] == ("critical" if full else "critical-degenerate")
-            assert cert["sturm_count"] == count
+            assert cert["sturm_count"] == count < D.d
             routes.add(cert["route"])
-    assert routes == {"critical", "critical-degenerate"}
+    assert routes == {"member", "critical", "critical-degenerate"}
+
+
+@pytest.mark.parametrize("text, visited", [
+    ("x0^2 + x1^2 + x2^2", 1),     # refuted at the first direction, (1, 0)
+    ("x0^2 - x1^2 + x2^2", 2),     # and at the second, (0, 1)
+])
+def test_in_e_walks_each_direction_once(monkeypatch, text, visited):
+    # one point verdict per visited direction, and one full chain, for the
+    # refuting direction's certificate
+    calls = {"verdict": 0, "chain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(divisors_mod, "_point_verdict",
+                        counted("verdict", divisors_mod._point_verdict))
+    monkeypatch.setattr(divisors_mod, "_int_chain",
+                        counted("chain", divisors_mod._int_chain))
+    rep = in_E(Divisor(P(text)), grid_size=300)
+    assert rep.verdict == "non_member"
+    assert calls == {"verdict": visited, "chain": 1}
 
 
 def test_in_e_has_no_degree_cap():

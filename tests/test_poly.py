@@ -155,18 +155,6 @@ def test_leading_term_grlex():
     assert e == (2, 0) and c == 1
 
 
-def test_content_primitive():
-    p = SparsePoly(("x",), {(2,): Fraction(4, 3), (0,): Fraction(2, 9)})
-    prim = p.primitive_integer()
-    assert all(c.denominator == 1 for c in prim.terms.values())
-    gcds = 0
-    for c in prim.terms.values():
-        import math
-        gcds = math.gcd(gcds, abs(int(c)))
-    assert gcds == 1
-    assert prim.leading_coeff() > 0
-
-
 def test_dense_roundtrip():
     p = SparsePoly.from_dense("x", [Fraction(1), Fraction(0), Fraction(-2)])
     assert p.dense_coeffs("x") == [Fraction(1), Fraction(0), Fraction(-2)]
