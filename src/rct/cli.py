@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import chow as chowmod
 from .critical import (
@@ -38,7 +37,7 @@ from .parse import (
     parse_poly,
     parse_rational,
 )
-from .poly import SparsePoly, format_poly
+from .poly import format_poly
 from .sturm import (
     count_distinct_roots_in,
     count_distinct_roots_total,
@@ -151,12 +150,15 @@ def _cmd_sturm_isolate(args) -> int:
 
 
 def _cmd_critical_gen(args) -> int:
+    # the pair check first: it holds the chain in memory, where the F_j
+    # are then read, rather than loading it twice
+    offsets = verify_pair_chain(args.d) if args.verify_pairs else None
     cs = critical_polynomials(args.d)
     out = {"d": args.d,
            "F": {str(j): format_poly(cs.F[j - 2])
                  for j in range(2, args.d + 1)}}
-    if args.verify_pairs:
-        out["pair_offsets"] = verify_pair_chain(args.d)
+    if offsets is not None:
+        out["pair_offsets"] = offsets
     _emit(out, args.format)
     return 0
 

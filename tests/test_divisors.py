@@ -9,9 +9,13 @@ import pytest
 
 from rct.divisors import (
     DEFAULT_GRID_N3,
+    MAX_GRID,
     Divisor,
     _FiberChecker,
+    _certify_grid,
     _g_of_t,
+    _integer_coefficients,
+    _line_pivots,
     circle_grid,
     default_grid,
     e_certificate_forms,
@@ -26,9 +30,14 @@ from rct.divisors import (
 )
 import rct.critical as critical
 import rct.divisors as divisors_mod
-from rct.critical import critical_polynomials
+from rct.critical import RootVerdict, critical_polynomials
 from rct.parse import parse_poly
-from rct.sturm import _int_chain, count_distinct_roots_total
+from rct.sturm import (
+    MAX_DEGREE,
+    _changes_at_infinity,
+    _int_chain,
+    count_distinct_roots_total,
+)
 from rct.poly import SparsePoly, format_poly, poly_divmod
 
 
@@ -156,18 +165,37 @@ def test_grids_are_deterministic_and_nonzero():
                 default_grid(n, bad)
 
 
+def _count_fiber_chains(monkeypatch) -> dict:
+    """Count, in calls["chain"], the full chains in_E builds on the fibers
+    `_FiberChecker.fiber` returns, leaving out the Sturm chains of the
+    n = 2 certificate's pivots M_j (`_circle_certified`)."""
+    calls, fibers = {"chain": 0}, {}
+    fiber, chain = _FiberChecker.fiber, divisors_mod._int_chain
+
+    def recorded(self, direction):
+        out = fiber(self, direction)
+        fibers[id(out)] = out      # held, so that no id is reused
+        return out
+
+    def counted(p0):
+        calls["chain"] += id(p0) in fibers
+        return chain(p0)
+
+    monkeypatch.setattr(_FiberChecker, "fiber", recorded)
+    monkeypatch.setattr(divisors_mod, "_int_chain", counted)
+    return calls
+
+
 def test_in_e_members_build_no_chain(monkeypatch):
     # a member walks each direction's PRS and keeps no chain; only a
     # refuting direction builds the full chain for its certificate
-    def refuse(p0):
-        raise AssertionError("built a full chain")
-
-    monkeypatch.setattr("rct.divisors._int_chain", refuse)
+    calls = _count_fiber_chains(monkeypatch)
     for n, grid in ((2, 200), (3, 300)):
         rep = in_E(paper_family(n, 2)[1], grid)
         assert rep.verdict == "evidence_only", n
-    with pytest.raises(AssertionError, match="full chain"):
-        in_E(Divisor(P("x0^2 + x1^2 + x2^2")), 50)
+        assert calls["chain"] == 0, n
+    in_E(Divisor(P("x0^2 + x1^2 + x2^2")), 50)
+    assert calls["chain"] == 1
 
 
 def test_primitive_fiber_is_the_substituted_fiber():
@@ -269,23 +297,152 @@ def test_in_e_certificates_match_sturm(monkeypatch):
     ("x0^2 - x1^2 + x2^2", 2),     # and at the second, (0, 1)
 ])
 def test_in_e_walks_each_direction_once(monkeypatch, text, visited):
-    # one point verdict per visited direction, and one full chain, for the
-    # refuting direction's certificate
-    calls = {"verdict": 0, "chain": 0}
+    # one point verdict per visited direction, and one full chain on a
+    # fiber, for the refuting direction's certificate
+    calls = _count_fiber_chains(monkeypatch)
+    calls["verdict"] = 0
+    verdict = divisors_mod._point_verdict
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(p0):
+        calls["verdict"] += 1
+        return verdict(p0)
 
-    monkeypatch.setattr(divisors_mod, "_point_verdict",
-                        counted("verdict", divisors_mod._point_verdict))
-    monkeypatch.setattr(divisors_mod, "_int_chain",
-                        counted("chain", divisors_mod._int_chain))
+    monkeypatch.setattr(divisors_mod, "_point_verdict", counted)
     rep = in_E(Divisor(P(text)), grid_size=300)
     assert rep.verdict == "non_member"
     assert calls == {"verdict": visited, "chain": 1}
+
+
+def _walked_report(D, grid_size):
+    """(verdict, mode, witness, data) of in_E's walk over every grid
+    direction, one point verdict each, with no n = 2 certificate."""
+    D = in_div_prime(D)[1]
+    checker = _FiberChecker(D)
+    grid = default_grid(2, grid_size)
+    for v in grid:
+        p0 = checker.fiber(v)
+        verdict = critical._point_verdict(p0)
+        if verdict is RootVerdict.TRUE:
+            continue
+        v_neg, v_pos = _changes_at_infinity(_int_chain(p0)[0])
+        route = "critical" if verdict is RootVerdict.FALSE \
+            else "critical-degenerate"
+        return ("non_member", "exact", tuple(Fraction(c) for c in v),
+                {"certificate": {"direction": [str(c) for c in v],
+                                 "route": route, "sturm_count": v_neg - v_pos},
+                 "grid_size": len(grid)})
+    return ("evidence_only", "sampled", None,
+            {"grid_size": len(grid), "samples_all_certified": True})
+
+
+def _seeded_plane_divisors(rng, d):
+    """n = 2 divisors of degree d >= 2: a paper-family member scaled by
+    1/3, products of distinct factors x0 - (a x1 + b x2), each two of which
+    meet along a direction that may fall between grid samples, and dense
+    ones."""
+    k, odd = divmod(d, 2)
+    out = [scale_divisor(paper_family(2, k)[odd], Fraction(1, 3))]
+    for _ in range(6):
+        slopes = set()
+        while len(slopes) < d:
+            slopes.add((Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        f = SparsePoly.constant(1, ("x0", "x1", "x2"))
+        for a, b in sorted(slopes):
+            f = f * SparsePoly(("x0", "x1", "x2"),
+                               {(1, 0, 0): Fraction(1), (0, 1, 0): -a,
+                                (0, 0, 1): -b})
+        out.append(Divisor(f, 2))
+    for _ in range(2):
+        terms = {(i, j, d - i - j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for i in range(d) for j in range(d + 1 - i)}
+        terms[(d, 0, 0)] = Fraction(1)
+        out.append(Divisor(SparsePoly(("x0", "x1", "x2"), terms), 2))
+    return out
+
+
+def test_in_e_certificate_agrees_with_the_walk(monkeypatch):
+    # on grids on both sides of 2^d, in_E's report is the walk's, field
+    # for field: a certified grid is one the walk passes, and a failed
+    # proof leaves the walk's answer as it is
+    tried = []
+    certified = divisors_mod._circle_certified
+
+    def recorded(forms):
+        tried.append(certified(forms))
+        return tried[-1]
+
+    monkeypatch.setattr(divisors_mod, "_circle_certified", recorded)
+    rng = random.Random(41)
+    outcomes = set()
+    for d in range(2, 8):
+        for grid_size in (2 ** d - 3, 2 ** d - 2, 3 * 2 ** d):
+            for D in _seeded_plane_divisors(rng, d):
+                del tried[:]
+                rep = in_E(D, grid_size)
+                want = _walked_report(D, grid_size)
+                assert (rep.verdict, rep.mode, rep.witness, rep.data) == want, \
+                    (D, grid_size)
+                assert len(tried) <= 1 and (not tried or
+                                            _certify_grid(d, grid_size + 2))
+                outcomes.add((tuple(tried), rep.verdict))
+    # certified members, grids passed after a failed proof, refutations
+    # after one, and refutations at the first direction, which try none
+    assert outcomes == {((True,), "evidence_only"),
+                        ((False,), "evidence_only"),
+                        ((False,), "non_member"), ((), "non_member"),
+                        ((), "evidence_only")}
+
+
+@pytest.mark.parametrize("k, grid_size", [(1, 2), (2, 14), (3, 300)])
+def test_in_e_certified_member_walks_one_direction(monkeypatch, k, grid_size):
+    # with at least 2^d directions, a member's grid is proved in one step
+    # after its first direction's verdict
+    calls = []
+    verdict = divisors_mod._point_verdict
+    monkeypatch.setattr(divisors_mod, "_point_verdict",
+                        lambda p0: calls.append(p0) or verdict(p0))
+    D = paper_family(2, k)[0]
+    assert _certify_grid(D.d, grid_size + 2)
+    rep = in_E(D, grid_size)
+    assert rep.verdict == "evidence_only"
+    assert rep.data == {"grid_size": grid_size + 2,
+                        "samples_all_certified": True}
+    assert len(calls) == 1
+
+
+def test_line_pivots_are_the_forms_on_a_line():
+    # M_j is H_j(1, y) times Q^{j(j-1)}; where a pivot D_{k,0}, k <= d - 2,
+    # vanishes identically the elimination stops
+    rng = random.Random(43)
+    cases = [paper_family(2, 1)[0], paper_family(2, 2)[1],
+             Divisor(P("x0^4 - x1^4 + x2^4")), Divisor(P("x0^3 - x2^3"))]
+    for d in range(2, 7):
+        cases += _seeded_plane_divisors(rng, d)[:3]
+    stopped = 0
+    for D in cases:
+        Q, forms = _integer_coefficients(D)
+        hs = [h.substitute({"x1": Fraction(1)}) for h in e_certificate_forms(D)]
+        try:
+            pivots = _line_pivots(forms)
+        except ZeroDivisionError:
+            stopped += 1
+            assert any(h.is_zero() for h in hs[:-2]), D
+            continue
+        for j, (M, h) in enumerate(zip(pivots, hs), 2):
+            want = [] if h.is_zero() else [
+                c * Q ** (j * (j - 1)) for c in h.dense_coeffs("x2")]
+            assert [Fraction(c) for c in M] == want or M == [0] and not want, \
+                (D, j)
+    assert 0 < stopped < len(cases)
+
+
+def test_certificate_degree_fits_sturm():
+    # no grid reaches 2^17 directions, so the certificate runs at d <= 16,
+    # where deg M_j <= 16 * 15 fits the Sturm degree cap
+    assert 2 ** 17 > MAX_GRID + 2
+    assert not _certify_grid(17, MAX_GRID + 2) and _certify_grid(16, MAX_GRID)
+    assert 16 * 15 <= MAX_DEGREE
 
 
 def test_in_e_has_no_degree_cap():
