@@ -248,10 +248,13 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
     certificate is for the line over Z's own point.  The fiber along q is
     read as f's along t q from D's integer forms, compiled once per call
     (see the module docstring), and isolated on its integer Sturm chain
-    to width BISECTION_WIDTH, as `isolate_roots_bisection` would.  Floats
-    enter only at the end: the first output coordinate q_0 - (lo + hi)/2
-    of a root in [lo, hi] is one correctly rounded division of integers,
-    the float of that Fraction.
+    to width BISECTION_WIDTH, as `isolate_roots_bisection` would.  A fiber
+    of a divisor in E has only real simple roots, so isolation checks the
+    cells of the tree's last level that float root estimates name and
+    skips the tree and its refinement; the intervals are the tree's (see
+    `sturm._isolate`).  Floats decide nothing before the end: the first
+    output coordinate q_0 - (lo + hi)/2 of a root in [lo, hi] is one
+    correctly rounded division of integers, the float of that Fraction.
     """
     if not all(isinstance(c, (int, Fraction)) for q, _ in Z.points for c in q):
         raise ValueError("psi_demo needs exact cycle coordinates "

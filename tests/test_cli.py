@@ -394,6 +394,22 @@ def test_sturm_isolate(capsys):
     assert len(data["intervals"]) == 2
 
 
+@pytest.mark.parametrize("argv,digest", [
+    # coefficients past a double's range
+    (["(x - 10^200)*(x + 10^200)*(x - 1)"], "4de6cfc60b3a8fc2"),
+    # one halving at most: the first interval is the answer (K = 0)
+    (["x^2 - 2", "--precision", "1e400"], "f24f15e6a7b93567"),
+    # cells far narrower than a double resolves
+    (["x^2 - 2", "--precision", "1e-60"], "ea8c151b7ecba082"),
+])
+def test_sturm_isolate_where_floats_cannot_aim(capsys, argv, digest):
+    # no float error escapes the root estimates: the tree answers, and
+    # stdout is the one the tree alone printed
+    code, out, _ = run(capsys, "sturm", "isolate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_exit_one_on_negative_verdicts(capsys):
     code, out, _ = run(capsys, "critical", "test", "--coeffs", "0,1")
     assert code == 1

@@ -9,6 +9,7 @@ import pytest
 from rct import sturm
 from rct.parse import parse_poly
 from rct.divisors import paper_family, scale_divisor
+from rct.fan import default_demo, psi_demo
 from rct.poly import SparsePoly, divide_exact, poly_divmod
 from rct.sturm import (
     MAX_DEGREE,
@@ -488,16 +489,19 @@ def _bisect_node(sqf, P, Q, ua, ub, L, precision):
 
 
 def _refine_nodes(monkeypatch, f, precision):
-    """The argument tuples of every `_refine` call isolating f."""
-    nodes, refine = [], sturm._refine
+    """The argument tuples of every `_refine` call isolating f, with the
+    cell check switched off so that every root goes through the tree."""
+    nodes, refine, cells = [], sturm._refine, sturm._cells
 
     def record(*args):
         nodes.append(args)
         return refine(*args)
 
     monkeypatch.setattr(sturm, "_refine", record)
+    monkeypatch.setattr(sturm, "_cells", lambda *args: None)
     isolate_roots_bisection(f, precision, "x")
     monkeypatch.setattr(sturm, "_refine", refine)
+    monkeypatch.setattr(sturm, "_cells", cells)
     return nodes
 
 
@@ -545,3 +549,118 @@ def test_refine_probe_count(monkeypatch, text, precision, k, probes):
     monkeypatch.setattr(sturm, "_value", value)
     assert got == _bisect_node(*node)
     assert len(calls) == probes <= 3 * k + 2
+
+
+def _isolate_or_error(chain, precision):
+    try:
+        return sturm._isolate(chain, precision)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# the texts of test_refine_matches_plain_bisection with roots on grid points
+GRID_TEXTS = ("(x + 13/4)*(x + 1/4)*(x - 1/8)*(x - 3/8)", "(x - 1)*(x - 3)*(x - 15)",
+              "(x + 3/8)*(x - 3/8)*(x - 2)", "x^3 - x", "(x^2 - 1/4)*(x - 7)")
+CELL_PRECISIONS = (Fraction(10), Fraction(1, 3), Fraction(1, 2 ** 20),
+                   Fraction(1, 10 ** 12), Fraction(1, 2 ** 60),
+                   Fraction(1, 2 ** 200))
+
+
+def _real_rooted(rng, degree):
+    """A real-rooted product of rational and split quadratic factors."""
+    x = SparsePoly.variable("x")
+    f, m = SparsePoly.constant(1), 0
+    while m < degree:
+        if m + 2 <= degree and rng.random() < 0.4:
+            b, c = rng.randint(-30, 30), rng.randint(-200, 200)
+            if b * b > 4 * c:
+                f, m = f * (x ** 2 + b * x + c), m + 2
+        else:
+            q = rng.choice([1, 2, 3, 7, 10, 64])
+            f, m = f * (q * x - rng.randint(-40 * q, 40 * q)), m + 1
+    return f
+
+
+def _cell_cases():
+    """Polynomials for the cell check against the tree."""
+    rng = random.Random(24)
+    cases = [_real_rooted(rng, rng.randint(1, 16)) for _ in range(40)]
+    cases += [parse_poly("x") * _real_rooted(rng, rng.randint(1, 8))
+              for _ in range(4)]
+    cases += [parse_poly(text) for text in GRID_TEXTS]
+    # 2^-30 apart: one cell holds both at every precision above 2^-30
+    cases += [parse_poly(text) for text in (
+        "(x - 1/3)*(x - 1/3 - 1/2^30)*(x + 2)", "(x^2 - 2)*(x^2 - 2 - 1/2^40)")]
+    cases += [parse_poly(f"10^{e}") * _real_rooted(rng, 6) for e in (41, 45, 120)]
+    cases += [parse_poly(text) for text in (
+        "(x - 10^200)*(x + 10^200)*(x - 1)", "(10^50*x - 1)*(10^50*x + 3)*(x - 2)",
+        # roots below 10^-400, so a cell is far wider than they spread
+        "(10^400*x - 1)*(10^400*x + 3)")]
+    wilkinson = SparsePoly.constant(1)
+    for r in range(1, 31):
+        wilkinson = wilkinson * parse_poly(f"x - {r}")
+    return cases + [wilkinson]
+
+
+def _cells_against_tree(monkeypatch, cases, precisions):
+    """Isolate every case at every precision with the cell check and with
+    the tree alone, and assert the same intervals or the same error.
+    Returns the tries of the cell check and how many found cells."""
+    took, cells = [], sturm._cells
+
+    def record(*args):
+        got = cells(*args)
+        took.append(got is not None)
+        return got
+
+    for f in cases:
+        chain = sturm_sequence(f, "x").chain
+        for precision in precisions:
+            monkeypatch.setattr(sturm, "_cells", record)
+            got = _isolate_or_error(chain, precision)
+            monkeypatch.setattr(sturm, "_cells", lambda *args: None)
+            assert got == _isolate_or_error(chain, precision), (f, precision)
+    monkeypatch.setattr(sturm, "_cells", cells)
+    return len(took), sum(took)
+
+
+def test_cells_equal_the_tree(monkeypatch):
+    tries, found = _cells_against_tree(monkeypatch, _cell_cases(), CELL_PRECISIONS)
+    # 92 of 301 tries find cells, mostly real-rooted inputs at 1/3 and 2^-20
+    assert found >= 80
+
+
+def test_cells_check_whatever_the_floats_say(monkeypatch):
+    # estimates moved off their roots by up to three cells: the exact
+    # signs either find the tree's cells or give the input to the tree
+    rng, estimates = random.Random(25), sturm._estimates
+
+    def misaimed(sqf, s, tol):
+        ys = estimates(sqf, s, tol)
+        cell = tol * sturm.CELL_TOLERANCE
+        return ys and [y + cell * rng.choice((0, 0, 0.4, -0.6, 1.3, -2.9))
+                       for y in ys]
+
+    monkeypatch.setattr(sturm, "_estimates", misaimed)
+    tries, found = _cells_against_tree(monkeypatch, _cell_cases()[:40],
+                                       CELL_PRECISIONS[1:3])
+    assert 5 <= found < tries
+
+
+def test_estimates_fail_quietly():
+    # coinciding starts (x^2 + 1 has no real spread), a coefficient past a
+    # double's range and a complex pair end in None, never a float error
+    assert sturm._estimates([1, 0, 1], 0, 1e-9) is None
+    assert sturm._estimates([-(10 ** 400), 0, 1], 0, 1e-9) is None
+    assert sturm._estimates([1, 1, 0, 1], 1, 1e-9) is None
+    assert sturm._estimates([-1, 0, 1], 0, 1e-9) == [-1.0, 1.0]
+
+
+def test_real_rooted_fibers_skip_the_refinement(monkeypatch):
+    # every fan fiber has only real simple roots, each alone in its cell
+    calls, refine = [], sturm._refine
+    monkeypatch.setattr(sturm, "_refine", lambda *a: calls.append(a) or refine(*a))
+    Z, D = default_demo()
+    assert len(psi_demo(Z, D, Fraction(1, 10)).output.points) == 4
+    got = isolate_roots_bisection(parse_poly("x^2 - 2"), Fraction(1, 2 ** 20))
+    assert len(got) == 2 and calls == []
