@@ -3,6 +3,9 @@
 Exit codes: 0 = verdict computed, 1 = negative verdict on a yes/no
 question, 2 = input or usage error.  JSON output is deterministic
 (sorted keys) so exact-mode commands are byte-identical across runs.
+
+Each command imports the rct modules it uses when it runs, so a process
+loads only its own command's modules.
 """
 
 from __future__ import annotations
@@ -11,38 +14,6 @@ import argparse
 import json
 import os
 import sys
-
-from . import chow as chowmod
-from .critical import (
-    RootVerdict,
-    critical_polynomials,
-    has_d_distinct_real_roots,
-    verify_pair_chain,
-)
-from .divisors import (
-    Divisor,
-    in_E,
-    in_div_double_prime,
-    in_div_prime,
-    paper_family,
-    positivity_margin,
-    scale_divisor,
-)
-from .fan import ZeroCycle, default_demo, limit_check, psi_demo
-from .parse import (
-    MAX_INPUT_CHARS,
-    _brief,
-    _literal_int,
-    check_length,
-    parse_poly,
-    parse_rational,
-)
-from .poly import format_poly
-from .sturm import (
-    count_distinct_roots_in,
-    count_distinct_roots_total,
-    isolate_roots_bisection,
-)
 
 __all__ = ["main", "run_corpus"]
 
@@ -71,6 +42,8 @@ def _flatten(obj, prefix="") -> list:
 def _json_arg(text: str):
     """Inline JSON or a path to a JSON file, at most MAX_INPUT_CHARS long,
     with integers of at most MAX_LITERAL_DIGITS digits."""
+    from .parse import MAX_INPUT_CHARS, _literal_int, check_length
+
     if not text.lstrip().startswith(("{", "[")):
         with open(text) as fh:
             text = fh.read(MAX_INPUT_CHARS + 1)
@@ -82,6 +55,8 @@ def _json_arg(text: str):
 
 def _json_list(value, what: str) -> list:
     """value when it is a JSON list, else a ValueError naming `what`."""
+    from .parse import _brief
+
     if not isinstance(value, list):
         raise ValueError(f"expected a list of {what}, got {_brief(value)}")
     return value
@@ -89,6 +64,8 @@ def _json_list(value, what: str) -> list:
 
 def _rat_row(row) -> list:
     """A JSON list of rationals (numbers or "p/q" strings) as Fractions."""
+    from .parse import parse_rational
+
     return [parse_rational(str(c)) for c in _json_list(row, "rationals")]
 
 
@@ -98,6 +75,8 @@ def _rat_rows(rows) -> list:
 
 
 def _interval_arg(text: str):
+    from .parse import parse_rational
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("interval must be a,b")
@@ -105,17 +84,24 @@ def _interval_arg(text: str):
 
 
 def _rat_list(text: str) -> list:
+    from .parse import _brief, check_length, parse_rational
+
     fields = check_length(text).split(",")
     if not all(p.strip() for p in fields):
         raise ValueError(f"empty field in the list {_brief(text)}")
     return [parse_rational(p) for p in fields]
 
 
-def _mhform_arg(text: str) -> "chowmod.MHForm":
-    return chowmod.MHForm.from_json_dict(_json_arg(text))
+def _mhform_arg(text: str):
+    from .chow import MHForm
+
+    return MHForm.from_json_dict(_json_arg(text))
 
 
-def _divisor_arg(args) -> Divisor:
+def _divisor_arg(args):
+    from .divisors import Divisor
+    from .parse import parse_poly
+
     if (args.poly is None) == (args.divisor is None):
         raise ValueError("give exactly one of --poly and --divisor")
     if args.divisor is not None:
@@ -127,6 +113,9 @@ def _divisor_arg(args) -> Divisor:
 
 
 def _cmd_sturm_count(args) -> int:
+    from .parse import parse_poly
+    from .sturm import count_distinct_roots_in, count_distinct_roots_total
+
     f = parse_poly(args.poly)
     if args.interval:
         a, b = _interval_arg(args.interval)
@@ -139,6 +128,9 @@ def _cmd_sturm_count(args) -> int:
 
 
 def _cmd_sturm_isolate(args) -> int:
+    from .parse import parse_poly, parse_rational
+    from .sturm import isolate_roots_bisection
+
     f = parse_poly(args.poly)
     width = parse_rational(args.precision)
     intervals = isolate_roots_bisection(f, width, args.var)
@@ -150,13 +142,14 @@ def _cmd_sturm_isolate(args) -> int:
 
 
 def _cmd_critical_gen(args) -> int:
+    from .critical import critical_polynomials, verify_pair_chain
+
     # the pair check first: it holds the chain in memory, where the F_j
     # are then read, rather than loading it twice
     offsets = verify_pair_chain(args.d) if args.verify_pairs else None
     cs = critical_polynomials(args.d)
     out = {"d": args.d,
-           "F": {str(j): format_poly(cs.F[j - 2])
-                 for j in range(2, args.d + 1)}}
+           "F": {str(j): cs._text(j - 2) for j in range(2, args.d + 1)}}
     if offsets is not None:
         out["pair_offsets"] = offsets
     _emit(out, args.format)
@@ -164,6 +157,8 @@ def _cmd_critical_gen(args) -> int:
 
 
 def _cmd_critical_test(args) -> int:
+    from .critical import RootVerdict, has_d_distinct_real_roots
+
     coeffs = _rat_list(args.coeffs)
     verdict = has_d_distinct_real_roots(coeffs)
     member = verdict is RootVerdict.TRUE
@@ -174,6 +169,9 @@ def _cmd_critical_test(args) -> int:
 
 
 def _cmd_chow_points(args) -> int:
+    from .chow import chow_of_points
+    from .parse import _brief
+
     pts = []
     for entry in _json_list(_json_arg(args.points), "points"):
         if isinstance(entry, list) and len(entry) == 2 \
@@ -185,24 +183,29 @@ def _cmd_chow_points(args) -> int:
             pts.append((_rat_row(entry[0]), mult))
         else:
             pts.append(_rat_row(entry))
-    F = chowmod.chow_of_points(pts, args.m)
+    F = chow_of_points(pts, args.m)
     _emit(F.to_json_dict(), args.format)
     return 0
 
 
 def _cmd_chow_line(args) -> int:
+    from .chow import chow_of_linear
+
     span = _rat_rows(_json_arg(args.span))
-    F = chowmod.chow_of_linear(span, args.m)
+    F = chow_of_linear(span, args.m)
     _emit(F.to_json_dict(), args.format)
     return 0
 
 
 def _cmd_chow_eigen(args) -> int:
+    from .chow import eigenform_degree, t_expand
+    from .poly import format_poly
+
     F = _mhform_arg(args.form)
-    s = chowmod.eigenform_degree(F)
+    s = eigenform_degree(F)
     out = {"eigenform": s is not None, "s": s}
     if args.expand:
-        exp = chowmod.t_expand(F)
+        exp = t_expand(F)
         out["buckets"] = {str(w): format_poly(g)
                           for w, g in enumerate(exp.coefficients)
                           if not g.is_zero()}
@@ -211,16 +214,21 @@ def _cmd_chow_eigen(args) -> int:
 
 
 def _cmd_chow_suspension(args) -> int:
+    from .chow import is_suspension
+
     F = _mhform_arg(args.form)
-    flag = chowmod.is_suspension(F, proper_intersection=args.proper)
+    flag = is_suspension(F, proper_intersection=args.proper)
     _emit({"suspension": flag}, args.format)
     return 0 if flag else 1
 
 
 def _cmd_chow_taffy(args) -> int:
+    from .chow import is_suspension, taffy
+    from .poly import format_poly
+
     F = _mhform_arg(args.form)
     try:
-        path = chowmod.taffy(F)
+        path = taffy(F)
     except ValueError as e:
         _emit({"error": str(e)}, args.format)
         return 1
@@ -229,20 +237,25 @@ def _cmd_chow_taffy(args) -> int:
                  for i, g in enumerate(path.expansion.coefficients)
                  if not g.is_zero()},
            "endpoint_is_input": path(1) == F,
-           "start_is_suspension": chowmod.is_suspension(path(0))},
+           "start_is_suspension": is_suspension(path(0))},
           args.format)
     return 0
 
 
 def _cmd_chow_detcheck(args) -> int:
+    from .chow import det_action_check
+
     F = _mhform_arg(args.form)
     A = _rat_rows(_json_arg(args.matrix))
-    ok = chowmod.det_action_check(F, A)
+    ok = det_action_check(F, A)
     _emit({"det_action_holds": ok}, args.format)
     return 0 if ok else 1
 
 
 def _cmd_div_normalize(args) -> int:
+    from .divisors import in_div_prime
+    from .poly import format_poly
+
     D = _divisor_arg(args)
     ok, norm = in_div_prime(D)
     out = {"in_div_prime": ok}
@@ -254,6 +267,10 @@ def _cmd_div_normalize(args) -> int:
 
 
 def _cmd_div_scale(args) -> int:
+    from .divisors import scale_divisor
+    from .parse import parse_rational
+    from .poly import format_poly
+
     D = _divisor_arg(args)
     t = parse_rational(args.t)
     out = scale_divisor(D, t)
@@ -263,6 +280,9 @@ def _cmd_div_scale(args) -> int:
 
 
 def _cmd_div_family(args) -> int:
+    from .divisors import paper_family
+    from .poly import format_poly
+
     G, H = paper_family(args.n, args.k)
     _emit({"n": args.n, "k": args.k,
            "even": {"d": G.d, "f": format_poly(G.f)},
@@ -271,6 +291,8 @@ def _cmd_div_family(args) -> int:
 
 
 def _cmd_div_in_e(args) -> int:
+    from .divisors import in_E
+
     D = _divisor_arg(args)
     rep = in_E(D, args.grid)
     _emit(rep.to_json_dict(verbose=args.verbose), args.format)
@@ -278,6 +300,8 @@ def _cmd_div_in_e(args) -> int:
 
 
 def _cmd_div_in_div2(args) -> int:
+    from .divisors import in_div_double_prime
+
     D = _divisor_arg(args)
     rep = in_div_double_prime(D, grid_size=args.grid)
     _emit(rep.to_json_dict(verbose=args.verbose), args.format)
@@ -285,6 +309,9 @@ def _cmd_div_in_div2(args) -> int:
 
 
 def _cmd_div_margin(args) -> int:
+    from .divisors import positivity_margin
+    from .parse import parse_poly, parse_rational
+
     H = parse_poly(args.poly)
     eps = positivity_margin(H, parse_rational(args.delta))
     _emit({"epsilon": str(eps)}, args.format)
@@ -292,6 +319,10 @@ def _cmd_div_margin(args) -> int:
 
 
 def _cmd_fan_demo(args) -> int:
+    from .divisors import Divisor
+    from .fan import ZeroCycle, default_demo, limit_check, psi_demo
+    from .parse import parse_rational
+
     Z, D = default_demo()
     if args.cycle is not None:
         Z = ZeroCycle.from_json_dict(_json_arg(args.cycle))

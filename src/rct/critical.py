@@ -35,6 +35,24 @@ every D_{j,m}: after j - 1 steps, row j - 1 holds D_{j,m} at column
 j - 1 + m.  The Schur complements stay symmetric, so only entries on or
 above the diagonal are computed.
 
+The elimination runs once, at a_1 = 0, over d - 1 variables, and the
+chain is lifted back to generic a_1 by the Cayley operator
+
+    Omega = sum_l (d - l + 1) * a_(l-1) * d/da_l,    a_0 = 1,
+
+the derivative of the coefficients of f(x + e) in e at e = 0
+(Cayley and Sylvester; Olver, Classical Invariant Theory).  Two
+identities carry the lift.  The pivots D_{j,0} depend only on the
+differences of the roots, so they are seminvariants: Omega D_{j,0} = 0.
+The R_j are shift covariants, R_j of f(x + e) being R_j(x + e), so Omega
+acts on them as d/dx: Omega C_m = (m + 1) C_(m+1) for the coefficient
+C_m of x^m in R_j (the first identity is its case m = d - j).  As
+Omega = d * d/da_1 + (terms free of d/da_1), the second identity gives
+the a_1-expansion of C_m from C_(m+1) and the value of C_m at a_1 = 0,
+top coefficient first (`_lift`).  At d = 8 the build takes about 0.7 s
+on a 2-core host, of which the lift takes 0.04 s; the elimination over
+generic a_1..a_8 takes about 25 s.
+
 The sign (-1)^(j(j-1)/2) is also the sign of c_j: the strict Euclid
 chain negates every remainder, so the signs run +1, +1, -1, -1, +1, +1,
 ...  The rest of c_j is a positive rational times even powers of leading
@@ -87,14 +105,15 @@ from operator import getitem, mul
 from typing import Sequence
 
 from . import hankel
-from .poly import as_rational
+from .poly import _format_terms, _grlex_key, as_rational
 from .sturm import MAX_DEGREE, _drop_one, _primitive
 
 _BITS = 8
 
 D_MAX_DEFAULT = 8
 """Largest d of the symbolic chain, set by build time: a cold build takes
-0.6-0.9 s at d = 7 and 20-30 s at d = 8 on a 2-core host."""
+about 0.03 s at d = 7 and 0.7 s at d = 8 on a 2-core host, and at d = 9
+the elimination at a_1 = 0 alone takes about 18 s."""
 
 
 def _avars(d: int) -> tuple:
@@ -147,9 +166,82 @@ class _Chain:
             raise ValueError("need d >= 2")
         self.d = d
         if prs is None:
-            a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
-            prs = _hankel_chain(a, d)
+            # the chain at a_1 = 0, lifted back to generic a_1
+            a = [{0: 1}, {}] + [{1 << (_BITS * l): 1} for l in range(1, d)]
+            prs = _lift(_hankel_chain(a, d), d)
         self.prs = prs
+
+
+def _omega(p: dict, d: int) -> dict:
+    """The Cayley operator sum_l (d - l + 1) a_(l-1) d/da_l, a_0 = 1, on a
+    packed polynomial: d/da_l, then times a_(l-1), moves a key's unit from
+    field l - 1 to field l - 2 and multiplies its value by the exponent."""
+    out: dict = {}
+    get = out.get
+    for key, v in p.items():
+        for l, e in enumerate(key.to_bytes(d, "little"), 1):
+            if e:
+                k = key - (1 << (_BITS * (l - 1)))
+                if l > 1:
+                    k += 1 << (_BITS * (l - 2))
+                s = get(k, 0) + (d - l + 1) * e * v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
+def _lift(dep: list, d: int) -> list:
+    """The chain R_0..R_d from its values dep at a_1 = 0.
+
+    Each coefficient of x^m in R_j is rebuilt as C_m = sum_k a_1^k E_k,
+    top coefficient first, from Omega C_m = (m + 1) C_(m+1) (module
+    docstring).  Split as Omega = d d/da_1 + (d - 1) a_1 d/da_2 + Omega_3
+    and read at a_1^k, that is
+
+        d (k + 1) E_(k+1) = (m + 1) [a_1^k] C_(m+1) - (d - 1) d/da_2 E_(k-1)
+                            - Omega_3 E_k,
+
+    with E_0 = C_m at a_1 = 0, C_(d-j+1) = 0 and k + 1 up to the weight
+    of C_m.  E_k is free of a_1, so `_omega` E_k is Omega_3 E_k plus
+    (d - 1) a_1 d/da_2 E_k, the terms with a_1, which step k + 1 reads.
+    Each division is exact on a true chain and raises ArithmeticError
+    otherwise.
+    """
+    prs = []
+    for j, xp in enumerate(dep):
+        coeffs = []
+        above: list = []                    # the E_k of C_(m+1)
+        for m in range(d - j, -1, -1):
+            layers = [xp[m]]
+            carry: dict = {}                # d/da_2 term of E_(k-1)
+            for k in range(j * (j - 1) + d - j - m):
+                acc = hankel.scale(above[k], m + 1) if k < len(above) else {}
+                rest: dict = {}
+                for key, v in _omega(layers[k], d).items():
+                    if key & 1:             # a_1, whose key is 1
+                        rest[key - 1] = v
+                    else:
+                        acc[key] = acc.get(key, 0) - v
+                for key, v in carry.items():
+                    acc[key] = acc.get(key, 0) - v
+                carry = rest
+                n = d * (k + 1)
+                layer = {}
+                for key, v in acc.items():
+                    q, r = divmod(v, n)
+                    if r:
+                        raise ArithmeticError(
+                            f"lift of R_{j}: inexact division by {n}")
+                    if q:
+                        layer[key] = q
+                layers.append(layer)
+            coeffs.append({key + k: v for k, layer in enumerate(layers)
+                           for key, v in layer.items()})
+            above = layers
+        prs.append(coeffs[::-1])
+    return prs
 
 
 def _verify_chain(ch) -> bool:
@@ -333,6 +425,15 @@ class CriticalSet:
                             for p in self._packed)
         return self._F
 
+    def _text(self, k: int) -> str:
+        """`format_poly(self.F[k])`, read off the packed form: a key's
+        bytes are its exponents (`_BITS` = 8)."""
+        d = self.d
+        terms = sorted(((key.to_bytes(d, "little"), v)
+                        for key, v in self._packed[k].items()),
+                       key=lambda t: _grlex_key(t[0]), reverse=True)
+        return _format_terms(_avars(d), terms)
+
 
 _phase_lock = threading.Lock()
 _chain_cache: dict = {}
@@ -373,7 +474,7 @@ def _check_chain_degree(d: int):
         raise ValueError(f"d must be at least 2, got {d}")
     if d > D_MAX_DEFAULT:
         raise ValueError(f"the symbolic chain supports d <= {D_MAX_DEFAULT}"
-                         f" (20-30 s to build at d = 8), got d = {d}")
+                         f" (over 18 s to build at d = 9), got d = {d}")
 
 
 def verify_pair_chain(d: int) -> list:

@@ -475,12 +475,18 @@ def _format_rational(c: Fraction) -> str:
 
 def format_poly(p: SparsePoly) -> str:
     """Canonical text form: graded lex descending, explicit * and ^."""
-    if p.is_zero():
+    return _format_terms(p.vars, p.sorted_terms())
+
+
+def _format_terms(names: Sequence[str], terms) -> str:
+    """The text of `format_poly` for (exponents, coefficient) pairs in
+    the order given, the coefficients nonzero Fractions or ints."""
+    if not terms:
         return "0"
     parts = []
-    for e, c in p.sorted_terms():
+    for e, c in terms:
         factors = []
-        for v, k in zip(p.vars, e):
+        for v, k in zip(names, e):
             if k == 1:
                 factors.append(v)
             elif k > 1:

@@ -21,7 +21,7 @@ from rct.critical import (
     verify_pair_chain,
 )
 from rct.critical import _BITS
-from rct.hankel import divexact, to_sparse
+from rct.hankel import divexact, minors, to_sparse
 from rct.parse import parse_poly
 from rct.poly import SparsePoly
 from rct.sturm import _int_chain, count_distinct_roots_total, sturm_sequence
@@ -510,7 +510,7 @@ def _reduced_prs(d):
 def test_hankel_chain_equals_reduced_prs():
     import rct.critical as crit
 
-    for d in range(2, 7):
+    for d in range(2, 8):
         ch = crit._Chain(d)
         prs, signs, scalars, expos = _reduced_prs(d)
         assert ch.prs == prs, d
@@ -519,15 +519,113 @@ def test_hankel_chain_equals_reduced_prs():
                 (d, j)
 
 
-def test_import_leaves_numpy_out():
+def _generic(d, a1=True):
+    """a = [1, a_1, ..., a_d] packed as the chain packs them; a_1 = 0 when
+    a1 is False."""
+    a = [{0: 1}] + [{1 << (_BITS * l): 1} for l in range(d)]
+    if not a1:
+        a[1] = {}
+    return a
+
+
+def test_lifted_chain_equals_generic_elimination():
+    # the elimination over generic a_1..a_d is the lift's test oracle
+    for d in range(2, 8):
+        assert crit._Chain(d).prs == crit._hankel_chain(_generic(d), d), d
+
+
+def test_cayley_operator_identities():
+    # Omega kills the Hankel pivots (seminvariants) and acts on every R_j
+    # as d/dx, coefficientwise (shift covariance): the two facts the lift
+    # rests on, checked on the generic elimination
+    for d in range(2, 7):
+        for j, row in enumerate(minors(_generic(d), d, _BITS)):
+            assert crit._omega(row[0], d) == {}, (d, j)
+        for j, xp in enumerate(crit._hankel_chain(_generic(d), d)):
+            for m, c in enumerate(xp):
+                above = xp[m + 1] if m + 1 < len(xp) else {}
+                assert crit._omega(c, d) == \
+                    {k: (m + 1) * v for k, v in above.items()}, (d, j, m)
+
+
+def test_lift_raises_on_a_corrupted_depressed_entry():
+    d = 5
+    dep = crit._hankel_chain(_generic(d, a1=False), d)
+    assert crit._lift(dep, d) == crit._Chain(d).prs
+    key = next(iter(dep[3][0]))
+    dep[3][0][key] += 1
+    with pytest.raises(ArithmeticError, match="inexact"):
+        crit._lift(dep, d)
+
+
+def test_cold_d8_chain_builds_in_seconds():
+    # the elimination over generic a took about 25 s at d = 8
+    t0 = time.perf_counter()
+    ch = crit._Chain(8)
+    assert time.perf_counter() - t0 < 8
+    assert crit._verify_chain(ch)
+
+
+def _fresh(code: str) -> str:
+    """stdout of `python -c code` in a fresh interpreter that imports rct
+    from this checkout."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
-    code = "import rct, sys; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+_LOADED = "\nprint(sorted(m for m in sys.modules if m.startswith('rct')))"
+
+
+def test_import_leaves_numpy_out():
+    _fresh("import rct, sys; from rct import *; "
+           "assert 'numpy' not in sys.modules")
+
+
+def test_import_rct_loads_no_submodule():
+    assert _fresh("import rct, sys" + _LOADED) == "['rct']\n"
+
+
+def test_a_command_loads_only_its_modules():
+    def loaded(*argv):
+        return _fresh("import contextlib, io, sys, rct.cli\n"
+                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      f"    rct.cli.main({list(argv)!r})" + _LOADED)
+
+    assert loaded("sturm", "count", "x^2 - 2") == \
+        "['rct', 'rct.cli', 'rct.parse', 'rct.poly', 'rct.sturm']\n"
+    out = loaded("critical", "gen", "--d", "4")
+    assert "rct.critical" in out
+    for name in ("rct.chow", "rct.fan", "rct.divisors"):
+        assert name not in out, out
+
+
+def test_lazy_package_resolves_every_public_name():
+    _fresh("import rct, importlib\n"
+           "names = [n for n in rct.__all__ if n != '__version__']\n"
+           "for n in names:\n"
+           "    home = importlib.import_module('rct.' + rct._HOME[n])\n"
+           "    assert getattr(rct, n) is getattr(home, n), n\n"
+           "assert set(rct.__all__) <= set(dir(rct))\n"
+           "ns = {}\n"
+           "exec('from rct import *', ns)\n"
+           "assert set(rct.__all__) <= set(ns)")
+    # README cites limits such as rct.parse.MAX_INPUT_CHARS
+    assert _fresh("import rct; print(rct.parse.MAX_INPUT_CHARS)") == "65536\n"
+
+
+def test_importing_a_submodule_binds_its_names():
+    _fresh("import rct, rct.sturm\n"
+           "for n in rct._PUBLIC['sturm']:\n"
+           "    assert n in vars(rct) and getattr(rct, n) is "
+           "getattr(rct.sturm, n), n\n"
+           "assert 'SparsePoly' in vars(rct)  # sturm imports poly\n"
+           "assert 'in_E' not in vars(rct)")
 
 
 # ---- chain disk cache ----
