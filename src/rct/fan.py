@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -185,8 +186,9 @@ class FanResult:
 
 
 def _unit(coords) -> tuple:
-    norm = math.sqrt(sum(float(c) * float(c) for c in coords))
-    return tuple(float(c) / norm for c in coords)
+    fs = [float(c) for c in coords]
+    norm = math.sqrt(sum(f * f for f in fs))
+    return tuple(f / norm for f in fs)
 
 
 def _chordal(u, v) -> float:
@@ -204,35 +206,88 @@ def _chordal(u, v) -> float:
 def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:
     """Matching distance: greedy minimal assignment, largest pair wins.
 
-    The greedy runs over distinct points with their multiplicities.  Pairs
-    (distance, i, j) of distinct points are popped from a heap in sorted
-    order (the tuples are distinct, so the order is the sort's), and
-    each matches min(left_a[i], left_b[j]) copies at once; the greedy
-    usually ends long before the last pair.  This is the value of the
-    greedy over every copy of every point: copies of one point sit at
-    equal distances with adjacent indices, so each copy there takes the
-    first free copy of the lowest-index tied point, as the bulk min does.
+    The greedy runs over distinct points with their multiplicities.  It
+    takes the pairs (distance, i, j) of distinct points in sorted order
+    (the tuples are distinct, so the order is the sort's), and each
+    matches min(left_a[i], left_b[j]) copies at once.  This is the value
+    of the greedy over every copy of every point: copies of one point sit
+    at equal distances with adjacent indices, so each copy there takes
+    the first free copy of the lowest-index tied point, as the bulk min
+    does.
+
+    The greedy usually ends after a few pairs per point, so pairs are
+    computed only as the walk reaches them.  B's points are sorted by
+    |v_0|, and each point u of A walks that order outward from |u_0|, one
+    frontier each way.  A frontier waits in the heap beside the computed
+    pairs as (key, -1, i, k, step), keyed by a lower bound of every pair
+    it has still to compute.  Popped, it computes the pair at position k
+    of the order and steps on past the points of B that are used up; a
+    used-up point of A drops its frontiers.  As -1 sorts before every i,
+    a frontier pops before any pair of equal value, so when a pair pops,
+    every pair not yet computed is strictly larger, and pairs pop in the
+    sort's order: the residual is the all-pairs greedy's to the bit.
+
+    The key bounds the float `_chordal`, not only the real distance.  Let
+    e = |fl(|u_0| - |v_0|)|.  Rounding is monotone and odd, so of the two
+    lifts' first differences fl(u_0 - v_0) and fl(u_0 + v_0), one has
+    modulus e and the other at least e.  Each sum in `_chordal` adds
+    non-negative floats to its first square, which rounding never lowers,
+    so both are at least fl(x ** 2) for some |x| >= e.  pow() need not
+    round correctly, but within one ulp fl(x ** 2) >= e^2 (1 - 2^-52) -
+    2^-1074; the absolute term is gradual underflow, where squares lose
+    their digits (sqrt(1e-170 ** 2) is 0.0).  For e >= 2^-500 the
+    absolute term is below 2^-74 e^2, and with sqrt correctly rounded
+    `_chordal` >= e (1 - 2^-51), above the key fl(fl(e (1 - 2^-40)) -
+    2^-500).  For e < 2^-500 the key is at most 0.  The key never
+    decreases as e grows, and e grows along each walk, so a frontier's
+    key bounds every pair past it.
     """
+    if A.ambient != B.ambient:
+        raise ValueError(f"ambient mismatch: P^{A.ambient} vs P^{B.ambient}")
     if A.degree() != B.degree():
         raise ValueError(f"degree mismatch: {A.degree()} vs {B.degree()}")
     pa = [_unit(c) for c, _ in A.points]
     pb = [_unit(c) for c, _ in B.points]
     left_a = [m for _, m in A.points]
     left_b = [m for _, m in B.points]
-    pairs = [(_chordal(u, v), i, j)
-             for i, u in enumerate(pa) for j, v in enumerate(pb)]
-    heapq.heapify(pairs)
+    order = sorted(range(len(pb)), key=lambda j: abs(pb[j][0]))
+    firsts = [abs(pb[j][0]) for j in order]
+    ends = len(order)
+    a0s = [abs(u[0]) for u in pa]
+    shrink, slack = 1 - 2.0 ** -40, 2.0 ** -500
+    heap = []
+    for i, a0 in enumerate(a0s):
+        mid = bisect_left(firsts, a0)
+        for k, step in ((mid - 1, -1), (mid, 1)):
+            if 0 <= k < ends:
+                heap.append((abs(a0 - firsts[k]) * shrink - slack, -1, i, k, step))
+    heapq.heapify(heap)
     todo = A.degree()
     worst = 0.0
     while todo:
-        dist, i, j = heapq.heappop(pairs)
-        k = min(left_a[i], left_b[j])
-        if not k:
+        entry = heapq.heappop(heap)
+        if entry[1] < 0:
+            _, _, i, k, step = entry
+            if not left_a[i]:
+                continue
+            j = order[k]
+            if left_b[j]:
+                heapq.heappush(heap, (_chordal(pa[i], pb[j]), i, j))
+            k += step
+            while 0 <= k < ends and not left_b[order[k]]:
+                k += step
+            if 0 <= k < ends:
+                key = abs(a0s[i] - firsts[k]) * shrink - slack
+                heapq.heappush(heap, (key, -1, i, k, step))
             continue
-        left_a[i] -= k
-        left_b[j] -= k
+        dist, i, j = entry
+        take = min(left_a[i], left_b[j])
+        if not take:
+            continue
+        left_a[i] -= take
+        left_b[j] -= take
         worst = max(worst, dist)
-        todo -= k
+        todo -= take
     return worst
 
 

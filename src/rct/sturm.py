@@ -532,8 +532,9 @@ def _estimates(sqf: Sequence[int], s: int, tol: float):
     spaced with the mean and variance of the roots, read from the two top
     coefficients, and are updated in place, y -= N / (1 - N S) with
     N = p(y) / p'(y) and S the sum of 1 / (y - y') over the estimates
-    y' other than y, until every correction of a sweep is below tol or
-    CELL_SWEEPS sweeps have run.  A zero division or an overflow gives
+    y' other than y, added left to right in a plain loop (as sum() adds
+    floats up to 3.11), until every correction of a sweep is below tol
+    or CELL_SWEEPS sweeps have run.  A zero division or an overflow gives
     None; a NaN or infinite estimate makes a NaN correction, which never
     passes the test, so converged estimates are finite.
     """
@@ -559,9 +560,14 @@ def _estimates(sqf: Sequence[int], s: int, tol: float):
                     dp = dp * y + p
                     p = p * y + c
                 n = p / dp
-                w = n / (1 - n * sum(1 / (y - z) for z in ys if z != y))
+                S = 0.0
+                for z in ys:
+                    if z != y:
+                        S += 1 / (y - z)
+                w = n / (1 - n * S)
                 ys[i] = y - w
-                done = done and abs(w) < tol
+                if done and not abs(w) < tol:
+                    done = False
             if done:
                 break
         else:

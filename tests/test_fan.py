@@ -212,6 +212,95 @@ def test_cycle_distance_matches_sorted_greedy():
         ZeroCycle([(1, 2)]).scaled(0)
 
 
+def test_cycle_distance_rejects_mixed_ambients():
+    with pytest.raises(ValueError, match=r"ambient mismatch: P\^1 vs P\^2"):
+        cycle_distance(ZeroCycle([(1, 2)]), ZeroCycle([(1, 2, 3)]))
+    with pytest.raises(ValueError, match=r"ambient mismatch: P\^2 vs P\^1"):
+        cycle_distance(ZeroCycle([(1, 2, 3)]), ZeroCycle([(1, 2)]))
+
+
+def _flow_cycle(rng, size):
+    """A cycle of size distinct points (a : b) with multiplicities 1-2."""
+    pts = {}
+    while len(pts) < size:
+        a, b = rng.randint(-40, 40), rng.randint(1, 40)
+        g = math.gcd(a, b)
+        pts[(a // g, b // g)] = rng.choice((1, 1, 2))
+    return ZeroCycle([((Fraction(a), Fraction(b)), m) for (a, b), m in pts.items()])
+
+
+def test_cycle_distance_walk_matches_both_references():
+    # the walk keys each pair by its first coordinates alone; these cases
+    # put many pairs on one key or on a key the float distance undercuts
+    rng = random.Random(26)
+    tiny = (0.0, 1e-170, -1e-170, 2.5e-162, -2.5e-162, 3e-162, 1e-160, 1e-155)
+    plain = (-3, -1, 0, 1, 2, 5)
+    cases = []
+    for _ in range(200):
+        ambient, size = rng.randint(1, 3), rng.randint(1, 6)
+        firsts = rng.choice((tiny, plain, tiny + plain))
+        A, B = [ZeroCycle([((rng.choice(firsts),)
+                            + tuple(rng.choice(plain) or 1 for _ in range(ambient)),
+                            rng.randint(1, 2)) for _ in range(size)])
+                for _ in range(2)]
+        if A.degree() == B.degree():
+            cases.append((A, B))
+    # mirror points (1:s) and (1:-s) share the key |v_0|, and so do the
+    # points of B with one first coordinate
+    cases.append((ZeroCycle([((1, 3), 2), ((1, -3), 1), ((1, 0), 1)]),
+                  ZeroCycle([((1, -3), 1), ((1, 3), 1), ((1, 1), 1), ((1, -1), 1)])))
+    cases.append((ZeroCycle([(1, 1, 0), (1, 0, 1), (1, -1, 0), (1, 0, -1)]),
+                  ZeroCycle([(1, 0, 1), (1, 1, 0), (1, 0, -1), (1, -1, 0)])))
+    # a point with u_0 = 0 has only the upward walk
+    cases.append((ZeroCycle([((0, 1), 2), (1, 2)]),
+                  ZeroCycle([(0, 1), (1, 7), (-1, 7)])))
+    cases.append((ZeroCycle([(0, 1, 2, 3), (0, 3, 2, 1), (1, 1, 1, 1)]),
+                  ZeroCycle([(0, 3, 2, 1), (0, -1, 2, 3), (1, -1, 1, 1)])))
+    # |u_0 - v_0| below 1e-154: the squares underflow, and _chordal reads
+    # 0.0 or a sqrt of a subnormal below |u_0 - v_0|
+    u, v = _unit((2.5e-162, 1.0)), _unit((0.0, 1.0))
+    assert 0 < _chordal(u, v) < abs(u[0] - v[0]) < 1e-154
+    assert _chordal(_unit((1e-170, 1.0)), v) == 0.0
+    cases.append((ZeroCycle([(2.5e-162, 1), (1e-170, 1), (1, 1)]),
+                  ZeroCycle([(0, 1), (-2.5e-162, 1), (3e-162, 1)])))
+    # both points of A lie 2^-537 from (0:1) in floats; keyed by |u_0|
+    # alone, the second one's smaller key would take (0:1) first and leave
+    # the first the nearer of the two pairs with (1e-160:1)
+    cases.append((ZeroCycle([(2.5e-162, 1), (2.3e-162, 1)]),
+                  ZeroCycle([(0, 1), (1e-160, 1)])))
+    # psi_demo outputs against d Z, 15 points at k = 3 (d = 6)
+    D = scale_divisor(paper_family(2, 3)[0], Fraction(1, 3))
+    Z = _flow_cycle(random.Random(3), 15)
+    for t in (Fraction(1, 10), Fraction(1, 1000)):
+        cases.append((psi_demo(Z, D, t, check_divisor=False).output, Z.scaled(D.d)))
+    for A, B in cases:
+        for X, Y in ((A, B), (B, A)):
+            got = cycle_distance(X, Y)
+            assert got.hex() == _sorted_greedy(X, Y).hex(), (X, Y)
+            assert got.hex() == _all_pairs_greedy(X, Y).hex(), (X, Y)
+
+
+def test_cycle_distance_computes_few_pairs(monkeypatch):
+    # the greedy needs a few pairs per point; the walk must not fall back
+    # to computing every pair
+    from rct import fan
+
+    calls = []
+
+    def counting(u, v):
+        calls.append(None)
+        return _chordal(u, v)
+
+    D = scale_divisor(paper_family(2, 3)[0], Fraction(1, 3))
+    Z = _flow_cycle(random.Random(5), 15)
+    res = psi_demo(Z, D, Fraction(1, 100), check_divisor=False)
+    monkeypatch.setattr(fan, "_chordal", counting)
+    assert cycle_distance(res.output, Z.scaled(D.d)) == res.residual
+    pairs = len(res.output.points) * len(Z.points)
+    assert pairs == 90 * 15
+    assert 0 < len(calls) < pairs / 4
+
+
 def _psi_reference(Z, D, t):
     """psi_demo on the rational route: scale_divisor, substitute, isolate
     the SparsePoly fiber, Fraction midpoints and the sorted greedy."""
