@@ -13,17 +13,30 @@ a form with a single nonzero coefficient is a t-eigenform, and eigenweight
 (m+1)*d characterizes suspension forms.  The taffy homotopy reverses the
 expansion coefficients, H(t) = g_d + g_{d-1} t + ... + g_0 t^d, sliding
 any form with g_d != 0 onto a suspension form at t = 0.
+
+The module computes on term dicts, the {exponent tuple: coefficient}
+dicts of SparsePoly, and builds a SparsePoly only for the value it
+returns.  A linear cycle's form is its vector of Plücker coordinates,
+the maximal minors of its spanning points (Gelfand, Kapranov and
+Zelevinsky, ch. 3), taken in integers.  The check F(Au) = det(A)^d F(u)
+clears the denominators of A and F first and expands in integers.  A
+0-cycle's form, F(Au) and the taffy path H(t) are each one pass over
+term dicts.  Input is priced before anything is expanded: the degree
+against MAX_POWER_DEGREE, the terms against MAX_POWER_TERMS and the
+coefficient bits against MAX_POWER_BITS, as the parser prices p^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import combinations, permutations
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence
 
-from .parse import MAX_POWER_DEGREE, MAX_POWER_TERMS
-from .poly import Rational, SparsePoly, as_rational
+from .parse import MAX_POWER_BITS, MAX_POWER_DEGREE, MAX_POWER_TERMS
+from .poly import (Rational, SparsePoly, _mul_terms, _pow_terms,
+                   _substitute_terms, as_rational)
 
 __all__ = [
     "MHForm",
@@ -137,7 +150,11 @@ def chow_of_points(points: Iterable, m: int = 0) -> MHForm:
     """Chow form of a 0-cycle: the product of incidence linear forms.
 
     Each entry is either a coordinate sequence or a (coordinates,
-    multiplicity) pair.
+    multiplicity) pair.  Before anything is expanded, the total
+    multiplicity must be at most MAX_POWER_DEGREE, the form may have at
+    most MAX_POWER_TERMS terms, and the sum over the points of the
+    multiplicity times the bits of the point's largest numerator or
+    denominator must be at most MAX_POWER_BITS.
     """
     factors = []
     N = None
@@ -170,35 +187,60 @@ def chow_of_points(points: Iterable, m: int = 0) -> MHForm:
     if terms > MAX_POWER_TERMS:
         raise ValueError(f"the cycle form may have {terms} terms, over the "
                          f"cap {MAX_POWER_TERMS}")
+    # a point's linear form to the power mult has coefficients of about
+    # mult times its coordinates' bits
+    bits = sum(mult * max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                          for c in pt) for pt, mult in factors)
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"the cycle form needs {bits}-bit coefficients, over "
+                         f"the cap {MAX_POWER_BITS}")
     vs = tuple(group_var(0, j) for j in range(N + 1))
-    form = SparsePoly.constant(1, vs)
+    form = {(0,) * (N + 1): 1}
     for pt, mult in factors:
-        lin = SparsePoly(vs, {tuple(1 if k == j else 0 for k in range(N + 1)): c
-                              for j, c in enumerate(pt) if c != 0})
-        form = form * lin ** mult
-    return MHForm(N, 0, degree, m, form)
+        lin = {tuple(1 if k == j else 0 for k in range(N + 1)): c
+               for j, c in enumerate(pt) if c != 0}
+        form = _mul_terms(form, _pow_terms(lin, mult, N + 1))
+    return MHForm(N, 0, degree, m, SparsePoly(vs, form))
 
 
-def _det_poly(mat: list) -> SparsePoly:
-    # cofactor expansion; matrices here are (r+1) x (r+1) with tiny r
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det_poly(minor)
-        if j % 2:
-            term = term * Fraction(-1)
-        total = term if total is None else total + term
-    return total
+def _int_det(rows: list) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * p - m[i][k] * m[k][j]) // prev
+        prev = p
+    return sign * m[-1][-1]
+
+
+def _as_integers(values: Sequence[Fraction]) -> tuple:
+    """(L, the values times L) for Fractions, L the lcm of their
+    denominators."""
+    L = lcm(*(c.denominator for c in values))
+    return L, [c.numerator * (L // c.denominator) for c in values]
 
 
 def chow_of_linear(span: Sequence[Sequence[Rational]], m: int = 0) -> MHForm:
     """Chow form of the linear cycle spanned by r+1 independent points.
 
     The incidence determinant det[ u^i(p_k) ] vanishes exactly when all
-    r+1 hyperplanes meet the span in a common point.
+    r+1 hyperplanes meet the span in a common point.  It is the Plücker
+    vector of the span (Cauchy-Binet): for distinct coordinates
+    j_0..j_r, the coefficient of u0_{j_0}*...*ur_{j_r} is the minor
+    det[ p_k[j_i] ], the sign of the sorting permutation times the minor
+    on the sorted coordinates.  The minors are taken on the points
+    scaled to integers; each is divided by the scalings once.
     """
     pts = [_as_point(p) for p in span]
     if not pts:
@@ -215,23 +257,28 @@ def chow_of_linear(span: Sequence[Sequence[Rational]], m: int = 0) -> MHForm:
     if terms > MAX_POWER_TERMS:
         raise ValueError(f"the linear cycle's form has {terms} terms, over "
                          f"the cap {MAX_POWER_TERMS}")
-    allvars = tuple(group_var(i, j) for i in range(r + 1) for j in range(N + 1))
-    mat = []
-    for i in range(r + 1):
-        row = []
-        for p in pts:
-            lin = SparsePoly.zero(allvars)
-            for j, c in enumerate(p):
-                if c != 0:
-                    lin = lin + SparsePoly.variable(group_var(i, j)) * c
-            row.append(lin)
-        mat.append(row)
-    # by Cauchy-Binet the determinant is zero exactly when every maximal
-    # minor of the points vanishes
-    det = _det_poly(mat)
-    if det.is_zero():
+    vs = tuple(sorted(group_var(i, j) for i in range(r + 1) for j in range(N + 1)))
+    pos = {v: n for n, v in enumerate(vs)}
+    slot = [[pos[group_var(i, j)] for j in range(N + 1)] for i in range(r + 1)]
+    scales, ints = zip(*map(_as_integers, pts))
+    scale = prod(scales)
+    cols = list(zip(*ints))  # coordinate j of every point: a row of a minor
+    perms = [(sigma, (-1) ** sum(a > b for a, b in combinations(sigma, 2)))
+             for sigma in permutations(range(r + 1))]
+    out = {}
+    for js in combinations(range(N + 1), r + 1):
+        minor = _int_det([cols[j] for j in js])
+        if not minor:
+            continue
+        c = Fraction(minor, scale)
+        for sigma, sign in perms:
+            e = [0] * len(vs)
+            for i, k in enumerate(sigma):
+                e[slot[i][js[k]]] = 1
+            out[tuple(e)] = c if sign > 0 else -c
+    if not out:
         raise ValueError("spanning points are linearly dependent")
-    return MHForm(N, r, 1, m, det)
+    return MHForm(N, r, 1, m, SparsePoly(vs, out))
 
 
 def mul_cycles(F: MHForm, G: MHForm) -> MHForm:
@@ -260,11 +307,16 @@ class TExpansion:
 
     def recombine(self, t: Rational) -> SparsePoly:
         t = as_rational(t)
-        total = None
-        for i, g in enumerate(self.coefficients):
-            term = g * t ** i
-            total = term if total is None else total + term
-        return total
+        return self._weighted([t ** i for i in range(self.L + 1)])
+
+    def _weighted(self, weights: Sequence[Fraction]) -> SparsePoly:
+        """sum_i weights[i] * g_i, built as one term dict: every term of F
+        lies in exactly one g_i."""
+        terms = {}
+        for g, w in zip(self.coefficients, weights):
+            for e, c in g.terms.items():
+                terms[e] = c * w
+        return SparsePoly(self.coefficients[0].vars, terms)
 
 
 def t_expand(F: MHForm) -> TExpansion:
@@ -326,11 +378,8 @@ class TaffyPath:
     def __call__(self, t: Rational) -> MHForm:
         te = self.expansion
         t = as_rational(t)
-        total = None
-        for i, g in enumerate(te.coefficients):
-            term = g * t ** (te.d - i)
-            total = term if total is None else total + term
-        return MHForm(te.N, te.r, te.d, te.m, total)
+        form = te._weighted([t ** (te.d - i) for i in range(te.L + 1)])
+        return MHForm(te.N, te.r, te.d, te.m, form)
 
 
 def taffy(F: MHForm) -> TaffyPath:
@@ -349,63 +398,63 @@ def taffy(F: MHForm) -> TaffyPath:
     return TaffyPath(te)
 
 
-def _det_frac(mat: list) -> Fraction:
-    mat = [[as_rational(c) for c in row] for row in mat]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                q = mat[i][col] / mat[col][col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[col])]
-    return det
-
-
 def det_action_check(F: MHForm, A: Sequence[Sequence[Rational]]) -> bool:
     """Verify F(Au) = det(A)^d F(u) exactly.
 
-    A mixes the r+1 variable groups: (Au)^i = sum_k A[i][k] u^k.
+    A mixes the r+1 variable groups: (Au)^i = sum_k A[i][k] u^k.  The
+    check runs in integers.  With L the lcm of A's denominators and c
+    that of F's coefficients, it compares c*F((L*A)u) with
+    det(L*A)^d * c*F(u).  F has degree d in each of its r+1 groups, so
+    both sides are the original ones times L^((r+1)d) * c.  Before
+    anything is expanded, (r+1) * d times the bits of L*A's largest
+    entry must be at most MAX_POWER_BITS, and F(Au) may have at most
+    MAX_POWER_TERMS terms.
     """
     n = F.r + 1
     if len(A) != n or any(len(row) != n for row in A):
         raise ValueError(f"matrix must be {n}x{n}")
-    det = _det_frac(A)
+    L, flat = _as_integers([as_rational(c) for row in A for c in row])
+    B = [flat[i * n:(i + 1) * n] for i in range(n)]
+    det = _int_det(B)
     if det == 0:
         raise ValueError("matrix is singular")
+    bits = n * F.d * max(c.bit_length() for c in flat)
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"F(Au) needs {bits}-bit coefficients, over the "
+                         f"cap {MAX_POWER_BITS}")
     # a term of degree E_j in coordinate j spreads over the r + 1 groups,
     # into at most C(E_j + r, r) monomials per coordinate; F(Au) also has
     # at most C(d + N, N) monomials per group
-    coords = [_var_group_coord(v)[1] for v in F.form.vars]
+    groups = [_var_group_coord(v) for v in F.form.vars]
     expanded = 0
     for e in F.form.terms:
         per_coord: dict = {}
-        for j, k in zip(coords, e):
+        for (_, j), k in zip(groups, e):
             per_coord[j] = per_coord.get(j, 0) + k
         expanded += prod(comb(k + F.r, F.r) for k in per_coord.values())
     terms = min(expanded, comb(F.d + F.N, F.N) ** n)
     if terms > MAX_POWER_TERMS:
         raise ValueError(f"F(Au) may have {terms} terms, over the cap "
                          f"{MAX_POWER_TERMS}")
-    allvars = F.form.vars
-    mapping = {}
-    for i in range(n):
-        for j in sorted(set(coords)):
-            img = SparsePoly.zero(allvars)
-            for k in range(n):
-                c = as_rational(A[i][k])
-                if c != 0:
-                    img = img + SparsePoly.variable(group_var(k, j)) * c
-            mapping[group_var(i, j)] = img
-    lhs = F.form.substitute(mapping)
-    rhs = F.form * det ** F.d
-    return lhs == rhs
+    # u<i>_j goes to sum_k B[i][k] u<k>_j, over F's variables and the
+    # ones its coordinates add in the other groups
+    vs = F.form.vars
+    vs += tuple(sorted({group_var(k, j) for _, j in groups for k in range(n)}
+                       - set(vs)))
+    pos = {v: i for i, v in enumerate(vs)}
+    images = []
+    for slot, (i, j) in enumerate(groups):
+        image = {}
+        for k, b in enumerate(B[i]):
+            if b:
+                e = [0] * len(vs)
+                e[pos[group_var(k, j)]] = 1
+                image[tuple(e)] = b
+        images.append((slot, image))
+    G = dict(zip(F.form.terms, _as_integers(list(F.form.terms.values()))[1]))
+    lhs = _substitute_terms(G, [], images, len(vs))
+    scale, pad = det ** F.d, (0,) * (len(vs) - len(F.form.vars))
+    return lhs == {e + pad: scale * k for e, k in G.items()}
 
 
 def proportional(F: MHForm, G: MHForm) -> bool:

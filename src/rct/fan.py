@@ -66,19 +66,22 @@ class FiberError(ValueError):
 _PIVOT_FLOOR = Fraction(1, 10 ** 9)
 
 
-def _normalize_coords(coords):
-    """Scale so the first coordinate of modulus at least 1e-9 times the
-    largest becomes 1.  Magnitudes compare exactly, and exact coordinates
-    stay exact."""
+def _normalize_coords(coords, pivot_floor=_PIVOT_FLOOR):
+    """Scale so the first coordinate of modulus at least pivot_floor
+    (1e-9) times the largest becomes 1.  Magnitudes compare exactly, and
+    exact coordinates stay exact.  Float coordinates may pass the float
+    of _PIVOT_FLOOR, which gives the same floor as the Fraction does."""
     mags = [abs(c) for c in coords]
     biggest = max(mags, default=0)
     if not biggest:
         raise ValueError("zero coordinate vector")
-    floor = biggest * _PIVOT_FLOOR
-    pivot = next(c for c, m in zip(coords, mags) if m >= floor)
+    floor = biggest * pivot_floor
+    for pivot, m in zip(coords, mags):
+        if m >= floor:
+            break
     if isinstance(pivot, int):
         pivot = Fraction(pivot)
-    return tuple(c / pivot for c in coords)
+    return tuple([c / pivot for c in coords])
 
 
 class ZeroCycle:
@@ -87,8 +90,7 @@ class ZeroCycle:
     __slots__ = ("points", "ambient")
 
     def __init__(self, points: Sequence, ambient: Optional[int] = None):
-        merged = {}
-        order = []
+        keyed = []
         for entry in points:
             if len(entry) == 2 and isinstance(entry[1], int) \
                     and isinstance(entry[0], (tuple, list)):
@@ -101,15 +103,25 @@ class ZeroCycle:
                 ambient = len(coords) - 1
             elif len(coords) != ambient + 1:
                 raise ValueError("inconsistent coordinate lengths")
-            key = _normalize_coords(coords)
-            if key in merged:
-                merged[key] += mult
-            else:
-                merged[key] = mult
-                order.append(key)
-        if not order:
+            keyed.append((_normalize_coords(coords), mult))
+        self._merge(keyed, ambient)
+
+    @classmethod
+    def _from_normalized(cls, points, ambient: int) -> "ZeroCycle":
+        """The cycle of (normalized coordinates, multiplicity) pairs, as
+        __init__ builds it from their normalized coordinates."""
+        out = cls.__new__(cls)
+        out._merge(points, ambient)
+        return out
+
+    def _merge(self, points, ambient):
+        # equal keys add their multiplicities, in first-seen order
+        merged = {}
+        for key, mult in points:
+            merged[key] = merged.get(key, 0) + mult
+        if not merged:
             raise ValueError("empty cycle")
-        self.points = tuple((k, merged[k]) for k in order)
+        self.points = tuple(merged.items())
         self.ambient = ambient
 
     def degree(self) -> int:
@@ -119,10 +131,8 @@ class ZeroCycle:
         """The cycle k*Z, on Z's normalized points as they are."""
         if k < 1:
             raise ValueError("multiplicities must be positive")
-        out = ZeroCycle.__new__(ZeroCycle)
-        out.points = tuple((c, m * k) for c, m in self.points)
-        out.ambient = self.ambient
-        return out
+        return ZeroCycle._from_normalized(
+            [(c, m * k) for c, m in self.points], self.ambient)
 
     def __eq__(self, other):
         return isinstance(other, ZeroCycle) and self.points == other.points
@@ -331,6 +341,7 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
 
     out_points = []
     certs = []
+    pivot_floor = float(_PIVOT_FLOOR)
     for coords, mult in Z.points:
         q = [as_rational(c) for c in coords]
         p0 = checker.primitive_fiber([t * c for c in q])
@@ -349,8 +360,9 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
             num = 2 * n0 * b * e - d0 * (a * e + c * b)
             assert num or any(q[1:]), \
                 "fiber point collides with the projection center"
-            out_points.append(((num / (2 * d0 * b * e),) + rest, mult))
-    output = ZeroCycle(out_points, Z.ambient)
+            point = (num / (2 * d0 * b * e),) + rest
+            out_points.append((_normalize_coords(point, pivot_floor), mult))
+    output = ZeroCycle._from_normalized(out_points, Z.ambient)
     assert output.degree() == d * Z.degree()
     residual = cycle_distance(output, Z.scaled(d))
     return FanResult(output, t, residual, certs)

@@ -297,7 +297,7 @@ class SparsePoly:
         scalars = [(i, v, scalar_of[v]) for i, v in enumerate(self.vars)
                    if v in scalar_of]
         keep = [i for i, v in enumerate(self.vars) if v not in scalar_of]
-        powers: dict = {}  # (variable, exponent) -> its value ** exponent
+        powers: dict = {}  # (variable, exponent) -> its scalar ** exponent
         folded: dict = {}
         for e, c in self.terms.items():
             for i, v, x in scalars:
@@ -317,26 +317,9 @@ class SparsePoly:
             names.update(image_of[v].vars if v in image_of else (v,))
         vs = tuple(sorted(names))
         plain = [(slot, vs.index(v)) for slot, v in used if v not in image_of]
-        images = [(slot, v, image_of[v].with_vars(vs)) for slot, v in used
+        images = [(slot, image_of[v]._remap(vs)) for slot, v in used
                   if v in image_of]
-        out: dict = {}
-        for key, c in folded.items():
-            if c == 0:
-                continue
-            mono = [0] * len(vs)
-            for slot, n in plain:
-                mono[n] = key[slot]
-            term = SparsePoly(vs, {tuple(mono): c})
-            for slot, v, g in images:
-                k = key[slot]
-                if k:
-                    gk = powers.get((v, k))
-                    if gk is None:
-                        gk = powers[v, k] = g ** k
-                    term = term * gk
-            for e, t in term.terms.items():
-                out[e] = out.get(e, 0) + t
-        return SparsePoly(vs, out)
+        return SparsePoly(vs, _substitute_terms(folded, plain, images, len(vs)))
 
     def coeffs_in(self, var: str) -> dict:
         """Coefficient polynomials keyed by the power of `var`.
@@ -453,11 +436,11 @@ def _mul_terms(ta: Mapping[tuple, Fraction], tb: Mapping[tuple, Fraction]) -> di
 def _pow_terms(t: Mapping[tuple, Fraction], n: int, nvars: int) -> dict:
     """The n-th power of a term dict over nvars variables, n >= 0, by
     repeated squaring with `_mul_terms`; a single term c x^e gives
-    c^n x^(n e) at once."""
+    c^n x^(n e) at once.  Integer coefficients stay integers."""
     if len(t) == 1:
         (exp, c), = t.items()
         return {tuple(n * k for k in exp): c ** n}
-    result, base = {(0,) * nvars: Fraction(1)}, t
+    result, base = {(0,) * nvars: 1}, t
     while n:
         if n & 1:
             result = _mul_terms(result, base)
@@ -465,6 +448,43 @@ def _pow_terms(t: Mapping[tuple, Fraction], n: int, nvars: int) -> dict:
             base = _mul_terms(base, base)
         n >>= 1
     return result
+
+
+def _substitute_terms(terms: Mapping[tuple, Fraction], plain: Sequence,
+                      images: Sequence, nvars: int) -> dict:
+    """The term dict over nvars variables of sum c * prod x^key, with each
+    variable either kept or replaced by a term dict.
+
+    `terms` maps keys, exponent tuples over some slots, to coefficients;
+    a pair (slot, n) of `plain` puts a key's exponent at slot at position
+    n of the result's exponents, and a pair (slot, g) of `images`
+    multiplies the term by g ** (the exponent at slot), g a term dict over
+    the result's variables.  Each power of an image is taken once; zero
+    coefficients are dropped, and integers stay integers.
+    """
+    powers: dict = {}  # (slot, exponent) -> image ** exponent
+    out: dict = {}
+    for key, c in terms.items():
+        if not c:
+            continue
+        mono = [0] * nvars
+        for slot, n in plain:
+            mono[n] = key[slot]
+        term = {tuple(mono): c}
+        for slot, g in images:
+            k = key[slot]
+            if k:
+                gk = powers.get((slot, k))
+                if gk is None:
+                    gk = powers[slot, k] = _pow_terms(g, k, nvars)
+                term = _mul_terms(term, gk)
+        for e, t in term.items():
+            s = out.get(e, 0) + t
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 def _format_rational(c: Fraction) -> str:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -18,6 +19,7 @@ from rct.chow import (
     t_expand,
     taffy,
 )
+from rct.parse import MAX_POWER_TERMS
 from rct.poly import SparsePoly, divide_exact
 
 
@@ -339,3 +341,221 @@ def test_mhform_json_roundtrip():
     F = chow_of_linear([(1, 1, 0), (0, 0, 1)], m=1)
     again = MHForm.from_json_dict(F.to_json_dict())
     assert again == F
+
+
+# ---- the term-dict constructions against the SparsePoly ones they replace ----
+
+
+def _cofactor_det(mat):
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = mat[0][j] * _cofactor_det(minor)
+        if j % 2:
+            term = term * Fraction(-1)
+        total = term if total is None else total + term
+    return total
+
+
+def _cofactor_chow(span):
+    """Reference: the incidence determinant det[ u^i(p_k) ] expanded by
+    cofactors over SparsePoly entries, with chow_of_linear's checks."""
+    pts = [tuple(Fraction(c) for c in p) for p in span]
+    if any(all(c == 0 for c in p) for p in pts):
+        raise ValueError("projective point cannot be the zero vector")
+    N, r = len(pts[0]) - 1, len(pts) - 1
+    terms = comb(N + 1, r + 1) * factorial(r + 1)
+    if terms > MAX_POWER_TERMS:
+        raise ValueError(f"the linear cycle's form has {terms} terms, over "
+                         f"the cap {MAX_POWER_TERMS}")
+    allvars = tuple(group_var(i, j) for i in range(r + 1) for j in range(N + 1))
+    mat = []
+    for i in range(r + 1):
+        row = []
+        for p in pts:
+            lin = SparsePoly.zero(allvars)
+            for j, c in enumerate(p):
+                if c != 0:
+                    lin = lin + SparsePoly.variable(group_var(i, j)) * c
+            row.append(lin)
+        mat.append(row)
+    det = _cofactor_det(mat)
+    if det.is_zero():
+        raise ValueError("spanning points are linearly dependent")
+    return det
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7)))
+
+
+def test_chow_of_linear_matches_the_cofactor_expansion():
+    rng = random.Random(68)
+    seen = set()
+    for N in (1, 2, 3, 4, 11):
+        for r in range(min(N, 3) + 1):
+            for trial in range(6):
+                span = [[_rational(rng) if rng.random() < 0.8 else 0
+                         for _ in range(N + 1)] for _ in range(r + 1)]
+                if r and trial == 0:  # a dependent span
+                    span[-1] = [Fraction(-3, 2) * c for c in span[0]]
+                if trial == 1:
+                    span[0] = [0] * (N + 1)
+                got = _outcome(chow_of_linear, span)
+                want = _outcome(_cofactor_chow, span)
+                if isinstance(want, str):
+                    seen.add(want.split(" ")[0])
+                    assert got == want, (span, got)
+                else:
+                    assert got.form.vars == want.vars, span
+                    assert got.form.terms == want.terms, span
+                    seen.add("form")
+    assert seen == {"form", "spanning", "the", "projective"}
+    # at N >= 10 the variables sort as strings: u0_10 before u0_2
+    F = chow_of_linear([[1] * 12, list(range(12))])
+    assert F.form.vars[:4] == ("u0_0", "u0_1", "u0_10", "u0_11")
+
+
+def _substitute_check(F, A):
+    """Reference: F(Au) by SparsePoly.substitute against det(A)^d F(u),
+    with the determinant by Fraction elimination."""
+    n = F.r + 1
+    A = [[Fraction(c) for c in row] for row in A]
+    m = [list(row) for row in A]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, n):
+            q = m[i][col] / m[col][col]
+            m[i] = [a - q * b for a, b in zip(m[i], m[col])]
+    coords = sorted({int(v.split("_")[1]) for v in F.form.vars})
+    mapping = {}
+    for i in range(n):
+        for j in coords:
+            img = SparsePoly.zero()
+            for k in range(n):
+                if A[i][k]:
+                    img = img + SparsePoly.variable(group_var(k, j)) * A[i][k]
+            mapping[group_var(i, j)] = img
+    return F.form.substitute(mapping) == F.form * det ** F.d
+
+
+def _random_form(rng, N, r, d):
+    """A multihomogeneous form with a few random rational terms."""
+    vs = tuple(group_var(i, j) for i in range(r + 1) for j in range(N + 1))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [0] * len(vs)
+        for i in range(r + 1):
+            for _ in range(d):
+                e[i * (N + 1) + rng.randint(0, N)] += 1
+        terms[tuple(e)] = _rational(rng) or Fraction(1)
+    return MHForm(N, r, d, 0, SparsePoly(vs, terms))
+
+
+def test_det_action_check_matches_substitute():
+    rng = random.Random(69)
+    verdicts = []
+    for _ in range(60):
+        N, r, d = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
+        kind = rng.choice(("random", "line", "points"))
+        if kind == "line":
+            r = min(r, N)
+            span = [[_rational(rng) for _ in range(N + 1)] for _ in range(r + 1)]
+            try:
+                F = chow_of_linear(span)
+            except ValueError:
+                continue
+        elif kind == "points":
+            F = chow_of_points([[_rational(rng) or 1 for _ in range(N + 1)]
+                                for _ in range(d)])
+        else:
+            F = _random_form(rng, N, r, d)
+        n = F.r + 1
+        mats = [[[_rational(rng) for _ in range(n)] for _ in range(n)],
+                [[Fraction(5, 3) if i == k else 0 for k in range(n)]
+                 for i in range(n)],
+                [[1 if k == (i + 1) % n else 0 for k in range(n)]
+                 for i in range(n)]]
+        if n > 1:  # a singular matrix: two equal rows
+            mats.append([mats[0][0]] * n)
+        for A in mats:
+            got = _outcome(det_action_check, F, A)
+            assert got == _outcome(_substitute_check, F, A), (F, A)
+            verdicts.append((kind, got))
+    assert ("random", False) in verdicts and ("random", True) in verdicts
+    assert ("line", True) in verdicts and ("points", True) in verdicts
+    assert any(v == "matrix is singular" for _, v in verdicts)
+    assert all(v is True for k, v in verdicts
+               if k != "random" and v != "matrix is singular"), verdicts
+
+
+def _bucket_sum(te, power):
+    """Reference: sum_i g_i * power(i), by SparsePoly products and sums."""
+    total = None
+    for i, g in enumerate(te.coefficients):
+        term = g * power(i)
+        total = term if total is None else total + term
+    return total
+
+
+def test_taffy_path_matches_the_bucket_sum():
+    rng = random.Random(70)
+    forms = [chow_of_linear([(1, 1, 0), (0, 0, 1)]),
+             chow_of_linear([(1, 2, -1, 3), (0, 1, 1, Fraction(1, 2))])]
+    while len(forms) < 12:
+        pts = [[_rational(rng) for _ in range(3)] for _ in range(rng.randint(1, 3))]
+        if all(any(p) for p in pts):
+            forms.append(chow_of_points(pts))
+    paths = 0
+    for F in forms:
+        te = t_expand(F)
+        for t in (Fraction(0), Fraction(1), Fraction(37, 100)):
+            got, want = te.recombine(t), _bucket_sum(te, lambda i: t ** i)
+            assert got.vars == want.vars and got.terms == want.terms
+        try:
+            H = taffy(F)
+        except ValueError:
+            continue  # improper: the cycle meets the base
+        paths += 1
+        assert H(1).form.terms == F.form.terms
+        for t in (Fraction(0), Fraction(1), Fraction(37, 100)):
+            got = H(t).form
+            want = _bucket_sum(te, lambda i: t ** (te.d - i))
+            assert got.vars == want.vars and got.terms == want.terms
+    assert paths >= 6
+
+
+def test_chow_line_and_det_check_build_no_polynomial_per_term(monkeypatch):
+    # the Plücker minors and the integer check multiply term dicts; the
+    # cofactor expansion and substitute made 58 SparsePoly products here
+    calls = []
+    mul = SparsePoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counting)
+    monkeypatch.setattr(SparsePoly, "__rmul__", counting)
+    rng = random.Random(71)
+    span = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(2)]
+    F = chow_of_linear(span)
+    assert det_action_check(F, [[Fraction(2, 3), 1], [-1, Fraction(1, 2)]])
+    assert len(calls) <= 2

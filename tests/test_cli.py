@@ -11,7 +11,7 @@ import time
 import pytest
 
 from rct.cli import build_parser, main, run_corpus
-from rct.parse import MAX_INPUT_CHARS, MAX_LITERAL_DIGITS
+from rct.parse import MAX_INPUT_CHARS, MAX_LITERAL_DIGITS, MAX_POWER_BITS
 from rct.poly import SparsePoly
 from rct.sturm import count_distinct_roots_total
 
@@ -231,6 +231,35 @@ def test_literals_at_the_digit_cap_parse(capsys):
     assert code == 0 and json.loads(out)["count"] == 1
     code, out, _ = run(capsys, "fan", "demo", "--t", "1e-400")
     assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 400
+
+
+_BIG = "9" * MAX_LITERAL_DIGITS
+
+
+def _column_form(d):
+    """u0_0^d * u1_0^d as form JSON: every term of F(Au) is a product of
+    2d entries of A."""
+    return json.dumps({"N": 1, "r": 1, "d": d, "m": 0, "form": {
+        "vars": ["u0_0", "u1_0"], "terms": [{"coeff": 1, "exp": [d, d]}]}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["chow", "detcheck", "--form", _column_form(32),
+     "--matrix", f"[[{_BIG}, 1], [1, {_BIG}]]"],
+    ["chow", "detcheck", "--form", _column_form(64),
+     "--matrix", f"[[{_BIG}, 1], [1, {_BIG}]]"],
+    ["chow", "points", "--points", f"[[[{_BIG}, 1], 64]]"],
+    ["chow", "points", "--points", f"[[[{_BIG}, 1], 256]]"],
+])
+def test_cycle_forms_price_their_coefficient_bits(capsys, argv):
+    # (r + 1) * d * bits for F(Au), the sum of multiplicity * bits over the
+    # points for a 0-cycle's form: refused before anything is expanded
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert _one_line_error(err), err
+    assert f"-bit coefficients, over the cap {MAX_POWER_BITS}" in err, err
 
 
 @pytest.mark.parametrize("argv", [
