@@ -105,12 +105,13 @@ def _tokenize(text: str):
         if kind == "rat":
             num, den = m["num"], m["den"]
             try:
-                num, den = _literal_int(num), _literal_int(den) if den else 1
+                num, den = _literal_int(num), den and _literal_int(den)
             except ValueError as exc:
                 raise PolyParseError(str(exc), m.start()) from None
             if den == 0:
                 raise PolyParseError("zero denominator", m.start())
-            tokens.append(("rat", Fraction(num, den), m.start()))
+            # an integer literal stays an int; only p/q makes a Fraction
+            tokens.append(("rat", Fraction(num, den) if den else num, m.start()))
         else:
             tokens.append((kind, m[kind], m.start()))
         pos = m.end()
@@ -176,10 +177,13 @@ def _check_product(p: dict, p_degree, q: dict, pos: int):
 
 class _Parser:
     """Recursive descent over the tokens.  Every subexpression is a
-    {exponent tuple: Fraction} dict over `vars`, the sorted names of the
-    text's variables, which is the variable tuple the left-to-right chain
-    of SparsePoly sums and products would end with; `parse` wraps the
-    result in the one SparsePoly built per text."""
+    {exponent tuple: coefficient} dict over `vars`, the sorted names of
+    the text's variables, which is the variable tuple the left-to-right
+    chain of SparsePoly sums and products would end with; `parse` wraps
+    the result in the one SparsePoly built per text.  A coefficient is an
+    int until a p/q literal makes it a Fraction, so a text of integer
+    coefficients multiplies ints throughout and meets Fraction only when
+    SparsePoly coerces its terms."""
 
     def __init__(self, text: str):
         self.text = text
@@ -267,7 +271,7 @@ class _Parser:
         if kind == "rat":
             return {self.origin: val} if val else {}
         if kind == "var":
-            return {self.units[val]: Fraction(1)}
+            return {self.units[val]: 1}
         if kind == "op" and val in ("(", "-"):
             self.depth += 1
             if self.depth > MAX_DEPTH:

@@ -32,22 +32,30 @@ the sign changes equal those at the infinity on x's side, and one
 integer comparison tells whether a node lies there: a split point
 beyond far is counted without evaluating anything, so the root-free
 descent from the Cauchy bound costs a shift and a comparison per level.
-An interval holding a single root is refined on the values of the
-squarefree part f / gcd(f, f') alone, by quadratic interval refinement
-on the integer index of the dyadic grid its bisection would end on: each
-step probes the grid point nearest the secant and its neighbour, and
-falls back to one bisection step when they miss the root (see
-`_refine`).  Fractions are built only for the intervals returned.  The
-tree visits the same points as plain Fraction bisection, and any
-bracketing search on that grid ends in the same cell, so the intervals
-are the same.
+Each node carries the sign of the squarefree part f / gcd(f, f') at its
+left end, and the split point's sign is known before the chain is asked:
+a two-root node whose left end and split point differ in sign holds one
+root on each side, and the chain is not evaluated there.  An interval
+holding a single root is refined on the values of the squarefree part
+alone, by quadratic interval refinement on the integer index of the
+dyadic grid its bisection would end on: each step probes the grid point
+nearest the secant and its neighbour, and falls back to one bisection
+step when they miss the root (see `_refine`).  Fractions are built only
+for the intervals returned.  The tree visits the same points as plain
+Fraction bisection, and any bracketing search on that grid ends in the
+same cell, so the intervals are the same.
 
-A polynomial whose roots are all real skips the tree when it can: float
-estimates of its roots (the Aberth-Ehrlich iteration) name one cell of
-the tree's last level per root, and exact signs at the cell ends,
-counted against the Sturm count, prove that each cell holds exactly one
-root.  The tree would then return exactly those cells (see `_isolate`).
-The floats only aim: a polynomial the signs do not prove runs the tree.
+Cheaper exact evidence stands in for the search wherever floats can aim
+it.  A node's final grid is the dyadic grid its descent would end on;
+if each of its n roots lies strictly inside its own cell there, the tree
+returns exactly those cells (see `_isolate`).  `_cells` names n cells
+from float aims and proves them with exact signs of the squarefree part
+at their ends, counted against the node's Sturm count.  It is asked at
+the root and at both halves of a shifted split of a polynomial whose
+roots are all real, aimed by the Aberth-Ehrlich iteration, and at every
+single-root node, aimed by a bracketed float Newton pass (`_aims`).  The
+floats only aim: a node the signs do not prove runs the tree, and a
+single root they do not prove is refined.
 
 Isolation runs on the integer chain alone (`_isolate`), so a caller
 holding integer coefficients, such as `fan.psi_demo`, isolates without
@@ -79,17 +87,19 @@ fourth power of the degree, seconds at 256 and close to a minute at 512."""
 MAX_ISOLATION_WORK = 10 ** 12
 """Largest n m^2 K^3 an isolation accepts, for n real roots of a degree-m
 polynomial and K halvings from the Cauchy interval to the precision.
-Each root is refined by at most 3 K + 2 probes (see `_refine`), each a
-Horner pass of m products of numbers of up to m K bits by K bits, so
-n m^2 K^3 bounds the refinement's bit work up to a constant.  Bisection,
-one probe per halving, took 0.25-1.4 ps per unit on a 2-core host, so an
-admitted refinement takes at most about three times 1.5 s.  Refinement
-rarely comes near that bound.  On the cases of the cap test, x^2 - 2 at
-2^-4997 (K = 5000) takes 2-3 ms where bisection took 0.22-0.32 s, and
-x^256 - 3 x^2 + 1 at 10^-12 takes 17-26 ms (bisection 40-55 ms).  A
-cubic whose root has a complex pair 2^-4700 beside it, refined to
-2^-4700 near the cap, takes 1.2 K probes and 1.5-1.8 s (bisection
-1.2-1.3 s).
+Each root costs at most 3 K + 2 probes (see `_refine`), each a Horner
+pass of m products of numbers of up to m K bits by K bits, so n m^2 K^3
+bounds the refinement's bit work up to a constant; a root whose float
+aim names its cell (`_aims`) costs two to four of those probes and the
+float pass instead.  Bisection, one probe per halving, took 0.25-1.4 ps
+per unit on a 2-core host, so an admitted refinement takes at most about
+three times 1.5 s.  Refinement rarely comes near that bound.  On the
+cases of the cap test, x^2 - 2 at 2^-4997 (K = 5000), whose cells no
+double resolves, is refined in 1.3 ms where bisection took 0.22-0.32 s,
+and x^256 - 3 x^2 + 1 at 10^-12 takes 2.4 ms with every root aimed
+(10.5 ms refined, bisection 40-55 ms).  A cubic whose root has a complex
+pair 2^-4700 beside it, refined to 2^-4700 near the cap, takes 1.2 K
+probes and 1.5-1.8 s (bisection 1.2-1.3 s).
 Larger input raises ValueError before the first refinement.  A large
 coefficient ratio widens the Cauchy interval and so counts through K.
 Roots closer than the precision are separated by tree levels past K,
@@ -99,10 +109,11 @@ ValueError at the first node whose level L makes n m^2 L^3 exceed the cap."""
 
 CELL_SWEEPS = 30
 """Most Aberth sweeps `_estimates` runs before it gives the polynomial to
-the tree.  Over 1893 attempts on real-rooted products of degree 1-30 at
-precisions 8 to 2^-45, 1794 converged within 10 sweeps, 1855 within 30,
-9 later and 29 not in 200.  A failed attempt pays every sweep, m^2 float
-Horner steps each."""
+the tree, and most Newton steps `_aims` takes for one node.  Over 1893
+attempts on real-rooted products of degree 1-30 at precisions 8 to
+2^-45, 1794 converged within 10 sweeps, 1855 within 30, 9 later and 29
+not in 200.  A failed attempt pays every sweep, m^2 float Horner steps
+each; a Newton step costs m."""
 
 CELL_TOLERANCE = 16
 """The estimates stop once every correction of a sweep is below the cell
@@ -110,16 +121,18 @@ width over CELL_TOLERANCE, so each lies in its root's cell or beside it
 on the nearer side, where `_cells` looks second."""
 
 CELL_RESOLUTION = 46
-"""`_cells` tries nothing when the tolerance, the cell width over
-CELL_TOLERANCE, is at most far 2^-CELL_RESOLUTION, for far the Fujiwara
-bound: a double near far resolves 2^-52 far, and finer aims stop
+"""The Aberth estimates are not run when the tolerance, the cell width
+over CELL_TOLERANCE, is at most far 2^-CELL_RESOLUTION, for far the
+Fujiwara bound: a double near far resolves 2^-52 far, and finer aims stop
 converging.  Over 63 real-rooted inputs at every tolerance from far
 2^-34 to far 2^-73, none failed to converge down to 2^-42; 5 failed at
 2^-46, 10 at 2^-50, 30 at 2^-54 and most past 2^-56.  Over the inputs of
 tolerances 2^-36 to 2^-55, isolation took 0.84-1.04 times the tree
 alone for every limit from 2^-42 to 2^-52, within the host's noise, so
 the limit guards against wasted sweeps more than it tunes: at 46,
-x^2 - 2 runs the tree at 10^-12 and takes the cells at 2^-20."""
+x^2 - 2 takes the root's cells at 2^-20 but runs the tree at 10^-12.
+There the split at 0 is decided by parity and each root's Newton aim,
+whose guard is the root's own resolution, names its cell."""
 
 
 class EndpointRootError(ValueError):
@@ -214,6 +227,11 @@ def _sign(scaled: Sequence[int], t: int, e: int) -> int:
     """Sign of g at t / (q 2^e): the sign of `_value`."""
     v = _value(scaled, t, e)
     return (v > 0) - (v < 0)
+
+
+def _changes(chain: Sequence[Sequence[int]], t: int, e: int) -> int:
+    """Sign changes of the `_scaled` chain at t / (q 2^e)."""
+    return sign_changes([_sign(g, t, e) for g in chain])
 
 
 def _signs_at(polys: Sequence[Sequence[int]], x: Fraction) -> SignSeq:
@@ -427,6 +445,15 @@ def _fujiwara_far(cs: Sequence[int]) -> Fraction:
     return Fraction(2) ** (e + 1)
 
 
+def _halvings(P: int, Q: int, w: int, L: int, precision: Fraction) -> int:
+    """The fewest halvings that bring the width P w / (Q 2^L) to at most
+    precision: the bit length of the width over the precision, rounded
+    up, less one."""
+    num = P * w * precision.denominator
+    den = (Q * precision.numerator) << L
+    return (-(-num // den) - 1).bit_length()
+
+
 def _refine(sqf: Sequence[int], P: int, Q: int, ua: int, ub: int, L: int,
             precision: Fraction):
     """Narrow the tree node (ua, ub, L) to width <= precision.  It holds
@@ -457,10 +484,7 @@ def _refine(sqf: Sequence[int], P: int, Q: int, ua: int, ub: int, L: int,
     same grid returns.
     """
     w = ub - ua
-    # the width P w / (Q 2^L) over the precision, rounded up
-    num = P * w * precision.denominator
-    den = (Q * precision.numerator) << L
-    k = (-(-num // den) - 1).bit_length()
+    k = _halvings(P, Q, w, L, precision)
     if k == 0:
         return Fraction(P * ua, Q << L), Fraction(P * ub, Q << L)
     base, level = ua << k, L + k
@@ -577,50 +601,116 @@ def _estimates(sqf: Sequence[int], s: int, tol: float):
     return ys
 
 
-def _cells(sqf: Sequence[int], P: int, Q: int, K: int, far: Fraction):
-    """The intervals the tree returns for the real-rooted squarefree sqf
-    at K halvings from the Cauchy bound P / Q, when every root lies
-    strictly inside its own cell [j h, (j + 1) h] of the level-K grid,
-    h = P / (Q 2^(K-1)); otherwise None.
+def _aims(sqf: Sequence[int], s: int, PF: int, QF: int, nodes) -> list:
+    """A float aim y, x = 2^s y, at the root of the squarefree integer
+    polynomial sqf (ascending) in each single-root node (ua, ub, L, k, sa)
+    of the tree, or None where none is formed.
 
-    Float estimates (`_estimates`) name one cell per root, and exact signs
-    of sqf at the cell ends decide: a cell whose ends have nonzero signs
-    of opposite sign holds an odd number of roots, so deg sqf such cells,
-    all distinct, hold exactly one root each with none on a grid point.
-    A cell without a sign change is retried once on the estimate's nearer
-    neighbour.  Nothing is probed when the cell width is below what a
-    double resolves at far, or when two estimates share a cell.
+    The node is the interval between x = P u / (Q 2^L) at u = ua and
+    u = ub, with PF / QF = P / (Q 2^s), sqf has the sign sa at its left
+    end, and its cells are those of its level-(L + k) grid.  Newton's
+    iteration in y, on the monic polynomial that `_estimates` iterates
+    on, starts at the midpoint of the node clipped to (-1, 1), keeps the
+    bracket that the float signs tell, and takes the bracket's midpoint
+    instead of a step that leaves the bracket or is more than half the
+    step before it (as rtsafe does, Press et al. 2007, 9.4): far from a
+    root of high degree, Newton creeps, and on the 448 single-root nodes
+    of the seed-1 `roots` ops the plain iteration took 11 steps on
+    average and up to 109, the guarded one 7.6 and at most 18.  It stops
+    when a step is below the cell width over CELL_TOLERANCE, and gives
+    None after CELL_SWEEPS steps.
+    A cell no wider than a double resolves in the node, 2^-52 times its
+    largest modulus, and a float overflow or zero division give None; a
+    NaN never passes the step test.
     """
     m = len(sqf) - 1
+    lead = sqf[-1]
+    out = []
+    try:
+        coeffs = [c / (lead << (s * (m - i))) if s >= 0
+                  else (c << (-s * (m - i))) / lead
+                  for i, c in enumerate(sqf[:-1])][::-1]
+    except OverflowError:
+        return [None] * len(nodes)
+    for ua, ub, L, k, sa in nodes:
+        y = None
+        try:
+            # the node's ends in units of far, clipped to (-1, 1) before
+            # they become floats
+            den, ta, tb = QF << L, PF * ua, PF * ub
+            lo = -1.0 if ta <= -den else ta / den
+            hi = 1.0 if tb >= den else tb / den
+            cell = (tb - ta) / (den << k)
+            up = (sa > 0) == (lead > 0)  # p > 0 on lo's side of the root
+            if cell > 2.0 ** -52 * max(-lo, hi):
+                tol, z, last = cell / CELL_TOLERANCE, (lo + hi) / 2, hi - lo
+                for _ in range(CELL_SWEEPS):
+                    p, dp = 1.0, 0.0
+                    for c in coeffs:
+                        dp = dp * z + p
+                        p = p * z + c
+                    if (p > 0) == up:
+                        lo = z
+                    else:
+                        hi = z
+                    step = z - p / dp
+                    if not lo < step < hi or 2 * abs(step - z) > last:
+                        step = (lo + hi) / 2
+                    last = abs(step - z)
+                    if last < tol:
+                        y = step
+                        break
+                    z = step
+        except (ZeroDivisionError, OverflowError):
+            pass
+        out.append(y)
+    return out
+
+
+def _cells(sqf: Sequence[int], P: int, Q: int, far: Fraction,
+           ua: int, ub: int, L: int, k: int, n: int, ys: Sequence[float]):
+    """The intervals the tree returns for its node (ua, ub, L) holding n
+    roots of the squarefree sqf (descending, `_scaled` by Q), when each of
+    them lies strictly inside its own cell of the node's level-(L + k)
+    grid u_j = ua 2^k + j (ub - ua), j = 0 .. 2^k; otherwise None.
+
+    The float aims ys, x = far y, name the cells: those that fall in the
+    node must number n, one per cell.  Exact signs of sqf at the cell
+    ends decide: a cell whose ends have nonzero signs of opposite sign
+    holds an odd number of roots, so n such cells, all distinct, hold
+    exactly one root each with none on a grid point.  A cell without a
+    sign change is retried once on the aim's nearer neighbour.  See
+    `_isolate` for why the tree returns exactly these cells.
+    """
     FN, FD = far.numerator, far.denominator
-    s = FN.bit_length() - FD.bit_length()  # far = 2^s
-    # one cell is hn / hd in units of far
-    hn, hd = P * FD, (Q * FN) << (K - 1)
-    if hn << CELL_RESOLUTION <= hd * CELL_TOLERANCE:
-        return None
-    # a cell wider than far aims to far / CELL_TOLERANCE, so tol stays finite
-    ys = _estimates(sqf, s, min(hn, hd) / (hd * CELL_TOLERANCE))
-    if ys is None:
-        return None
-    # y = a / b lies in cell floor(a hd / (b hn)); twice its offset there
-    # against one cell tells the nearer neighbour
+    w, level, size = ub - ua, L + k, 1 << k
+    base = ua << k
+    # one cell is hn / hd in units of far, and the node starts at
+    # PF ua / hd, so y = a / b lies in cell floor((a hd - PF base b) / (b hn));
+    # twice its offset there against one cell tells the nearer neighbour
+    PF = P * FD
+    hn, hd, start = PF * w, (Q * FN) << level, PF * base
     cells = []
     for y in sorted(ys):
         a, b = y.as_integer_ratio()
-        j, off = divmod(a * hd, b * hn)
-        cells.append((j, -1 if 2 * off < b * hn else 1))
-    if len({j for j, _ in cells}) < m:
+        bh = b * hn
+        j, off = divmod(a * hd - start * b, bh)
+        if 0 <= j < size:
+            cells.append((j, -1 if 2 * off < bh else 1))
+    if len({j for j, _ in cells}) != n or len(cells) != n:
         return None
-    scaled, signs = _scaled(sqf, Q), {}
+    signs = {}
 
     def sign(j: int) -> int:
         if j not in signs:
-            signs[j] = _sign(scaled, P * j, K - 1)
+            signs[j] = _sign(sqf, P * (base + j * w), level)
         return signs[j]
 
     found = []
     for j, side in cells:
         for cell in (j, j + side):
+            if not 0 <= cell < size:
+                continue
             lo, hi = sign(cell), sign(cell + 1)
             if not lo or not hi:
                 return None
@@ -629,10 +719,11 @@ def _cells(sqf: Sequence[int], P: int, Q: int, K: int, far: Fraction):
                 break
         else:
             return None
-    if len(set(found)) < m:
+    if len(set(found)) < n:
         return None
-    return [(Fraction(P * j, Q << (K - 1)), Fraction(P * (j + 1), Q << (K - 1)))
-            for j in sorted(found)]
+    den = Q << level
+    return [(Fraction(P * (base + j * w), den),
+             Fraction(P * (base + (j + 1) * w), den)) for j in sorted(found)]
 
 
 def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
@@ -649,39 +740,58 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     return _isolate(sturm_sequence(f, var).chain, precision)
 
 
-def _isolate(chain: Sequence[Sequence[int]], precision: Fraction) -> list:
+def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
+             shortcuts: bool = True) -> list:
     """`isolate_roots_bisection` on the integer Sturm chain of its
-    polynomial (`_int_chain`), for a Fraction precision > 0.
+    polynomial (`_int_chain`), for a Fraction precision > 0.  With
+    shortcuts false, no cheaper evidence stands in for the tree: every
+    split signs the chain and every root is refined, the reference the
+    tests compare against.
 
-    What the tree returns is known beforehand in one case.  Let K be the
-    halvings from [-P/Q, P/Q] to the precision and h = P / (Q 2^(K-1))
-    the width of a level-K node.  Suppose every root lies strictly
-    inside a cell [j h, (j + 1) h] and no two roots share a cell.  Every
-    midpoint of level <= K is a cell end, so no midpoint is a root, no
-    split is shifted, every node is an aligned dyadic interval, and
-    `_refine` ends in the cell that holds its root: the intervals are
-    exactly those cells.  `_cells` proves the premise.  With r the count
-    of distinct real roots, read at infinity, take r distinct cells whose
-    ends carry nonzero signs of the squarefree part, of opposite sign.
-    Each holds an odd number of its roots; the cells are disjoint and the
-    roots number r, so each holds exactly one and none lies on a grid
-    point.
+    What the tree returns below a node is known beforehand in one case.
+    Let (ua, ub, L) be a node holding n roots, w = ub - ua, and k the
+    halvings that bring its width to the precision, so that its final
+    grid is u_j = ua 2^k + j w at level L + k.  Suppose each of the n
+    roots lies strictly inside its own cell of that grid.  The node's
+    descendants at depth l < k are the aligned runs of 2^(k-l) cells,
+    their midpoints are grid points and so no roots, no split below the
+    node is shifted, and a descendant holding one root at depth l has
+    k - l halvings left, so `_refine` searches the same grid and ends in
+    the root's cell: the intervals are exactly those cells.  `_cells`
+    proves the premise.  Take n distinct cells whose ends carry nonzero
+    signs of the squarefree part, of opposite sign.  Each holds an odd
+    number of the node's roots; the cells are disjoint and the roots
+    number n, so each holds exactly one and none lies on a grid point.
+    The splits skipped this way are at levels up to L + k, so a node is
+    given to `_cells` only when no split there would pass the isolation
+    cap; the errors are the tree's.
 
-    The check is tried only when every root is real (r = deg sqf), K >= 1
-    (so -P/Q is a cell end), 0 is not a root (it is the first split
-    point, which the tree shifts) and a cell is wide against what a
-    double resolves at far (CELL_RESOLUTION).  In every other case, and
-    whenever the check fails, the tree runs as before, so the choice
-    reads only the input.  In process on a 2-core host, each input timed
-    best of 7, the cells against the tree alone:
+    The check is asked at three places.  At the root (n = r, k = K) and at
+    both halves of a shifted split, when every root is real (r = deg sqf)
+    and the Aberth estimates of all of them converged; the root is
+    skipped when 0 is a root, since 0 is its first split point and the
+    tree shifts it.  And at every single-root node, aimed by `_aims`.
+    A second shortcut needs no floats: a node with n = 2 whose left end
+    and split point carry different signs of the squarefree part holds
+    an odd number of roots on the left, so one on each side, and the
+    split's count is read off without signing the chain.  In every other
+    case, and whenever a check fails, the tree runs as before, so the
+    choice reads only the input.  In process on a 2-core host, each set
+    timed best of 5 or 7, the shortcuts against the tree alone:
 
-        768 fibers of the seed-1 `flow` psi ops, 10^-12     70 ms   227 ms
-        176 seed-1 `roots` polynomials, 2^-20 (57 tried)   235 ms   267 ms
-        (x-1)(x-2)...(x-30) at 2^-20, a failed try          20 ms    15 ms
-        (x-1)(x-3)(x-15) at 2^-20, roots on the grid      0.13 ms  0.09 ms
+        3072 fibers of the seed-1 `flow` psi pool, 10^-12   229 ms   642 ms
+        176 seed-1 `roots` polynomials, 2^-20              100 ms   215 ms
+        (x-1)(x-2)...(x-30) at 2^-20, a failed root try     14 ms    11 ms
+        (x-1)(x-3)(x-15) at 2^-20, roots on the grid      0.15 ms  0.08 ms
+        x^2 - 2 at 10^-12                                 0.06 ms  0.07 ms
+        x^256 - 3 x^2 + 1 at 10^-12                        2.4 ms   10 ms
 
-    A failed try costs the sweeps and a few signs: the tests' mix of
-    real-rooted inputs took from 0.6 to 1.34 times the tree per kind.
+    On the `roots` set, 13,792 chain signs at split points and no
+    refinement probe against 26,312 and 10,781 before any of these
+    shortcuts but the root's cells: parity decides 22% of the splits
+    that would sign the chain (39% of those with two roots), the halves
+    of the shifted split at 0 take their cells in 23 real-rooted inputs,
+    and all 448 single-root nodes are aimed into their cells.
     """
     # a tree node (ua, ub, L) is the interval between x = P u / (Q 2^L)
     # for u = ua and u = ub, with P / Q the Cauchy bound
@@ -690,23 +800,42 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction) -> list:
     v_neg, v_pos = _changes_at_infinity(chain)
     roots, m = v_neg - v_pos, len(chain[0]) - 1
     # the halvings from the width 2 P / Q to at most the precision
-    K = (-(-2 * P * precision.denominator // (Q * precision.numerator))
-         - 1).bit_length()
+    K = _halvings(P, Q, 2, 0, precision)
     if roots * m * m * K ** 3 > MAX_ISOLATION_WORK:
         raise ValueError(f"isolating {roots} roots of degree {m} takes {K} "
                          f"halvings each: n*m^2*K^3 exceeds the isolation "
                          f"cap {MAX_ISOLATION_WORK:.0e}")
+
     sqf = _squarefree(chain)
     far = _fujiwara_far(chain[0])
-    if roots == len(sqf) - 1 and K and chain[0][0]:
-        cells = _cells(sqf, P, Q, K, far)
+    FN, FD = far.numerator, far.denominator
+    s = FN.bit_length() - FD.bit_length()  # far = 2^s
+    PF, QF = P * FD, Q * FN
+    # estimates of every root when all are real, for the cell checks of
+    # the root and of the halves of a shifted split
+    ys = None
+    if shortcuts and roots == len(sqf) - 1 and K:
+        # one level-K cell is hn / hd in units of far; a cell wider than
+        # far aims to far / CELL_TOLERANCE, so the tolerance stays finite
+        hn, hd = PF << 1, QF << K
+        if hn << CELL_RESOLUTION > hd * CELL_TOLERANCE:
+            ys = _estimates(sqf, s, min(hn, hd) / (hd * CELL_TOLERANCE))
+    scaled = _scaled(sqf, Q)
+    if ys is not None and chain[0][0]:
+        cells = _cells(scaled, P, Q, far, -1, 1, 0, K, roots, ys)
         if cells is not None:
             return cells
-    sqf = _scaled(sqf, Q)
-    # no root reaches far, so beyond it the counts are those at infinity;
-    # with far = FN / FD, x is at or beyond far iff P FD |u| >= Q FN 2^L
+    # no root reaches far, so beyond it the counts and the signs of sqf
+    # are those at infinity; with far = FN / FD, x is at or beyond far iff
+    # P FD |u| >= Q FN 2^L
     chain = [_scaled(g, Q) for g in chain]
-    PF, QF = P * far.denominator, Q * far.numerator
+    s_pos = 1 if scaled[0] > 0 else -1
+    s_neg = s_pos if len(scaled) % 2 else -s_pos
+
+    def too_deep(level: int) -> bool:
+        """A node past level K separates roots closer than the precision;
+        its descent is priced like a refinement to its level."""
+        return level > K and roots * m * m * level ** 3 > MAX_ISOLATION_WORK
 
     def beyond(u: int, L: int) -> int:
         """+1 at or above far, -1 at or below -far, else 0."""
@@ -717,37 +846,70 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction) -> list:
         side = beyond(u, L)
         if side:
             return v_pos if side > 0 else v_neg
-        t = P * u
-        return sign_changes([_sign(g, t, L) for g in chain])
+        return _changes(chain, P * u, L)
 
-    out = []
+    def sqf_sign(u: int, L: int) -> int:
+        side = beyond(u, L)
+        if side:
+            return s_pos if side > 0 else s_neg
+        return _sign(scaled, P * u, L)
+
+    def half_cells(ua: int, ub: int, L: int, va: int, vb: int):
+        """`_cells` of a node with two roots or more, on the estimates."""
+        k = _halvings(P, Q, ub - ua, L, precision)
+        if va - vb < 2 or too_deep(L + k):
+            return None
+        return _cells(scaled, P, Q, far, ua, ub, L, k, va - vb, ys)
+
+    # a node is (ua, ub, L, va, vb, sa): the sign changes of the chain at
+    # both ends and the sign of sqf at the left end
+    out, singles = [], []
     # the root's width 2 leaves a spare factor 2 in every u below it
-    stack = [(-1, 1, 0, changes(-1, 0), changes(1, 0))]
+    stack = [(-1, 1, 0, changes(-1, 0), changes(1, 0), sqf_sign(-1, 0))]
     while stack:
-        ua, ub, L, va, vb = stack.pop()
+        ua, ub, L, va, vb, sa = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine(sqf, P, Q, ua, ub, L, precision))
+            singles.append((ua, ub, L, sa))
             continue
         # split at the midpoint, shifted to a + (b - a) (2^(k-1) + 1) / 2^k
         # for k = 3, 4, ... while it is a root
         w, k, frac = ub - ua, 1, 1
         while True:
             um = (ua << k) + w * frac
-            if beyond(um, L + k) or _sign(sqf, P * um, L + k):
+            sm = sqf_sign(um, L + k)
+            if sm:
                 break
             k = 3 if k == 1 else k + 1
             frac = (1 << (k - 1)) + 1
-        # a node past level K separates roots closer than the precision;
-        # its descent is priced like a refinement to its level
-        if L + k > K and roots * m * m * (L + k) ** 3 > MAX_ISOLATION_WORK:
+        if too_deep(L + k):
             raise ValueError(f"separating {roots} roots of degree {m} takes "
                              f"{L + k} or more halvings: n*m^2*L^3 exceeds "
                              f"the isolation cap {MAX_ISOLATION_WORK:.0e}")
-        vm = changes(um, L + k)
-        stack.append((um, ub << k, L + k, vm, vb))
-        stack.append((ua << k, um, L + k, va, vm))
+        # two roots, and sqf changes sign between a and the split point:
+        # one root lies on each side
+        if shortcuts and n == 2 and sm != sa:
+            vm = va - 1
+        else:
+            vm = changes(um, L + k)
+        for half in ((um, ub << k, L + k, vm, vb, sm),
+                     (ua << k, um, L + k, va, vm, sa)):
+            # the halves of a shifted split are no nodes of the root's
+            # grid, but each may hold its roots in cells of its own grid
+            cells = k > 1 and ys is not None and half_cells(*half[:5])
+            if cells:
+                out += cells
+            else:
+                stack.append(half)
+    # each single-root node takes the cell its aim names, if the signs
+    # prove it, or is refined
+    nodes = [(ua, ub, L, _halvings(P, Q, ub - ua, L, precision), sa)
+             for ua, ub, L, sa in singles]
+    aims = _aims(sqf, s, PF, QF, nodes) if shortcuts else [None] * len(nodes)
+    for (ua, ub, L, k, _), y in zip(nodes, aims):
+        cells = y is not None and _cells(scaled, P, Q, far, ua, ub, L, k, 1, [y])
+        out += cells or [_refine(scaled, P, Q, ua, ub, L, precision)]
     out.sort()
     return out

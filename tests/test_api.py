@@ -77,7 +77,8 @@ FLOAT_FUNCTIONS = {
     "divisors": {"sphere_grid"},                        # rounded to integers
     "fan": {"_unit", "_chordal", "cycle_distance",      # the residual
             "psi_demo"},                                # output coordinates
-    "sturm": {"_estimates"},                            # aims the cell check
+    "sturm": {"_estimates",                             # aims the cell check
+              "_aims"},                                 # aims a single-root cell
 }
 _FLOAT_CALLS = {"float", "sqrt", "cos", "sin"}
 

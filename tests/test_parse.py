@@ -40,6 +40,11 @@ def test_rational_coefficients():
     # division is part of the rational literal, not an operator
     with pytest.raises(PolyParseError):
         parse_poly("x/2")
+    assert parse_poly("x^6/2") == x ** 3
+    # integer literals compute as ints, and the terms built are Fractions
+    f = parse_poly("(2*x + 3)^5 - 7/3*x")
+    assert f == (2 * x + 3) ** 5 - Fraction(7, 3) * x
+    assert all(type(c) is Fraction for c in f.terms.values())
 
 
 def test_parse_rational():

@@ -490,18 +490,16 @@ def _bisect_node(sqf, P, Q, ua, ub, L, precision):
 
 def _refine_nodes(monkeypatch, f, precision):
     """The argument tuples of every `_refine` call isolating f, with the
-    cell check switched off so that every root goes through the tree."""
-    nodes, refine, cells = [], sturm._refine, sturm._cells
+    cell checks and aims switched off so that every root is refined."""
+    nodes, refine = [], sturm._refine
 
     def record(*args):
         nodes.append(args)
         return refine(*args)
 
     monkeypatch.setattr(sturm, "_refine", record)
-    monkeypatch.setattr(sturm, "_cells", lambda *args: None)
-    isolate_roots_bisection(f, precision, "x")
+    sturm._isolate(sturm_sequence(f, "x").chain, precision, shortcuts=False)
     monkeypatch.setattr(sturm, "_refine", refine)
-    monkeypatch.setattr(sturm, "_cells", cells)
     return nodes
 
 
@@ -551,9 +549,9 @@ def test_refine_probe_count(monkeypatch, text, precision, k, probes):
     assert len(calls) == probes <= 3 * k + 2
 
 
-def _isolate_or_error(chain, precision):
+def _isolate_or_error(chain, precision, shortcuts=True):
     try:
-        return sturm._isolate(chain, precision)
+        return sturm._isolate(chain, precision, shortcuts)
     except ValueError as err:
         return type(err), str(err)
 
@@ -603,30 +601,34 @@ def _cell_cases():
 
 
 def _cells_against_tree(monkeypatch, cases, precisions):
-    """Isolate every case at every precision with the cell check and with
+    """Isolate every case at every precision with the shortcuts and with
     the tree alone, and assert the same intervals or the same error.
-    Returns the tries of the cell check and how many found cells."""
+    Returns the tries of the cell check for n >= 2 roots and how many
+    found cells, then the same two counts for n = 1."""
     took, cells = [], sturm._cells
 
     def record(*args):
         got = cells(*args)
-        took.append(got is not None)
+        took.append((args[8] > 1, got is not None))
         return got
 
+    monkeypatch.setattr(sturm, "_cells", record)
     for f in cases:
         chain = sturm_sequence(f, "x").chain
         for precision in precisions:
-            monkeypatch.setattr(sturm, "_cells", record)
             got = _isolate_or_error(chain, precision)
-            monkeypatch.setattr(sturm, "_cells", lambda *args: None)
-            assert got == _isolate_or_error(chain, precision), (f, precision)
+            assert got == _isolate_or_error(chain, precision, False), (f, precision)
     monkeypatch.setattr(sturm, "_cells", cells)
-    return len(took), sum(took)
+    many = [ok for multi, ok in took if multi]
+    single = [ok for multi, ok in took if not multi]
+    return len(many), sum(many), len(single), sum(single)
 
 
 def test_cells_equal_the_tree(monkeypatch):
-    tries, found = _cells_against_tree(monkeypatch, _cell_cases(), CELL_PRECISIONS)
-    # 92 of 301 tries find cells, mostly real-rooted inputs at 1/3 and 2^-20
+    tries, found, _, _ = _cells_against_tree(monkeypatch, _cell_cases(),
+                                             CELL_PRECISIONS)
+    # 101 of 159 tries on the converged estimates of a real-rooted input
+    # find cells, at the root or at the halves of a shifted split
     assert found >= 80
 
 
@@ -642,8 +644,8 @@ def test_cells_check_whatever_the_floats_say(monkeypatch):
                        for y in ys]
 
     monkeypatch.setattr(sturm, "_estimates", misaimed)
-    tries, found = _cells_against_tree(monkeypatch, _cell_cases()[:40],
-                                       CELL_PRECISIONS[1:3])
+    tries, found, _, _ = _cells_against_tree(monkeypatch, _cell_cases()[:40],
+                                             CELL_PRECISIONS[1:3])
     assert 5 <= found < tries
 
 
@@ -664,3 +666,86 @@ def test_real_rooted_fibers_skip_the_refinement(monkeypatch):
     assert len(psi_demo(Z, D, Fraction(1, 10)).output.points) == 4
     got = isolate_roots_bisection(parse_poly("x^2 - 2"), Fraction(1, 2 ** 20))
     assert len(got) == 2 and calls == []
+
+
+def _tree_cases():
+    """Inputs the tree decides: complex roots, a root at 0, huge bounds."""
+    rng = random.Random(26)
+    cases = [_roots_shape(rng, rng.randint(0, 6), rng.randint(1, 4))
+             for _ in range(30)]
+    cases += [parse_poly("x") * _real_rooted(rng, rng.randint(2, 10))
+              for _ in range(8)]
+    cases += [parse_poly(text) for text in (
+        "x*(x^2 - 2)*(x - 1)^2", "x^3*(x - 1/3)*(x + 5)*(x^2 + 1)",
+        # a Cauchy bound 10^400 times far: the nodes' ends pass a double
+        "x^3 + 10^600", "(x^3 + 10^600)*(x - 1)*(x + 1/2)",
+        "(x^2 + 10^60)*(x - 1)*(x + 2)")]
+    return cases
+
+
+def test_shortcuts_equal_the_tree(monkeypatch):
+    # parity splits, cells of shifted halves and aimed single-root cells
+    # return the tree's intervals, or its error, on the inputs it decides
+    tries, found, singles, aimed = _cells_against_tree(
+        monkeypatch, _tree_cases(), CELL_PRECISIONS)
+    # 48 of 68 tries with two roots or more find their cells, and 738 of
+    # 746 single-root nodes are aimed into theirs
+    assert found >= 40 and 700 <= aimed < singles
+
+
+def test_cells_check_whatever_newton_says(monkeypatch):
+    # aims moved off their roots by up to three cells: the exact signs
+    # either find the tree's cell or give the node to the refinement
+    rng, aims = random.Random(27), sturm._aims
+
+    def misaimed(sqf, s, PF, QF, nodes):
+        return [y and y + rng.choice((0, 0, 0.4, -0.6, 1.3, -2.9))
+                * PF * (ub - ua) / (QF << (L + k))
+                for y, (ua, ub, L, k, _) in zip(aims(sqf, s, PF, QF, nodes), nodes)]
+
+    monkeypatch.setattr(sturm, "_aims", misaimed)
+    _, _, singles, aimed = _cells_against_tree(
+        monkeypatch, _tree_cases()[:30], CELL_PRECISIONS[1:4])
+    assert 0.3 * singles < aimed < 0.8 * singles
+
+
+def test_aims_fail_quietly():
+    # x^2 - 2 at 2^-30 on its node (0, 3): the aim names the cell of sqrt 2
+    PF, QF = 3, 4  # P / Q = 3 and far = 4, so s = 2
+    (y,) = sturm._aims([-2, 0, 1], 2, PF, QF, [(0, 1, 0, 31, -1)])
+    assert abs(4 * y - math.sqrt(2)) < 2 ** -33
+    # coefficients past a double's range, Horner sums that overflow to
+    # inf and then NaN, a node end past a double at a huge Cauchy bound,
+    # and a cell below a double's resolution: None, never a float error
+    assert sturm._aims([-(10 ** 400), 0, 1], 0, 1, 1, [(0, 1, 0, 20, -1)]) == [None]
+    big = int(1.7e308)
+    assert sturm._aims([big, big, big, 1], 0, 1, 1, [(-1, 1, 0, 60, 1)]) == [None]
+    assert sturm._aims([-2, 0, 1], 2, 10 ** 400, 4, [(-1, 1, 0, 1400, -1)]) == [None]
+    assert sturm._aims([-2, 0, 1], 2, PF, QF, [(0, 1, 0, 60, -1)]) == [None]
+
+
+def _work(monkeypatch, f, precision, shortcuts=True):
+    """The chain entries signed at split points and the `_refine` calls
+    isolating f."""
+    signed, calls = [], []
+    changes, refine = sturm._changes, sturm._refine
+    monkeypatch.setattr(sturm, "_changes", lambda chain, t, e: signed.append(
+        len(chain) if e else 0) or changes(chain, t, e))
+    monkeypatch.setattr(sturm, "_refine", lambda *a: calls.append(a) or refine(*a))
+    sturm._isolate(sturm_sequence(f, "x").chain, precision, shortcuts)
+    monkeypatch.setattr(sturm, "_changes", changes)
+    monkeypatch.setattr(sturm, "_refine", refine)
+    return sum(signed), len(calls)
+
+
+def test_work_pins(monkeypatch):
+    # the corpus case: the root's split at 0 is decided by parity, and
+    # each root's aim names its cell, so nothing is refined
+    assert _work(monkeypatch, parse_poly("x^2 - 2"), Fraction(1, 10 ** 12)) == (0, 0)
+    # a degree-32 input shaped like the benchmark's roots ops: parity
+    # splits save a fifth of the chain signs, and no root is refined
+    f = _roots_shape(random.Random(28), 4, 14)
+    assert len(sturm_sequence(f, "x").chain[0]) == 33
+    fast = _work(monkeypatch, f, Fraction(1, 2 ** 20))
+    slow = _work(monkeypatch, f, Fraction(1, 2 ** 20), False)
+    assert (fast, slow) == ((1320, 0), (1617, 26))
