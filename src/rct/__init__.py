@@ -23,13 +23,12 @@ _PUBLIC = {
     "poly": ("NEG_INF", "Rational", "SparsePoly", "divide_exact",
              "format_poly", "poly_divmod"),
     "parse": ("PolyParseError", "parse_poly", "parse_rational"),
-    "sturm": ("EndpointRootError", "SturmSeq", "cauchy_root_bound",
-              "count_distinct_roots_in", "count_distinct_roots_total",
-              "expand_endpoints_clear", "isolate_roots_bisection",
-              "sign_changes", "sturm_sequence"),
-    "critical": ("D_MAX_DEFAULT", "CriticalSet", "RootVerdict",
-                 "critical_polynomials", "has_d_distinct_real_roots",
-                 "in_S_n", "verify_pair_chain"),
+    "sturm": ("EndpointRootError", "RootVerdict", "SturmSeq",
+              "cauchy_root_bound", "count_distinct_roots_in",
+              "count_distinct_roots_total", "expand_endpoints_clear",
+              "isolate_roots_bisection", "sign_changes", "sturm_sequence"),
+    "critical": ("D_MAX_DEFAULT", "CriticalSet", "critical_polynomials",
+                 "has_d_distinct_real_roots", "in_S_n", "verify_pair_chain"),
     "chow": ("MHForm", "TaffyPath", "TExpansion", "chow_of_linear",
              "chow_of_points", "det_action_check", "eigenform_degree",
              "group_var", "is_suspension", "mul_cycles", "proportional",

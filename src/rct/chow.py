@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from .parse import MAX_POWER_BITS, MAX_POWER_DEGREE, MAX_POWER_TERMS
-from .poly import (Rational, SparsePoly, _mul_terms, _pow_terms,
-                   _substitute_terms, as_rational)
+from .poly import (Rational, SparsePoly, _as_integers, _mul_terms,
+                   _pow_terms, _substitute_terms, as_rational)
 
 __all__ = [
     "MHForm",
@@ -222,13 +222,6 @@ def _int_det(rows: list) -> int:
                 m[i][j] = (m[i][j] * p - m[i][k] * m[k][j]) // prev
         prev = p
     return sign * m[-1][-1]
-
-
-def _as_integers(values: Sequence[Fraction]) -> tuple:
-    """(L, the values times L) for Fractions, L the lcm of their
-    denominators."""
-    L = lcm(*(c.denominator for c in values))
-    return L, [c.numerator * (L // c.denominator) for c in values]
 
 
 def chow_of_linear(span: Sequence[Sequence[Rational]], m: int = 0) -> MHForm:

@@ -144,8 +144,6 @@ def _cmd_sturm_isolate(args) -> int:
 def _cmd_critical_gen(args) -> int:
     from .critical import critical_polynomials, verify_pair_chain
 
-    # the pair check first: it holds the chain in memory, where the F_j
-    # are then read, rather than loading it twice
     offsets = verify_pair_chain(args.d) if args.verify_pairs else None
     cs = critical_polynomials(args.d)
     out = {"d": args.d,

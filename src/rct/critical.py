@@ -64,30 +64,19 @@ leading coefficients F_2..F_d: f has d distinct real roots exactly when
 every F_j is positive at the coefficient point, and a vanishing F_j
 marks a degenerate point where the generic chain does not specialize.
 
-Point verdicts build no symbolic chain: they read the same signs off the
-primitive integer PRS (pseudo-remainder sequence) of the point and its
-derivative, the sequence `sturm._int_chain` builds.  By the subresultant
-structure theorem (Basu-Pollack-Roy ch. 9) that PRS has the degrees
-d, d - 1, ..., 0 exactly when every Hankel pivot D_{j,0} is nonzero, and
-then the sign of the leading coefficient of its entry j is the sign of
-D_{j,0}, that is of F_j.  So `_point_verdict` walks the PRS keeping only
-its last two entries and returns DEGENERATE at the first step whose
-degree drops by more than one, else TRUE when every leading coefficient
-is positive.  By Hermite's theorem the Hankel form (p_{r+s}) has rank
-the number of distinct roots and signature the number of distinct real
-roots, so f has d distinct real roots exactly when that form is
-positive definite, which by Sylvester's criterion means every
-D_{j,0} > 0: `in_S_n` is the verdict TRUE, exact at degenerate points
-too, with no root count.  Point queries accept d up to
-`sturm.MAX_DEGREE`.
+Point verdicts (`has_d_distinct_real_roots`, `in_S_n`) build no
+symbolic chain: they read the same signs off the primitive remainder
+sequence of the point itself (`sturm._point_verdict`), and accept d up
+to `sturm.MAX_DEGREE`.
 
 The elimination and the packed polynomials it runs on live in
 `hankel`.  The chain, its cache file name and its stored keys use
 `_BITS` = 8 bits per variable field, enough up to d = 8 (2d(d-1) = 112).
 
-The chain is held once, as these packed R_j (`_Chain.prs`), and its
-grading is read once, off the packed keys by `_weight`: the coefficient
-of x^m in R_j has weight j(j - 1) + d - j - m.  The substitutable-pair
+The chain is the packed R_j (`_Chain.prs`), loaded from its cache file
+or built on each request and not kept in memory (`_get_chain`).  Its
+grading is read off the packed keys by `_weight`: the coefficient of
+x^m in R_j has weight j(j - 1) + d - j - m.  The substitutable-pair
 check (`verify_pair_chain`), the homogeneity of each F_j and the check
 of a cached chain all use it.  A cached chain is also evaluated at a
 random integer point and compared with the Hankel formula run on the
@@ -98,15 +87,14 @@ from __future__ import annotations
 
 import random
 import threading
-from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import getitem, mul
 from typing import Sequence
 
 from . import hankel
-from .poly import _format_terms, _grlex_key, as_rational
-from .sturm import MAX_DEGREE, _drop_one, _primitive
+from .poly import _as_integers, _format_terms, _grlex_key, as_rational
+from .sturm import MAX_DEGREE, RootVerdict, _point_verdict
 
 _BITS = 8
 
@@ -387,12 +375,6 @@ def _store_cached_chain(ch) -> bool:
     return True
 
 
-class RootVerdict(Enum):
-    TRUE = "true"
-    FALSE = "false"
-    DEGENERATE = "degenerate"
-
-
 class CriticalSet:
     """The critical polynomials of the symbolic chain for one d.
 
@@ -436,36 +418,25 @@ class CriticalSet:
 
 
 _phase_lock = threading.Lock()
-_chain_cache: dict = {}
 _set_cache: dict = {}
 
 
 _DISK_CACHE_MIN_D = 7
 
 
-def _get_chain(d: int, keep: bool = True) -> _Chain:
-    """The chain for d: from memory, else from its cache file (d >=
-    `_DISK_CACHE_MIN_D`), else built and, at those d, written.
-
-    The chain is held in memory for later readers unless keep is False
-    and its cache file was read or written here: such a chain costs a
-    load (about 30 ms at d = 8) to read again, never a second build."""
-    chain = _chain_cache.get(d)
-    if chain is None:
-        with _phase_lock:
-            chain = _chain_cache.get(d)
-            if chain is None:
-                on_disk = False
-                if d >= _DISK_CACHE_MIN_D:
-                    chain = _load_cached_chain(d)
-                    on_disk = chain is not None
-                if chain is None:
-                    chain = _Chain(d)
-                    if d >= _DISK_CACHE_MIN_D:
-                        on_disk = _store_cached_chain(chain)
-                if keep or not on_disk:
-                    _chain_cache[d] = chain
-    return chain
+def _get_chain(d: int) -> _Chain:
+    """The chain for d: from its cache file (d >= `_DISK_CACHE_MIN_D`),
+    else built and, at those d, written.  No chain is kept in memory: a
+    second request loads it again (about 20 ms at d = 8), or builds it
+    again below that d or when the file could not be written."""
+    with _phase_lock:
+        disk = d >= _DISK_CACHE_MIN_D
+        chain = _load_cached_chain(d) if disk else None
+        if chain is None:
+            chain = _Chain(d)
+            if disk:
+                _store_cached_chain(chain)
+        return chain
 
 
 def _check_chain_degree(d: int):
@@ -505,14 +476,13 @@ def critical_polynomials(d: int) -> CriticalSet:
     """Critical polynomials F_2..F_d of the generic degree-d polynomial.
 
     Memoized per process; safe under concurrent readers.  Only the F_j
-    are kept: a chain with a cache file is not held in memory for them
-    (`_get_chain`), which at d = 7 and 8 saves 1.7 MB.
+    are kept, not the chain they are read from (`_get_chain`).
     """
     _check_chain_degree(d)
     cs = _set_cache.get(d)
     if cs is not None:
         return cs
-    chain = _get_chain(d, keep=False)
+    chain = _get_chain(d)
     F = []
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
@@ -533,44 +503,8 @@ def _point_poly(coeffs: Sequence) -> list:
     if not 2 <= len(coeffs) <= MAX_DEGREE:
         raise ValueError(f"point queries need 2 <= d <= {MAX_DEGREE} (the "
                          f"Sturm degree cap), got d = {len(coeffs)}")
-    q = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (q // c.denominator) for c in reversed(coeffs)] + [q]
-
-
-def _point_verdict(p0: Sequence[int]) -> RootVerdict:
-    """Verdict for the integer polynomial p0 (ascending, degree >= 1).
-
-    Walks the primitive PRS of p0 and p0' with the step of
-    `sturm._int_chain`, `sturm._drop_one`, keeping only its last two
-    entries: DEGENERATE at the first remainder whose degree drops by more
-    than one (a zero remainder included), else TRUE when every leading
-    coefficient is positive, else FALSE.
-
-    The subresultant PRS, which divides each remainder exactly by
-    lc(its dividend)^2 in place of a gcd, gives the same verdicts and
-    trades one kind of point for another.  Per point, in process on a
-    2-core host (split: d distinct integer roots from [-1000, 1000), like
-    E's member fibers; dense: monic, the other coefficients uniform in
-    [-1000, 1000]):
-
-        point    d     primitive   subresultant
-        split    16    0.53 ms     0.76 ms
-        split    32    15 ms       27 ms
-        split    64    0.57 s      1.13 s
-        dense    8-64  1.3-1.4 times the subresultant time
-
-    No bench workload moves with either side of the trade, so one PRS
-    serves the verdicts and the chains.
-    """
-    a, b = p0, _primitive([k * c for k, c in enumerate(p0)][1:])[1]
-    positive = a[-1] > 0 and b[-1] > 0
-    while len(b) > 1:
-        r = _drop_one(a, b)[1]
-        if len(r) != len(b) - 1:
-            return RootVerdict.DEGENERATE
-        positive = positive and r[-1] > 0
-        a, b = b, r
-    return RootVerdict.TRUE if positive else RootVerdict.FALSE
+    q, ints = _as_integers(coeffs[::-1])
+    return ints + [q]
 
 
 def has_d_distinct_real_roots(coeffs: Sequence) -> RootVerdict:
@@ -586,5 +520,5 @@ def has_d_distinct_real_roots(coeffs: Sequence) -> RootVerdict:
 def in_S_n(coeffs: Sequence) -> bool:
     """Exact membership: does the monic polynomial split into d distinct real
     roots?  True exactly when the point verdict is TRUE (Hermite and
-    Sylvester, see the module docstring), degenerate points included."""
+    Sylvester, see `rct.sturm`), degenerate points included."""
     return _point_verdict(_point_poly(coeffs)) is RootVerdict.TRUE

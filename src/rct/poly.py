@@ -13,7 +13,7 @@ exponent vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -32,6 +32,13 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _as_integers(values: Sequence[Fraction]) -> tuple:
+    """(L, the values times L) for Fractions, L the lcm of their
+    denominators."""
+    L = lcm(*(c.denominator for c in values))
+    return L, [c.numerator * (L // c.denominator) for c in values]
 
 
 def _grlex_key(exp: tuple) -> tuple:

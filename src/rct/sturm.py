@@ -12,7 +12,24 @@ the |lc|^k divided out at its step, and `SturmSeq.polys` rebuilds the
 Euclid chain from them on demand.  A step whose degree drops by one, the
 generic case, is one pass: each remainder coefficient is a sum of three
 products, and one gcd call over them gives the content (`_drop_one`).
-`critical._point_verdict` walks the same sequence with the same step.
+
+Point verdicts read signs off the same sequence without counting.  Let
+p_k be the Newton sums of f (the power sums of its roots) and D_{j,0}
+the j-th leading principal minor of the Hankel matrix (p_{r+s}).  By the
+subresultant structure theorem (Basu-Pollack-Roy, Algorithms in Real
+Algebraic Geometry, ch. 9) the primitive PRS of f and f' has the degrees
+d, d - 1, ..., 0 exactly when every pivot D_{j,0} is nonzero, and then
+the sign of the leading coefficient of its entry j is the sign of
+D_{j,0}, that is of the critical polynomial F_j of `rct.critical`.  So
+`_point_verdict` walks the PRS with the step `_drop_one`, keeping only
+its last two entries, and returns DEGENERATE at the first step whose
+degree drops by more than one, else TRUE when every leading coefficient
+is positive.  By Hermite's theorem the Hankel form (p_{r+s}) has rank
+the number of distinct roots and signature the number of distinct real
+roots, so f has d distinct real roots exactly when that form is
+positive definite, which by Sylvester's criterion means every
+D_{j,0} > 0: the verdict TRUE, exact at degenerate points too, with no
+root count.
 
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
@@ -69,12 +86,13 @@ cost more than MAX_ISOLATION_WORK.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, sqrt
+from math import gcd, isqrt, sqrt
 from typing import Iterable, Sequence
 
-from .poly import NEG_INF, SparsePoly, as_rational
+from .poly import NEG_INF, SparsePoly, _as_integers, as_rational
 
 SignSeq = list  # of -1/0/+1
 
@@ -169,9 +187,8 @@ def _primitive(cs: Sequence[int]):
 def _int_dense(f: SparsePoly, var: str):
     """Primitive integer coefficients of f (ascending) and (g, den) with
     f = g/den * them, g and den positive."""
-    cs = _dense(f, var)
-    den = lcm(*(c.denominator for c in cs))
-    g, ints = _primitive([c.numerator * (den // c.denominator) for c in cs])
+    den, ints = _as_integers(_dense(f, var))
+    g, ints = _primitive(ints)
     return ints, (g, den)
 
 
@@ -370,6 +387,33 @@ def _drop_one(a: Sequence[int], b: Sequence[int]):
     return g, r, mult
 
 
+class RootVerdict(Enum):
+    TRUE = "true"
+    FALSE = "false"
+    DEGENERATE = "degenerate"
+
+
+def _point_verdict(p0: Sequence[int]) -> RootVerdict:
+    """Verdict for the integer polynomial p0 (ascending, degree >= 1)
+    having deg p0 distinct real roots (module docstring).
+
+    Walks the primitive PRS of p0 and p0' with the step of `_int_chain`,
+    `_drop_one`, keeping only its last two entries: DEGENERATE at the
+    first remainder whose degree drops by more than one (a zero remainder
+    included), else TRUE when every leading coefficient is positive, else
+    FALSE.
+    """
+    a, b = p0, _primitive([k * c for k, c in enumerate(p0)][1:])[1]
+    positive = a[-1] > 0 and b[-1] > 0
+    while len(b) > 1:
+        r = _drop_one(a, b)[1]
+        if len(r) != len(b) - 1:
+            return RootVerdict.DEGENERATE
+        positive = positive and r[-1] > 0
+        a, b = b, r
+    return RootVerdict.TRUE if positive else RootVerdict.FALSE
+
+
 def sign_changes(signs: Iterable[int]) -> int:
     """Sign changes after deleting zeros."""
     cleaned = [s for s in signs if s != 0]
@@ -381,6 +425,12 @@ def _changes_at_infinity(chain: Sequence[Sequence[int]]) -> tuple:
     pos = [1 if p[-1] > 0 else -1 for p in chain]
     neg = [s if len(p) % 2 else -s for s, p in zip(pos, chain)]
     return sign_changes(neg), sign_changes(pos)
+
+
+def _real_root_count(chain: Sequence[Sequence[int]]) -> int:
+    """Distinct real roots of chain[0], from its integer Sturm chain."""
+    v_neg, v_pos = _changes_at_infinity(chain)
+    return v_neg - v_pos
 
 
 def cauchy_root_bound(f: SparsePoly, var: str = None) -> Fraction:
@@ -426,8 +476,7 @@ def count_distinct_roots_in(f: SparsePoly, a, b, var: str = None) -> int:
 
 def count_distinct_roots_total(f: SparsePoly, var: str = None) -> int:
     """Distinct real roots over the whole line, from the signs at both infinities."""
-    v_neg, v_pos = _changes_at_infinity(sturm_sequence(f, var).chain)
-    return v_neg - v_pos
+    return _real_root_count(sturm_sequence(f, var).chain)
 
 
 def _fujiwara_far(cs: Sequence[int]) -> Fraction:

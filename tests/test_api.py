@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import rct
@@ -124,3 +125,54 @@ def test_floats_stay_where_they_are_allowed():
     assert not stray, stray
     # every allowed function still computes in floats
     assert seen == {(m, f) for m, fs in FLOAT_FUNCTIONS.items() for f in fs}
+
+
+def test_only_sturm_steps_the_remainder_sequence():
+    # the remainder step and the pseudo-remainder are sturm's own; other
+    # modules reach the sequence through sturm's functions
+    root = Path(__file__).resolve().parents[1] / "src" / "rct"
+    private = {"_drop_one", "_neg_prem"}
+    refs = []
+    for path in sorted(root.glob("*.py")):
+        if path.stem == "sturm":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            refs += [f"{path.name}:{node.lineno}: {n}"
+                     for n in names if n in private]
+    assert not refs, refs
+
+
+def _paper_map_rows() -> list:
+    """The rows of README's paper-to-code table, as lists of cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Paper-to-code map\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines()
+            if line.startswith("| ")]
+    return rows[1:]  # the header row
+
+
+def test_paper_map_names_exist():
+    # every function and test the README's paper-to-code map names exists,
+    # so the map cannot rot
+    rows = _paper_map_rows()
+    assert len(rows) == 5  # one per claim of the abstract
+    root = Path(__file__).resolve().parents[1]
+    for claim, functions, _strength, tests, _upgrade in rows:
+        names = re.findall(r"`rct\.(\w+)\.(\w+)`", functions)
+        cases = re.findall(r"`tests/(\w+\.py)::(\w+)`", tests)
+        assert names and cases, claim
+        for module, name in names:
+            assert callable(getattr(importlib.import_module(f"rct.{module}"),
+                                    name, None)), (claim, module, name)
+        for filename, case in cases:
+            tree = ast.parse((root / "tests" / filename).read_text())
+            assert any(isinstance(node, ast.FunctionDef) and node.name == case
+                       for node in tree.body), (claim, filename, case)

@@ -95,8 +95,9 @@ def test_pair_checker_reads_one_ladder_per_entry(monkeypatch):
     R2 = [{2 * a1: 1, a2: -4}]                  # a1^2 - 4 a2
 
     def offsets(*prs):
-        monkeypatch.setitem(crit._chain_cache, 2, crit._Chain(2, list(prs)))
-        return verify_pair_chain(2)
+        monkeypatch.setattr(crit, "_get_chain",
+                            lambda d: crit._Chain(d, list(prs)))
+        return verify_pair_chain(len(prs) - 1)
 
     assert offsets(R0, R1, R2) == [0, 2]
     # an off-ladder key in one coefficient, and an entry with no key
@@ -106,20 +107,21 @@ def test_pair_checker_reads_one_ladder_per_entry(monkeypatch):
         offsets(R0, R1, [{}])
     # the weight of c_3 = -9 lc(R_2)^-2 follows lc(R_2): R_2 times a1
     # moves its ladder from 2 to 3 and c_3's weight from -4 to -6
-    prs = [[dict(c) for c in xp] for xp in crit._get_chain(3).prs]
-    assert verify_pair_chain(3) == [0, 2, 0]
+    prs = [[dict(c) for c in xp] for xp in crit._Chain(3).prs]
+    assert offsets(*prs) == [0, 2, 0]
     prs[2] = [{k + 1: v for k, v in c.items()} for c in prs[2]]
-    monkeypatch.setitem(crit._chain_cache, 3, crit._Chain(3, prs))
-    assert verify_pair_chain(3) == [0, 3, -3]
+    assert offsets(*prs) == [0, 3, -3]
 
 
-def _chain_at(d, pt):
-    """c_j * R_j at the point pt, each an ascending coefficient list; a
-    test-local reference built from the packed R_j and `_multiplier`.
-    ZeroDivisionError where a factor lc(R_i)^-2 of c_j vanishes."""
+def _chain_at(prs, pt):
+    """c_j * R_j at the point pt, each an ascending coefficient list, for
+    the packed chain prs; a test-local reference built from the packed R_j
+    and `_multiplier`.  ZeroDivisionError where a factor lc(R_i)^-2 of c_j
+    vanishes."""
+    d = len(prs) - 1
     names = tuple(f"a{i}" for i in range(1, d + 1))
     vals = [[to_sparse(c, names, _BITS).evaluate(pt) for c in xp]
-            for xp in crit._get_chain(d).prs]
+            for xp in prs]
     out = []
     for j, row in enumerate(vals):
         c, expo = crit._multiplier(d, j)
@@ -134,6 +136,7 @@ def test_specialization_matches_direct_chain():
     # of the specialized polynomial, entry by entry
     rng = random.Random(42)
     for d in range(2, 6):
+        prs = crit._get_chain(d).prs
         done = 0
         while done < 8:
             pt = _coeff_point(rng, d)
@@ -142,7 +145,7 @@ def test_specialization_matches_direct_chain():
             direct = sturm_sequence(f, "x")
             if len(direct.polys) != d + 1:
                 continue  # non-generic point: chain degenerates
-            for j, sym in enumerate(_chain_at(d, pt)):
+            for j, sym in enumerate(_chain_at(prs, pt)):
                 assert sym == list(direct.polys[j]), (d, j)
             done += 1
 
@@ -156,12 +159,12 @@ def test_F_sign_is_leading_sign():
     # point where the chain specializes both carry the same sign
     rng = random.Random(43)
     for d in range(2, 7):
-        cs = critical_polynomials(d)
+        cs, prs = critical_polynomials(d), crit._get_chain(d).prs
         done = 0
         while done < 6:
             pt = _coeff_point(rng, d)
             try:
-                leads = [f[-1] for f in _chain_at(d, pt)[2:]]
+                leads = [f[-1] for f in _chain_at(prs, pt)[2:]]
             except ZeroDivisionError:
                 continue  # an earlier leading coefficient vanishes here
             if 0 in leads:
@@ -603,6 +606,13 @@ def test_a_command_loads_only_its_modules():
     assert "rct.critical" in out
     for name in ("rct.chow", "rct.fan", "rct.divisors"):
         assert name not in out, out
+    # point verdicts live in sturm, so the divisor and fan commands never
+    # load the symbolic chain's module
+    for argv in (("div", "in-e", "--poly", "x0^2 - x1^2 - x2^2"),
+                 ("div", "in-div2", "--poly", "x0^2 - 1/9*x1^2", "--n", "1"),
+                 ("fan", "demo", "--limit", "1/10,1/100")):
+        out = loaded(*argv)
+        assert "rct.divisors" in out and "rct.critical" not in out, (argv, out)
 
 
 def test_lazy_package_resolves_every_public_name():
@@ -636,30 +646,25 @@ def test_chain_cache_roundtrip(tmp_path, monkeypatch):
 
     monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(crit, "_DISK_CACHE_MIN_D", 3)
-    crit._chain_cache.pop(3, None)
-    try:
-        ch = crit._get_chain(3)
-        files = list(tmp_path.glob("chain-*-d3.json.gz"))
-        assert len(files) == 1
-        loaded = crit._load_cached_chain(3)
-        assert loaded is not None
-        assert loaded.prs == ch.prs
-        # corruption is detected and discarded, never trusted
-        files[0].write_bytes(b"not gzip json")
-        assert crit._load_cached_chain(3) is None
-    finally:
-        crit._chain_cache.pop(3, None)
+    ch = crit._get_chain(3)
+    files = list(tmp_path.glob("chain-*-d3.json.gz"))
+    assert len(files) == 1
+    loaded = crit._load_cached_chain(3)
+    assert loaded is not None
+    assert loaded.prs == ch.prs
+    # corruption is detected and discarded, never trusted
+    files[0].write_bytes(b"not gzip json")
+    assert crit._load_cached_chain(3) is None
 
 
 def test_critical_polynomials_hold_no_chain_that_has_a_file(tmp_path,
                                                             monkeypatch):
-    # the F_j are kept, packed; a chain with a cache file is not held in
-    # memory for them, and a later reader loads it rather than build it
+    # the F_j are kept, packed, and no chain: a later reader loads the
+    # chain from its file rather than build it
     import rct.critical as crit
 
     monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(crit, "_DISK_CACHE_MIN_D", 3)
-    monkeypatch.setattr(crit, "_chain_cache", {})
     monkeypatch.setattr(crit, "_set_cache", {})
     builds, build = [], crit._hankel_chain
 
@@ -670,14 +675,15 @@ def test_critical_polynomials_hold_no_chain_that_has_a_file(tmp_path,
 
     monkeypatch.setattr(crit, "_hankel_chain", counted)
     cs = crit.critical_polynomials(4)
-    assert crit._chain_cache == {} and builds == [4]
+    assert builds == [4]
     assert cs.F[0] == parse_poly("3*a1^2 - 8*a2")
     assert crit.verify_pair_chain(4) == crit.verify_pair_chain(4)
     assert builds == [4]
-    # a chain whose file could not be written stays in memory
+    # a chain whose file could not be written is built again
     monkeypatch.setattr(crit, "_store_cached_chain", lambda ch: False)
     crit.critical_polynomials(5)
-    assert 5 in crit._chain_cache and builds == [4, 5]
+    crit.verify_pair_chain(5)
+    assert builds == [4, 5, 5]
 
 
 def test_cache_verification_rejects_wrong_chain(tmp_path, monkeypatch):
@@ -686,18 +692,14 @@ def test_cache_verification_rejects_wrong_chain(tmp_path, monkeypatch):
 
     monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(crit, "_DISK_CACHE_MIN_D", 3)
-    crit._chain_cache.pop(3, None)
-    try:
-        ch = crit._get_chain(3)
-        tampered = crit._Chain(
-            3,
-            [[{k: v + (1 if i == 2 and j == 0 else 0)
-               for k, v in wp.items()} or wp for j, wp in enumerate(entry)]
-             for i, entry in enumerate(ch.prs)])
-        crit._store_cached_chain(tampered)
-        assert crit._load_cached_chain(3) is None
-    finally:
-        crit._chain_cache.pop(3, None)
+    ch = crit._get_chain(3)
+    tampered = crit._Chain(
+        3,
+        [[{k: v + (1 if i == 2 and j == 0 else 0)
+           for k, v in wp.items()} or wp for j, wp in enumerate(entry)]
+         for i, entry in enumerate(ch.prs)])
+    crit._store_cached_chain(tampered)
+    assert crit._load_cached_chain(3) is None
 
 
 def test_verify_chain_accepts_built_and_rejects_perturbed():

@@ -542,14 +542,17 @@ def test_e_certificates_positive_iff_member():
 def test_e_certificate_forms_build_no_chain(tmp_path, monkeypatch):
     # the forms come from one elimination over Z[x1, x2]: no symbolic
     # chain is built, loaded or written, and d is not capped at 8
+    def no_chain(d):
+        raise AssertionError(f"chain for d = {d} requested")
+
     monkeypatch.setenv("RCT_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(critical, "_chain_cache", {})
+    monkeypatch.setattr(critical, "_get_chain", no_chain)
     monkeypatch.setattr(critical, "_set_cache", {})
     for k in (4, 5):
         D = paper_family(2, k)[0]
         hs = e_certificate_forms(D)
         assert len(hs) == D.d - 1 and hs[-1].degree() == D.d * (D.d - 1)
-    assert critical._chain_cache == {} and critical._set_cache == {}
+    assert critical._set_cache == {}
     assert list(tmp_path.iterdir()) == []
 
 
