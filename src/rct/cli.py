@@ -64,9 +64,10 @@ def _json_list(value, what: str) -> list:
 
 def _rat_row(row) -> list:
     """A JSON list of rationals (numbers or "p/q" strings) as Fractions."""
-    from .parse import parse_rational
+    from .parse import _json_rational
 
-    return [parse_rational(str(c)) for c in _json_list(row, "rationals")]
+    return [_json_rational(c, "rational literal")
+            for c in _json_list(row, "rationals")]
 
 
 def _rat_rows(rows) -> list:
@@ -109,39 +110,34 @@ def _divisor_arg(args):
     return Divisor(parse_poly(args.poly), args.n)
 
 
-# ---- subcommand bodies ----
+# ---- subcommand bodies: each returns (report, exit code) ----
 
 
-def _cmd_sturm_count(args) -> int:
+def _cmd_sturm_count(args):
     from .parse import parse_poly
     from .sturm import count_distinct_roots_in, count_distinct_roots_total
 
     f = parse_poly(args.poly)
-    if args.interval:
-        a, b = _interval_arg(args.interval)
-        count = count_distinct_roots_in(f, a, b, args.var)
-        _emit({"count": count, "interval": [str(a), str(b)]}, args.format)
-    else:
-        count = count_distinct_roots_total(f, args.var)
-        _emit({"count": count}, args.format)
-    return 0
+    if not args.interval:
+        return {"count": count_distinct_roots_total(f, args.var)}, 0
+    a, b = _interval_arg(args.interval)
+    return {"count": count_distinct_roots_in(f, a, b, args.var),
+            "interval": [str(a), str(b)]}, 0
 
 
-def _cmd_sturm_isolate(args) -> int:
+def _cmd_sturm_isolate(args):
     from .parse import parse_poly, parse_rational
     from .sturm import isolate_roots_bisection
 
     f = parse_poly(args.poly)
     width = parse_rational(args.precision)
     intervals = isolate_roots_bisection(f, width, args.var)
-    _emit({"count": len(intervals),
-           "intervals": [[str(a), str(b)] for a, b in intervals],
-           "midpoints": [float((a + b) / 2) for a, b in intervals]},
-          args.format)
-    return 0
+    return {"count": len(intervals),
+            "intervals": [[str(a), str(b)] for a, b in intervals],
+            "midpoints": [float((a + b) / 2) for a, b in intervals]}, 0
 
 
-def _cmd_critical_gen(args) -> int:
+def _cmd_critical_gen(args):
     from .critical import critical_polynomials, verify_pair_chain
 
     offsets = verify_pair_chain(args.d) if args.verify_pairs else None
@@ -150,23 +146,21 @@ def _cmd_critical_gen(args) -> int:
            "F": {str(j): cs._text(j - 2) for j in range(2, args.d + 1)}}
     if offsets is not None:
         out["pair_offsets"] = offsets
-    _emit(out, args.format)
-    return 0
+    return out, 0
 
 
-def _cmd_critical_test(args) -> int:
+def _cmd_critical_test(args):
     from .critical import RootVerdict, has_d_distinct_real_roots
 
     coeffs = _rat_list(args.coeffs)
     verdict = has_d_distinct_real_roots(coeffs)
     member = verdict is RootVerdict.TRUE
-    _emit({"coefficients": [str(c) for c in coeffs],
-           "critical_verdict": verdict.name,
-           "all_roots_real_distinct": member}, args.format)
-    return 0 if member else 1
+    return {"coefficients": [str(c) for c in coeffs],
+            "critical_verdict": verdict.name,
+            "all_roots_real_distinct": member}, 0 if member else 1
 
 
-def _cmd_chow_points(args) -> int:
+def _cmd_chow_points(args):
     from .chow import chow_of_points
     from .parse import _brief
 
@@ -175,27 +169,23 @@ def _cmd_chow_points(args) -> int:
         if isinstance(entry, list) and len(entry) == 2 \
                 and isinstance(entry[0], list):
             mult = entry[1]
-            if not isinstance(mult, int) or isinstance(mult, bool):
+            if type(mult) is not int:
                 raise ValueError("multiplicity must be an integer, got "
                                  f"{_brief(mult)}")
             pts.append((_rat_row(entry[0]), mult))
         else:
             pts.append(_rat_row(entry))
-    F = chow_of_points(pts, args.m)
-    _emit(F.to_json_dict(), args.format)
-    return 0
+    return chow_of_points(pts, args.m).to_json_dict(), 0
 
 
-def _cmd_chow_line(args) -> int:
+def _cmd_chow_line(args):
     from .chow import chow_of_linear
 
     span = _rat_rows(_json_arg(args.span))
-    F = chow_of_linear(span, args.m)
-    _emit(F.to_json_dict(), args.format)
-    return 0
+    return chow_of_linear(span, args.m).to_json_dict(), 0
 
 
-def _cmd_chow_eigen(args) -> int:
+def _cmd_chow_eigen(args):
     from .chow import eigenform_degree, t_expand
     from .poly import format_poly
 
@@ -207,20 +197,18 @@ def _cmd_chow_eigen(args) -> int:
         out["buckets"] = {str(w): format_poly(g)
                           for w, g in enumerate(exp.coefficients)
                           if not g.is_zero()}
-    _emit(out, args.format)
-    return 0 if s is not None else 1
+    return out, 0 if s is not None else 1
 
 
-def _cmd_chow_suspension(args) -> int:
+def _cmd_chow_suspension(args):
     from .chow import is_suspension
 
     F = _mhform_arg(args.form)
     flag = is_suspension(F, proper_intersection=args.proper)
-    _emit({"suspension": flag}, args.format)
-    return 0 if flag else 1
+    return {"suspension": flag}, 0 if flag else 1
 
 
-def _cmd_chow_taffy(args) -> int:
+def _cmd_chow_taffy(args):
     from .chow import is_suspension, taffy
     from .poly import format_poly
 
@@ -228,29 +216,25 @@ def _cmd_chow_taffy(args) -> int:
     try:
         path = taffy(F)
     except ValueError as e:
-        _emit({"error": str(e)}, args.format)
-        return 1
-    _emit({"d": F.d,
-           "g": {str(i): format_poly(g)
-                 for i, g in enumerate(path.expansion.coefficients)
-                 if not g.is_zero()},
-           "endpoint_is_input": path(1) == F,
-           "start_is_suspension": is_suspension(path(0))},
-          args.format)
-    return 0
+        return {"error": str(e)}, 1
+    return {"d": F.d,
+            "g": {str(i): format_poly(g)
+                  for i, g in enumerate(path.expansion.coefficients)
+                  if not g.is_zero()},
+            "endpoint_is_input": path(1) == F,
+            "start_is_suspension": is_suspension(path(0))}, 0
 
 
-def _cmd_chow_detcheck(args) -> int:
+def _cmd_chow_detcheck(args):
     from .chow import det_action_check
 
     F = _mhform_arg(args.form)
     A = _rat_rows(_json_arg(args.matrix))
     ok = det_action_check(F, A)
-    _emit({"det_action_holds": ok}, args.format)
-    return 0 if ok else 1
+    return {"det_action_holds": ok}, 0 if ok else 1
 
 
-def _cmd_div_normalize(args) -> int:
+def _cmd_div_normalize(args):
     from .divisors import in_div_prime
     from .poly import format_poly
 
@@ -260,11 +244,10 @@ def _cmd_div_normalize(args) -> int:
     if ok:
         out["divisor"] = norm.to_json_dict()
         out["f"] = format_poly(norm.f)
-    _emit(out, args.format)
-    return 0 if ok else 1
+    return out, 0 if ok else 1
 
 
-def _cmd_div_scale(args) -> int:
+def _cmd_div_scale(args):
     from .divisors import scale_divisor
     from .parse import parse_rational
     from .poly import format_poly
@@ -272,51 +255,44 @@ def _cmd_div_scale(args) -> int:
     D = _divisor_arg(args)
     t = parse_rational(args.t)
     out = scale_divisor(D, t)
-    _emit({"t": str(t), "divisor": out.to_json_dict(),
-           "f": format_poly(out.f)}, args.format)
-    return 0
+    return {"t": str(t), "divisor": out.to_json_dict(),
+            "f": format_poly(out.f)}, 0
 
 
-def _cmd_div_family(args) -> int:
+def _cmd_div_family(args):
     from .divisors import paper_family
     from .poly import format_poly
 
     G, H = paper_family(args.n, args.k)
-    _emit({"n": args.n, "k": args.k,
-           "even": {"d": G.d, "f": format_poly(G.f)},
-           "odd": {"d": H.d, "f": format_poly(H.f)}}, args.format)
-    return 0
+    return {"n": args.n, "k": args.k,
+            "even": {"d": G.d, "f": format_poly(G.f)},
+            "odd": {"d": H.d, "f": format_poly(H.f)}}, 0
 
 
-def _cmd_div_in_e(args) -> int:
+def _cmd_div_in_e(args):
     from .divisors import in_E
 
-    D = _divisor_arg(args)
-    rep = in_E(D, args.grid)
-    _emit(rep.to_json_dict(verbose=args.verbose), args.format)
-    return 0 if rep.ok() else 1
+    rep = in_E(_divisor_arg(args), args.grid)
+    return rep.to_json_dict(verbose=args.verbose), 0 if rep.ok() else 1
 
 
-def _cmd_div_in_div2(args) -> int:
+def _cmd_div_in_div2(args):
     from .divisors import in_div_double_prime
 
-    D = _divisor_arg(args)
-    rep = in_div_double_prime(D, grid_size=args.grid)
-    _emit(rep.to_json_dict(verbose=args.verbose), args.format)
-    return 0 if rep.ok() else 1
+    rep = in_div_double_prime(_divisor_arg(args), grid_size=args.grid)
+    return rep.to_json_dict(verbose=args.verbose), 0 if rep.ok() else 1
 
 
-def _cmd_div_margin(args) -> int:
+def _cmd_div_margin(args):
     from .divisors import positivity_margin
     from .parse import parse_poly, parse_rational
 
     H = parse_poly(args.poly)
     eps = positivity_margin(H, parse_rational(args.delta))
-    _emit({"epsilon": str(eps)}, args.format)
-    return 0
+    return {"epsilon": str(eps)}, 0
 
 
-def _cmd_fan_demo(args) -> int:
+def _cmd_fan_demo(args):
     from .divisors import Divisor
     from .fan import ZeroCycle, default_demo, limit_check, psi_demo
     from .parse import parse_rational
@@ -329,22 +305,17 @@ def _cmd_fan_demo(args) -> int:
     if args.limit is not None:
         ts = _rat_list(args.limit)
         residuals = limit_check(Z, D, ts)
-        _emit({"t": [str(t) for t in ts],
-               "residuals": residuals,
-               "decreasing": all(a > b for a, b in
-                                 zip(residuals, residuals[1:]))},
-              args.format)
-        return 0
+        return {"t": [str(t) for t in ts],
+                "residuals": residuals,
+                "decreasing": all(a > b for a, b in
+                                  zip(residuals, residuals[1:]))}, 0
     t = parse_rational(args.t)
-    result = psi_demo(Z, D, t)
-    _emit(result.to_json_dict(verbose=args.verbose), args.format)
-    return 0
+    return psi_demo(Z, D, t).to_json_dict(verbose=args.verbose), 0
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args):
     report = run_corpus(args.dir)
-    _emit(report, args.format)
-    return 0 if not report["failures"] else 1
+    return report, 0 if not report["failures"] else 1
 
 
 # ---- corpus harness ----
@@ -445,11 +416,6 @@ def run_corpus(directory: str) -> dict:
 # ---- parser wiring ----
 
 
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("json", "table"), default="json",
-                   help="output mode")
-
-
 def _add_divisor_inputs(p) -> None:
     p.add_argument("--poly", help="divisor polynomial in x0..xn")
     p.add_argument("--n", type=int, default=None,
@@ -464,109 +430,90 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact real-root counting, critical polynomials, "
                     "Chow forms, divisor membership, and the divisor-map demo")
     sub = root.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    sturm = sub.add_parser("sturm", help="real root counting and isolation")
-    ssub = sturm.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("count", help="distinct real roots, total or in (a,b)")
+    def leaf(group, name, fn, help):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        leaves.append(p)
+        return p
+
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True)
+
+    sturm = group("sturm", "real root counting and isolation")
+    p = leaf(sturm, "count", _cmd_sturm_count,
+             "distinct real roots, total or in (a,b)")
     p.add_argument("poly")
     p.add_argument("--var", default=None)
     p.add_argument("--interval", help="a,b (open interval, rational endpoints)")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_sturm_count)
-    p = ssub.add_parser("isolate", help="disjoint isolating intervals")
+    p = leaf(sturm, "isolate", _cmd_sturm_isolate,
+             "disjoint isolating intervals")
     p.add_argument("poly")
     p.add_argument("--var", default=None)
     p.add_argument("--precision", default="1/1000000000000",
                    help="maximum interval width (rational)")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_sturm_isolate)
 
-    critical = sub.add_parser("critical", help="critical polynomials F_j")
-    csub = critical.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("gen", help="generate F_2..F_d")
+    critical = group("critical", "critical polynomials F_j")
+    p = leaf(critical, "gen", _cmd_critical_gen, "generate F_2..F_d")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--verify-pairs", action="store_true",
                    help="include the substitutable-pair offsets")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_critical_gen)
-    p = csub.add_parser("test", help="does x^d+a1 x^(d-1)+...+ad split real?")
+    p = leaf(critical, "test", _cmd_critical_test,
+             "does x^d+a1 x^(d-1)+...+ad split real?")
     p.add_argument("--coeffs", required=True, help="a1,a2,...,ad")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_critical_test)
 
-    chow = sub.add_parser("chow", help="multihomogeneous cycle forms")
-    hsub = chow.add_subparsers(dest="subcommand", required=True)
-    p = hsub.add_parser("points", help="form of a 0-cycle from points")
+    chow = group("chow", "multihomogeneous cycle forms")
+    p = leaf(chow, "points", _cmd_chow_points, "form of a 0-cycle from points")
     p.add_argument("--points", required=True,
                    help='JSON: [[c0,c1,...], [[c0,...], mult], ...]')
     p.add_argument("--m", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_chow_points)
-    p = hsub.add_parser("line", help="form of a linear span")
+    p = leaf(chow, "line", _cmd_chow_line, "form of a linear span")
     p.add_argument("--span", required=True, help="JSON list of spanning points")
     p.add_argument("--m", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_chow_line)
-    p = hsub.add_parser("eigen", help="scaling eigenform degree")
+    p = leaf(chow, "eigen", _cmd_chow_eigen, "scaling eigenform degree")
     p.add_argument("--form", required=True, help="form JSON (inline or path)")
     p.add_argument("--expand", action="store_true",
                    help="include the t-expansion buckets")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_chow_eigen)
-    p = hsub.add_parser("suspension", help="is the form a suspension?")
+    p = leaf(chow, "suspension", _cmd_chow_suspension,
+             "is the form a suspension?")
     p.add_argument("--form", required=True)
     p.add_argument("--proper", action="store_true",
                    help="require proper intersection with the vertex")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_chow_suspension)
-    p = hsub.add_parser("taffy", help="pull the form straight along t")
+    p = leaf(chow, "taffy", _cmd_chow_taffy, "pull the form straight along t")
     p.add_argument("--form", required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_chow_taffy)
-    p = hsub.add_parser("detcheck", help="verify F(Au) = det(A)^d F(u)")
+    p = leaf(chow, "detcheck", _cmd_chow_detcheck,
+             "verify F(Au) = det(A)^d F(u)")
     p.add_argument("--form", required=True)
     p.add_argument("--matrix", required=True, help="JSON matrix, rows")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_chow_detcheck)
 
-    div = sub.add_parser("div", help="divisor spaces and membership")
-    dsub = div.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("normalize", help="Div' test and normalization")
+    div = group("div", "divisor spaces and membership")
+    p = leaf(div, "normalize", _cmd_div_normalize,
+             "Div' test and normalization")
     _add_divisor_inputs(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_div_normalize)
-    p = dsub.add_parser("scale", help="the flow f_t")
+    p = leaf(div, "scale", _cmd_div_scale, "the flow f_t")
     _add_divisor_inputs(p)
     p.add_argument("--t", required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_div_scale)
-    p = dsub.add_parser("family", help="the product family (G, x0*G)")
+    p = leaf(div, "family", _cmd_div_family, "the product family (G, x0*G)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_div_family)
-    p = dsub.add_parser("in-e", help="membership in E")
+    p = leaf(div, "in-e", _cmd_div_in_e, "membership in E")
     _add_divisor_inputs(p)
     p.add_argument("--grid", type=int, default=None,
                    help="direction-grid size (default 2000 for n=2, 20000 for n=3)")
     p.add_argument("--verbose", action="store_true")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_div_in_e)
-    p = dsub.add_parser("in-div2", help="membership in Div''")
+    p = leaf(div, "in-div2", _cmd_div_in_div2, "membership in Div''")
     _add_divisor_inputs(p)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--verbose", action="store_true")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_div_in_div2)
-    p = dsub.add_parser("margin", help="coefficient perturbation radius")
+    p = leaf(div, "margin", _cmd_div_margin, "coefficient perturbation radius")
     p.add_argument("--poly", required=True, help="positive form in x1..xn")
     p.add_argument("--delta", required=True, help="sphere minimum lower bound")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_div_margin)
 
-    fan = sub.add_parser("fan", help="divisor map on suspended 0-cycles")
-    fsub = fan.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("demo", help="psi_tD(Z) with per-line certificates")
+    fan = group("fan", "divisor map on suspended 0-cycles")
+    p = leaf(fan, "demo", _cmd_fan_demo,
+             "psi_tD(Z) with per-line certificates")
     p.add_argument("--cycle", help="cycle JSON (inline or path); "
                    "default demo cycle if omitted")
     p.add_argument("--divisor", help="divisor JSON (inline or path); "
@@ -576,23 +523,22 @@ def build_parser() -> argparse.ArgumentParser:
                    "reports residuals instead of a single result")
     p.add_argument("--verbose", action="store_true",
                    help="include per-line root certificates")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_fan_demo)
 
-    corpus = sub.add_parser("corpus", help="golden command corpus")
-    p = corpus
+    p = leaf(sub, "corpus", _cmd_corpus, "golden command corpus")
     p.add_argument("dir", help="directory of corpus case files")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_corpus)
 
+    for p in leaves:  # last, so --format ends every usage line
+        p.add_argument("--format", choices=("json", "table"), default="json",
+                       help="output mode")
     return root
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report, code = args.fn(args)
+        _emit(report, args.format)
+        return code
     except (ValueError, ZeroDivisionError, OSError) as e:  # parse errors too
         print(f"error: {_message(e)}", file=sys.stderr)
         return 2
@@ -602,8 +548,8 @@ def _message(e: Exception) -> str:
     """e's text, or rct's own for Python's refusal to convert an int of
     more than MAX_LITERAL_DIGITS digits (its default limit, which
     PYTHONINTMAXSTRDIGITS may change) to or from a string.  That limit
-    stays: the conversion takes time quadratic in the digits.  A command
-    builds its whole output before printing any of it, so an output past
+    stays: the conversion takes time quadratic in the digits.  `_emit`
+    builds the whole output before printing any of it, so an output past
     the limit leaves stdout empty."""
     if "integer string conversion" in str(e):
         return (f"a number has more than {sys.get_int_max_str_digits()} "

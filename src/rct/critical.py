@@ -457,10 +457,14 @@ def verify_pair_chain(d: int) -> list:
     of lc(R_j), and the weight of c_j is the sum of e * ladder_i over its
     factors lc(R_i)^e.  Condition 2 then holds with offset base_{j+1} -
     base_j, where base_j is the ladder plus the weight of c_j.
+
+    The F_j are read off the same chain and memoized, so a later
+    `critical_polynomials(d)` fetches no chain.
     """
     _check_chain_degree(d)
+    chain = _get_chain(d)
     ladders = []
-    for j, xp in enumerate(_get_chain(d).prs):
+    for j, xp in enumerate(chain.prs):
         ladder = {_weight(k, d) - i for i, c in enumerate(reversed(xp))
                   for k in c}
         if len(ladder) != 1:
@@ -469,6 +473,8 @@ def verify_pair_chain(d: int) -> list:
         ladders.append(ladder.pop())
     bases = [w + sum(e * ladders[i] for i, e in _multiplier(d, j)[1].items())
              for j, w in enumerate(ladders)]
+    if d not in _set_cache:
+        _keep_set(chain)
     return [b - a for a, b in zip(bases, bases[1:])]
 
 
@@ -480,9 +486,13 @@ def critical_polynomials(d: int) -> CriticalSet:
     """
     _check_chain_degree(d)
     cs = _set_cache.get(d)
-    if cs is not None:
-        return cs
-    chain = _get_chain(d)
+    return cs if cs is not None else _keep_set(_get_chain(d))
+
+
+def _keep_set(chain: _Chain) -> CriticalSet:
+    """The F_j read off the chain's leading coefficients, kept in
+    `_set_cache` unless a concurrent reader kept its own first."""
+    d = chain.d
     F = []
     for j in range(2, d + 1):
         lead = chain.prs[j][-1]
@@ -490,10 +500,8 @@ def critical_polynomials(d: int) -> CriticalSet:
         if len({_weight(k, d) for k in lead}) != 1:
             raise ValueError(f"F_{j} is not substitutable homogeneous")
         F.append({k: v // g for k, v in lead.items()})
-    cs = CriticalSet(d, F)
     with _phase_lock:
-        _set_cache.setdefault(d, cs)
-    return _set_cache[d]
+        return _set_cache.setdefault(d, CriticalSet(d, F))
 
 
 def _point_poly(coeffs: Sequence) -> list:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .divisors import Divisor, _FiberChecker, in_div_double_prime, scale_divisor
-from .parse import _brief, _check_fraction_text
+from .parse import _json_rational
 from .poly import Rational, as_rational
 from .sturm import _int_chain, _isolate
 
@@ -162,20 +162,10 @@ class ZeroCycle:
                     or type(entry.get("mult", 1)) is not int:
                 raise ValueError('each point needs a "coords" list and an '
                                  'integer "mult"')
-            coords = tuple(_coord_in(c) for c in entry["coords"])
+            coords = tuple(_json_rational(c, "coordinate")
+                           for c in entry["coords"])
             pts.append((coords, entry.get("mult", 1)))
         return ZeroCycle(pts, ambient)
-
-
-def _coord_in(text):
-    """An exact coordinate from a JSON number or a decimal or p/q string."""
-    if type(text) in (int, float, str):
-        _check_fraction_text(str(text))
-        try:
-            return Fraction(str(text))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"not a coordinate: {_brief(text)}")
 
 
 @dataclass
@@ -335,7 +325,8 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
         if rep.verdict == "non_member":
             raise ValueError(f"divisor rejected: {rep.data.get('reason')}")
     if not D.normalized:
-        raise ValueError("scale_divisor needs a normalized divisor")
+        raise ValueError("psi_demo needs a normalized divisor: in_div_prime "
+                         "(rct div normalize) gives one")
     checker = _FiberChecker(D)
     d = D.d
 

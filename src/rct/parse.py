@@ -335,3 +335,19 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {_brief(text)}") from exc
+
+
+def _json_rational(value, what: str) -> Fraction:
+    """A JSON number or a decimal or p/q string as a Fraction: an int as
+    it is, a float or a string read from its decimal text, so 0.1 is 1/10
+    and not the double nearest it.  Anything else, a bool too, raises
+    ValueError naming `what`, and a text past MAX_LITERAL_DIGITS the cap."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) in (float, str):
+        _check_fraction_text(str(value))
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a {what}: {_brief(value)}")

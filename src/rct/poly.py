@@ -388,8 +388,10 @@ class SparsePoly:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
         """Inverse of to_json_dict; a wrong shape raises ValueError, and so
-        does a coefficient string past parse.MAX_LITERAL_DIGITS."""
-        from .parse import _check_fraction_text  # parse imports poly
+        does a coefficient past parse.MAX_LITERAL_DIGITS.  A coefficient is
+        an int, or a float or string read from its decimal text, so 0.1 is
+        1/10; a bool is refused."""
+        from .parse import _json_rational  # parse imports poly
 
         if not isinstance(data, Mapping) or not isinstance(data.get("vars"), list) \
                 or not isinstance(data.get("terms"), list):
@@ -405,15 +407,9 @@ class SparsePoly:
                     or not all(type(k) is int for k in t["exp"]):
                 raise ValueError('each term needs a "coeff" and an "exp" list '
                                  f'of {len(vs)} integers')
-            if isinstance(t["coeff"], str):
-                _check_fraction_text(t["coeff"])
-            try:
-                c = Fraction(t["coeff"])
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise ValueError(f"not a rational coefficient: {t['coeff']!r}") \
-                    from None
             e = tuple(t["exp"])
-            terms[e] = terms.get(e, 0) + c
+            terms[e] = terms.get(e, 0) + _json_rational(t["coeff"],
+                                                        "rational coefficient")
         return cls(vs, terms)
 
     def __str__(self) -> str:

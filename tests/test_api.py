@@ -127,6 +127,20 @@ def test_floats_stay_where_they_are_allowed():
     assert seen == {(m, f) for m, fs in FLOAT_FUNCTIONS.items() for f in fs}
 
 
+def test_cli_commands_return_their_reports():
+    # main prints every report: no _cmd_* function prints or emits
+    path = Path(__file__).resolve().parents[1] / "src" / "rct" / "cli.py"
+    commands = [node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert len(commands) == 18
+    calls = [f"{fn.name}:{node.lineno}" for fn in commands
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id in ("_emit", "print")]
+    assert not calls, calls
+
+
 def test_only_sturm_steps_the_remainder_sequence():
     # the remainder step and the pseudo-remainder are sturm's own; other
     # modules reach the sequence through sturm's functions

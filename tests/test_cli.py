@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from rct.cli import build_parser, main, run_corpus
+from rct.cli import _flatten, build_parser, main, run_corpus
 from rct.parse import MAX_INPUT_CHARS, MAX_LITERAL_DIGITS, MAX_POWER_BITS
 from rct.poly import SparsePoly
 from rct.sturm import count_distinct_roots_total
@@ -500,6 +500,18 @@ def test_critical_gen_output_is_pinned(capsys, monkeypatch, tmp_path, d, digest)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_critical_gen_reads_one_chain(capsys, monkeypatch):
+    # the pair offsets and the F_j come off one fetched chain
+    import rct.critical as critical
+
+    calls, get = [], critical._get_chain
+    monkeypatch.setattr(critical, "_set_cache", {})
+    monkeypatch.setattr(critical, "_get_chain",
+                        lambda d: calls.append(d) or get(d))
+    code, _, _ = run(capsys, "critical", "gen", "--d", "6", "--verify-pairs")
+    assert code == 0 and calls == [6]
+
+
 def test_critical_gen_d8_output_is_pinned(capsys):
     # read through the usual chain cache: a load, not a cold d = 8 build
     code, out, _ = run(capsys, "critical", "gen", "--d", "8", "--verify-pairs")
@@ -614,6 +626,64 @@ def test_table_format(capsys):
                        "--format", "table")
     assert code == 0
     assert "count" in out and "{" not in out
+
+
+_LINE_FORM = json.dumps({"N": 2, "r": 1, "d": 1, "m": 0, "form": {
+    "vars": ["u0_1", "u0_2", "u1_1", "u1_2"],
+    "terms": [{"coeff": 1, "exp": [1, 0, 0, 1]},
+              {"coeff": -1, "exp": [0, 1, 1, 0]}]}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["sturm", "count", "x^3 - 2*x", "--interval", "1/2,2"],
+    ["sturm", "isolate", "x^2 - 2"],
+    ["critical", "gen", "--d", "3", "--verify-pairs"],
+    ["critical", "test", "--coeffs", "0,1"],
+    ["chow", "points", "--points", "[[1,2],[[3,-1],2]]"],
+    ["chow", "line", "--span", "[[1,0,0],[0,3,5]]"],
+    ["chow", "eigen", "--form", _chow_form(2), "--expand"],
+    ["chow", "suspension", "--form", _LINE_FORM],
+    ["chow", "taffy", "--form", _LINE_FORM],
+    ["chow", "detcheck", "--form", _LINE_FORM, "--matrix", "[[2,1],[1,1]]"],
+    ["div", "normalize", "--poly", "2*x0^2 - x1^2", "--n", "1"],
+    ["div", "scale", "--poly", "x0^2 - 9*x1^2", "--n", "1", "--t", "1/3"],
+    ["div", "family", "--n", "1", "--k", "1"],
+    ["div", "in-e", "--poly", "x0^2 - 9*x1^2", "--n", "1", "--verbose"],
+    ["div", "in-div2", "--poly", "x0^2 - 1/9*x1^2", "--n", "1"],
+    ["div", "margin", "--poly", "x1^2 + x2^2", "--delta", "1"],
+    ["fan", "demo", "--limit", "1/10,1/100"],
+    ["corpus", CORPUS],
+], ids=lambda argv: "-".join(os.path.basename(a) for a in argv[:2]))
+def test_table_flattens_the_json_report(capsys, argv):
+    # every command's report goes through one printer: the table lines are
+    # the flattened JSON, with the same exit code
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert err == "" and out.endswith("}\n")
+    table = run(capsys, *argv, "--format", "table")
+    assert table == (code, "\n".join(_flatten(json.loads(out))) + "\n", "")
+
+
+def test_divisor_coefficients_are_read_from_their_decimal_text(capsys):
+    def divisor(coeff):
+        return json.dumps({"n": 1, "f": {"vars": ["x0", "x1"], "terms": [
+            {"coeff": 1, "exp": [2, 0]}, {"coeff": coeff, "exp": [0, 2]}]}})
+
+    code, out, _ = run(capsys, "div", "normalize", "--divisor", divisor(-0.1))
+    assert code == 0 and json.loads(out)["f"] == "x0^2 - 1/10*x1^2"
+    code, out, err = run(capsys, "div", "normalize", "--divisor", divisor(True))
+    assert (code, out) == (2, "")
+    assert err == "error: not a rational coefficient: True\n"
+
+
+def test_fan_demo_names_psi_demo_for_an_unnormalized_divisor(capsys):
+    # 9*x0^2 - x1^2 - x2^2 is in Div' and normalizes to the demo divisor
+    D = json.dumps({"n": 2, "f": {"vars": ["x0", "x1", "x2"], "terms": [
+        {"coeff": 9, "exp": [2, 0, 0]}, {"coeff": -1, "exp": [0, 2, 0]},
+        {"coeff": -1, "exp": [0, 0, 2]}]}})
+    code, out, err = run(capsys, "fan", "demo", "--divisor", D)
+    assert (code, out) == (2, "")
+    assert err == ("error: psi_demo needs a normalized divisor: in_div_prime "
+                   "(rct div normalize) gives one\n")
 
 
 def test_file_input(tmp_path, capsys):

@@ -93,6 +93,8 @@ def test_pair_checker_reads_one_ladder_per_entry(monkeypatch):
     R0 = [{a2: 1}, {a1: 1}, {0: 1}]            # x^2 + a1 x + a2
     R1 = [{a1: 1}, {0: 2}]                      # 2x + a1
     R2 = [{2 * a1: 1, a2: -4}]                  # a1^2 - 4 a2
+    # the checker memoizes the F_j it reads off these chains
+    monkeypatch.setattr(crit, "_set_cache", {})
 
     def offsets(*prs):
         monkeypatch.setattr(crit, "_get_chain",

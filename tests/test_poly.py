@@ -216,6 +216,23 @@ def test_json_roundtrip():
         assert SparsePoly.from_json_dict(p.to_json_dict()) == p
 
 
+def test_json_coefficients_are_read_from_their_decimal_text():
+    def poly(coeff):
+        return SparsePoly.from_json_dict(
+            {"vars": ["x"], "terms": [{"coeff": coeff, "exp": [1]}]})
+
+    # a float is its decimal text, not the double nearest it; an int, even
+    # one past the digit cap of a string round trip, is taken as it is
+    assert poly(-0.1) == poly("-1/10")
+    assert poly(-0.1).terms == {(1,): Fraction(-1, 10)}
+    assert poly(2.5e-3) == poly("1/400")
+    big = 10 ** 5000
+    assert poly(big).terms == {(1,): big}
+    for bad in (True, False, None, [1], "x", "1/0", float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not a rational coefficient"):
+            poly(bad)
+
+
 def test_divide_exact():
     rng = random.Random(16)
     for _ in range(100):
