@@ -15,7 +15,9 @@ finite exact check.  For n >= 2 positive verdicts are evidence over a
 deterministic direction grid, while refutations are exact: a witness
 direction is certified by a Sturm count below d.  For n = 2 a grid of at
 least 2^d directions is first offered to that finite check on the circle,
-which, when it holds, answers for every direction at once (`in_E`).
+which, when it holds, answers for every direction at once, and when it
+fails names lines, each of which refutes a grid the walk passes when
+its own verdict is not TRUE (`in_E`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .sturm import (
     MAX_DEGREE,
     RootVerdict,
     _int_chain,
+    _isolate,
     _point_verdict,
     _primitive,
     _real_root_count,
@@ -397,28 +400,59 @@ def _line_pivots(forms: Sequence[dict]) -> list:
     return [[M.get(k, 0) for k in range(max(M, default=0) + 1)] for M in pivots]
 
 
-def _circle_certified(forms: Sequence[dict]) -> bool:
-    """True when every Hankel pivot H_j of the n = 2 forms is positive on
+_WITNESS_WIDTH = Fraction(1, 2 ** 64)
+"""Width of the isolating intervals of M_j from which `_circle_proof`
+names lines.  It is below 1 / b^2 for b <= 2^32, so an interval holding
+a root a / b of M_j holds no other rational of denominator b or less,
+and a / b is its simplest rational."""
+
+
+def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in [lo, hi], lo <= hi, the least
+    one where several integers lie there (continued fractions)."""
+    n = math.floor(lo)
+    if n == lo or n + 1 <= hi:
+        return Fraction(math.ceil(lo))
+    return n + 1 / _simplest(1 / (hi - n), 1 / (lo - n))
+
+
+def _circle_proof(forms: Sequence[dict]) -> Optional[list]:
+    """None when every Hankel pivot H_j of the n = 2 forms is positive on
     R^2 minus the origin, so that the fiber along every direction has d
-    distinct real roots; False when that proof fails, which refutes
-    nothing.  H_j is homogeneous of even degree j(j-1), so it is positive
-    there exactly when M_j = H_j(1, y) up to a positive factor has that
-    degree, M_j(0) > 0 and M_j has no real root: one Sturm count each."""
+    distinct real roots; else the lines where that proof fails.  H_j is
+    homogeneous of even degree j(j-1), so it is positive there exactly
+    when M_j = H_j(1, y) up to a positive factor has that degree,
+    M_j(0) > 0 and M_j has no real root: one Sturm count each.
+
+    The first j that fails names lines where some H_j <= 0 may lie: (1, 0)
+    when a pivot vanishes identically or M_j(0) <= 0, (0, 1) when M_j's
+    degree drops (H_j(0, 1) = 0), and (1, y) for y the simplest rational
+    in each isolating interval of M_j's real roots.  An irrational root
+    names a line beside it, and a named line refutes only where its own
+    point verdict is not TRUE (`in_E`).  Isolation past the cap names no
+    line."""
     try:
         pivots = _line_pivots(forms)
     except ZeroDivisionError:
-        return False
+        return [(1, 0)]
     for j, M in enumerate(pivots, 2):
-        if len(M) != j * (j - 1) + 1 or M[0] <= 0:
-            return False
-        if _real_root_count(_int_chain(M)[0]):
-            return False
-    return True
+        if len(M) != j * (j - 1) + 1:
+            return [(0, 1)]
+        if M[0] <= 0:
+            return [(1, 0)]
+        chain = _int_chain(M)[0]
+        if _real_root_count(chain):
+            try:
+                intervals = _isolate(chain, _WITNESS_WIDTH)
+            except ValueError:
+                return []
+            return [(1, _simplest(lo, hi)) for lo, hi in intervals]
+    return None
 
 
 def _certify_grid(d: int, directions: int) -> bool:
     """Whether an n = 2 grid of that many directions is worth a
-    `_circle_certified` try: the certificate's cost roughly doubles with
+    `_circle_proof` try: the certificate's cost roughly doubles with
     each degree, while the walk's grows with the grid (see `in_E`)."""
     return directions >= 2 ** d
 
@@ -438,7 +472,7 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
 
     For n = 2 one certificate can stand for the whole grid: when every
     Hankel pivot H_j is positive on R^2 minus the origin, every direction's
-    verdict is TRUE (`_circle_certified`, one elimination over Z[y] and
+    verdict is TRUE (`_circle_proof`, one elimination over Z[y] and
     one Sturm count per j).  It is tried once the first direction's
     verdict is TRUE, so a divisor refuted there pays nothing, and only
     when the grid has at least 2^d directions (`_certify_grid`).  Per
@@ -453,10 +487,16 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     2^d is above the break-even grid from d = 5 on, and below it by at
     most 0.1 ms at d <= 4; as MAX_GRID < 2^17, d <= 16 and deg M_j <= 240.
     When the proof fails (a pivot vanishes identically, has the wrong
-    degree or a real root), the walk goes on from the second direction
-    and its answer is the one it gives without the certificate.  So a
-    divisor that passes the grid but fails the proof pays both, at most
-    about twice the walk's time at the 2^d rule on the paper family.
+    degree or a real root), the walk goes on from the second direction,
+    and a refutation it finds is its answer.  A grid it passes is then
+    refuted by the first line the proof names whose point verdict is not
+    TRUE, which shows a fiber without d distinct real roots as exactly as
+    a grid direction does: the report is the walk's refutation, with
+    that line as its direction and witness.  Only where no named line
+    refutes (an irrational tangency) does the report stay
+    `evidence_only`.  So a divisor that passes the grid but fails the
+    proof pays both, at most about twice the walk's time at the 2^d
+    rule on the paper family.
     That bound holds only there, where every pivot is a power of
     1 + y^2.  On perturbed members, with factors x0^2 - i (x1^2 + x2^2)
     + (r/97) x1 x2, at a grid of 2^d + 2 directions, in_E took 0.06,
@@ -471,14 +511,8 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
     D = norm
     checker = _FiberChecker(D)
     grid = _grid(D.n, grid_size)
-    for i, direction in enumerate(grid):
-        p0 = checker.fiber(direction)
-        v = _point_verdict(p0)
-        if v is RootVerdict.TRUE:
-            if i == 0 and D.n == 2 and _certify_grid(D.d, len(grid)) \
-                    and _circle_certified(checker.forms):
-                break
-            continue
+
+    def refuted(direction, p0, v) -> MembershipReport:
         data: dict = {"certificate": {
             "direction": [str(c) for c in direction],
             "route": "critical" if v is RootVerdict.FALSE
@@ -489,6 +523,25 @@ def in_E(D: Divisor, grid_size: Optional[int] = None) -> MembershipReport:
         return MembershipReport(
             "E", "non_member", "exact",
             witness=tuple(as_rational(c) for c in direction), data=data)
+
+    lines = None
+    for i, direction in enumerate(grid):
+        p0 = checker.fiber(direction)
+        v = _point_verdict(p0)
+        if v is RootVerdict.TRUE:
+            if i == 0 and D.n == 2 and _certify_grid(D.d, len(grid)):
+                lines = _circle_proof(checker.forms)
+                if lines is None:
+                    break
+            continue
+        return refuted(direction, p0, v)
+    # the grid passed; a line the failed proof names refutes it when that
+    # line's own verdict is not TRUE
+    for line in lines or ():
+        p0 = checker.primitive_fiber(line)
+        v = _point_verdict(p0)
+        if v is not RootVerdict.TRUE:
+            return refuted(line, p0, v)
     if D.n == 1:
         return MembershipReport("E", "member", "exact", data={"certificate": {
             "direction": ["1"], "route": "critical"}})

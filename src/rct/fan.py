@@ -3,9 +3,12 @@
 A 0-cycle Z in P^{n+1} is suspended from the vertex x_inf = (1:0:...:0):
 each point q gives the line (s : q) in P^{n+2}.  Restricting the scaled
 divisor f_t to that line yields a monic degree-d polynomial in s whose
-d real roots are certified exactly before any numerics: Sturm isolation
-returns one interval per distinct real root, so the fiber's interval
-count is its Sturm count, and it must equal d.
+d real roots are certified exactly before any numerics.  d disjoint
+intervals whose ends carry nonzero values of the fiber of opposite sign
+hold one root each, so they prove d distinct real roots, the count a
+Sturm chain would give, with no chain built.  Where float estimates name
+no such cells, the fiber's Sturm chain decides: its isolation returns
+one interval per distinct real root, and they must number d.
 Each root point is pushed through the projection centered at
 x_11 = (1:1:0:...:0),
 
@@ -19,8 +22,8 @@ coefficient p_i of x_0^(d-i) is homogeneous of degree i, so
 t^i p_i(q) = p_i(t q).  `divisors._FiberChecker`, the kernel `in_E`
 samples with, compiles f's integer forms once per call and reads each
 fiber along t q as a primitive integer polynomial, the one Sturm
-isolation would build from the rational fiber, so the chain and the
-intervals are the same.
+isolation would build from the rational fiber, so the intervals are the
+same.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Optional, Sequence
 from .divisors import Divisor, _FiberChecker, in_div_double_prime, scale_divisor
 from .parse import _json_rational
 from .poly import Rational, as_rational
-from .sturm import _int_chain, _isolate
+from .sturm import _int_chain, _isolate, _root_cells
 
 __all__ = [
     "ZeroCycle",
@@ -291,6 +294,13 @@ def cycle_distance(A: ZeroCycle, B: ZeroCycle) -> float:
     return worst
 
 
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building it."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
              check_divisor: bool = True) -> FanResult:
     """Intersect the suspension of Z with the scaled divisor tD and push
@@ -298,18 +308,23 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
 
     Z lives in P^{n+1} and D is a normalized divisor in x_0..x_{n+2};
     every line (s : q) then carries a monic degree-d polynomial in s.
-    Each fiber passes an exact Sturm gate: its isolating intervals must
-    number d.  Z's coordinates must be exact (int or Fraction), so each
-    certificate is for the line over Z's own point.  The fiber along q is
-    read as f's along t q from D's integer forms, compiled once per call
-    (see the module docstring), and isolated on its integer Sturm chain
-    to width BISECTION_WIDTH, as `isolate_roots_bisection` would.  A fiber
-    of a divisor in E has only real simple roots, so isolation checks the
-    cells of the tree's last level that float root estimates name and
-    skips the tree and its refinement; the intervals are the tree's (see
-    `sturm._isolate`).  Floats decide nothing before the end: the first
-    output coordinate q_0 - (lo + hi)/2 of a root in [lo, hi] is one
-    correctly rounded division of integers, the float of that Fraction.
+    Each fiber passes an exact gate: it must have d distinct real roots,
+    which its certificate's "sturm_count" records.  Z's coordinates must
+    be exact (int or Fraction), so each certificate is for the line over
+    Z's own point.  The fiber along q is read as f's along t q from D's
+    integer forms, compiled once per call (see the module docstring), and
+    isolated to width BISECTION_WIDTH, as `isolate_roots_bisection` would.
+    A fiber of a divisor in E has only real simple roots, so float root
+    estimates name the cells of the isolation tree's last level, and
+    exact signs at the cells' ends prove d roots in d cells: the count
+    and the intervals, with no Sturm chain (`sturm._root_cells`).  Only a
+    fiber whose cells are not proved is isolated on its integer Sturm
+    chain, whose count then decides.  The intervals are the tree's either
+    way (see `sturm._isolate`).  Floats decide nothing before the end:
+    the certificate's strings are written from the integer cell ends, and
+    the first output coordinate q_0 - (lo + hi)/2 of a root in [lo, hi]
+    is one correctly rounded division of integers, the float of that
+    rational.
     """
     if not all(isinstance(c, (int, Fraction)) for q, _ in Z.points for c in q):
         raise ValueError("psi_demo needs exact cycle coordinates "
@@ -336,22 +351,32 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
     for coords, mult in Z.points:
         q = [as_rational(c) for c in coords]
         p0 = checker.primitive_fiber([t * c for c in q])
-        intervals = _isolate(_int_chain(p0)[0], BISECTION_WIDTH)
-        if len(intervals) != d:
-            raise FiberError(q, len(intervals), d)
+        # the intervals as integer ends over one denominator: the root's
+        # cells, when they prove d real roots, else the chain's isolation
+        *_, cells = _root_cells(p0, p0, d, BISECTION_WIDTH)
+        if cells is None:
+            intervals = _isolate(_int_chain(p0)[0], BISECTION_WIDTH)
+            if len(intervals) != d:
+                raise FiberError(q, len(intervals), d)
+            den = math.lcm(*(x.denominator for iv in intervals for x in iv))
+            cells = [(lo.numerator * (den // lo.denominator),
+                      hi.numerator * (den // hi.denominator))
+                     for lo, hi in intervals], den
+        ends, den = cells
         certs.append({"q": [str(c) for c in q],
                       "sturm_count": d,
-                      "intervals": [[str(lo), str(hi)] for lo, hi in intervals]})
+                      "intervals": [[_ratio(a, den), _ratio(b, den)]
+                                    for a, b in ends]})
         rest = tuple(float(c) for c in q[1:])
         n0, d0 = q[0].numerator, q[0].denominator
-        for lo, hi in intervals:
-            a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-            # q_0 - (a/b + c/e)/2 over 2 d0 b e; zero at the projection
-            # center (s : q) = (1 : 1 : 0 : ... : 0)
-            num = 2 * n0 * b * e - d0 * (a * e + c * b)
+        # q_0 - (a + b) / (2 den) over 2 d0 den; zero at the projection
+        # center (s : q) = (1 : 1 : 0 : ... : 0)
+        num0, den0 = 2 * n0 * den, 2 * d0 * den
+        for a, b in ends:
+            num = num0 - d0 * (a + b)
             assert num or any(q[1:]), \
                 "fiber point collides with the projection center"
-            point = (num / (2 * d0 * b * e),) + rest
+            point = (num / den0,) + rest
             out_points.append((_normalize_coords(point, pivot_floor), mult))
     output = ZeroCycle._from_normalized(out_points, Z.ambient)
     assert output.degree() == d * Z.degree()

@@ -75,8 +75,12 @@ floats only aim: a node the signs do not prove runs the tree, and a
 single root they do not prove is refined.
 
 Isolation runs on the integer chain alone (`_isolate`), so a caller
-holding integer coefficients, such as `fan.psi_demo`, isolates without
-a SparsePoly.
+holding integer coefficients isolates without a SparsePoly.  The root's
+cell check reads no chain (`_root_cells`): n cells proved for a
+polynomial of degree n show that every root is real and simple, the
+count the chain would give.  So `fan.psi_demo`, whose fibers have only
+real simple roots, builds a fiber's chain only when its cells are not
+proved.
 
 Queries accept degrees up to MAX_DEGREE, and isolation refuses a
 precision whose refinement, or a pair of roots whose separation, would
@@ -435,11 +439,16 @@ def _real_root_count(chain: Sequence[Sequence[int]]) -> int:
 
 def cauchy_root_bound(f: SparsePoly, var: str = None) -> Fraction:
     """1 + max |c_i| / |c_lead|; every real root lies strictly inside."""
-    return _cauchy_bound(_dense(f, _main_var(f, var)))
+    return Fraction(*_cauchy_bound(_int_dense(f, _main_var(f, var))[0]))
 
 
-def _cauchy_bound(cs: Sequence) -> Fraction:
-    return 1 + Fraction(max(abs(c) for c in cs[:-1])) / abs(cs[-1])
+def _cauchy_bound(cs: Sequence[int]) -> tuple:
+    """(P, Q), coprime and positive, with P / Q = 1 + max |c_i| / |c_lead|
+    for the integer polynomial cs (ascending)."""
+    lead = abs(cs[-1])
+    P = lead + max(abs(c) for c in cs[:-1])
+    g = gcd(P, lead)
+    return P // g, lead // g
 
 
 def expand_endpoints_clear(f: SparsePoly, a, b, var: str = None):
@@ -479,19 +488,30 @@ def count_distinct_roots_total(f: SparsePoly, var: str = None) -> int:
     return _real_root_count(sturm_sequence(f, var).chain)
 
 
-def _fujiwara_far(cs: Sequence[int]) -> Fraction:
-    """A power of two 2^(E+1) above the modulus of every complex root of
-    the integer polynomial cs (ascending).
+def _far_exponent(cs: Sequence[int]) -> int:
+    """The s of a power of two far = 2^s above the modulus of every
+    complex root of the integer polynomial cs (ascending).
 
     Fujiwara: |r| <= 2 max_i |c_{n-i} / c_n|^(1/i).  Since
-    |c_{n-i} / c_n| < 2^(bitlen c_{n-i} - bitlen c_n + 1), taking E as the
-    largest ceil((bitlen c_{n-i} - bitlen c_n + 1) / i) makes the bound
+    |c_{n-i} / c_n| < 2^(bitlen c_{n-i} - bitlen c_n + 1), taking s - 1 as
+    the largest ceil((bitlen c_{n-i} - bitlen c_n + 1) / i) makes the bound
     strict.  A monomial c x^n has only the root 0 and gets far = 1.
     """
     top = cs[-1].bit_length()
     e = max((-((top - c.bit_length() - 1) // i)
              for i, c in enumerate(reversed(cs[:-1]), 1) if c), default=-1)
-    return Fraction(2) ** (e + 1)
+    return e + 1
+
+
+def _fujiwara_far(cs: Sequence[int]) -> Fraction:
+    """far = 2^`_far_exponent`(cs) as a number."""
+    return Fraction(2) ** _far_exponent(cs)
+
+
+def _far_units(P: int, Q: int, s: int) -> tuple:
+    """(PF, QF) with PF / QF = (P / Q) / 2^s: the Cauchy bound in units of
+    far = 2^s."""
+    return P << max(-s, 0), Q << max(s, 0)
 
 
 def _halvings(P: int, Q: int, w: int, L: int, precision: Fraction) -> int:
@@ -716,14 +736,16 @@ def _aims(sqf: Sequence[int], s: int, PF: int, QF: int, nodes) -> list:
     return out
 
 
-def _cells(sqf: Sequence[int], P: int, Q: int, far: Fraction,
+def _cells(sqf: Sequence[int], P: int, Q: int, s: int,
            ua: int, ub: int, L: int, k: int, n: int, ys: Sequence[float]):
     """The intervals the tree returns for its node (ua, ub, L) holding n
     roots of the squarefree sqf (descending, `_scaled` by Q), when each of
     them lies strictly inside its own cell of the node's level-(L + k)
-    grid u_j = ua 2^k + j (ub - ua), j = 0 .. 2^k; otherwise None.
+    grid u_j = ua 2^k + j (ub - ua), j = 0 .. 2^k; otherwise None.  They
+    come as (ends, den): the integer ends (P u_j, P u_(j+1)) of each cell,
+    in order, over the one denominator den = Q 2^(L + k).
 
-    The float aims ys, x = far y, name the cells: those that fall in the
+    The float aims ys, x = 2^s y, name the cells: those that fall in the
     node must number n, one per cell.  Exact signs of sqf at the cell
     ends decide: a cell whose ends have nonzero signs of opposite sign
     holds an odd number of roots, so n such cells, all distinct, hold
@@ -731,14 +753,13 @@ def _cells(sqf: Sequence[int], P: int, Q: int, far: Fraction,
     sign change is retried once on the aim's nearer neighbour.  See
     `_isolate` for why the tree returns exactly these cells.
     """
-    FN, FD = far.numerator, far.denominator
     w, level, size = ub - ua, L + k, 1 << k
     base = ua << k
     # one cell is hn / hd in units of far, and the node starts at
     # PF ua / hd, so y = a / b lies in cell floor((a hd - PF base b) / (b hn));
     # twice its offset there against one cell tells the nearer neighbour
-    PF = P * FD
-    hn, hd, start = PF * w, (Q * FN) << level, PF * base
+    PF, QF = _far_units(P, Q, s)
+    hn, hd, start = PF * w, QF << level, PF * base
     cells = []
     for y in sorted(ys):
         a, b = y.as_integer_ratio()
@@ -770,9 +791,53 @@ def _cells(sqf: Sequence[int], P: int, Q: int, far: Fraction,
             return None
     if len(set(found)) < n:
         return None
-    den = Q << level
-    return [(Fraction(P * (base + j * w), den),
-             Fraction(P * (base + (j + 1) * w), den)) for j in sorted(found)]
+    return ([(P * (base + j * w), P * (base + j * w + w)) for j in sorted(found)],
+            Q << level)
+
+
+def _fractions(ends: Sequence[tuple], den: int) -> list:
+    """The intervals of `_cells` as Fractions."""
+    return [(Fraction(a, den), Fraction(b, den)) for a, b in ends]
+
+
+def _root_cells(p0: Sequence[int], sqf: Sequence[int], n: int,
+                precision: Fraction, aim: bool = True) -> tuple:
+    """The root node of an isolation of the n distinct real roots of the
+    integer polynomial p0 (ascending), of squarefree part sqf, to width
+    precision, and its cells: (P, Q, K, s, ys, cells).
+
+    P / Q is the Cauchy bound (`_cauchy_bound`), so the root node is the
+    interval from -P / Q to P / Q, K the halvings that bring its width to
+    the precision, and far = 2^s (`_far_exponent`).  With aim, when every
+    root of sqf is real (n = deg sqf), K > 0, the isolation is under the
+    cap and far resolves a cell, ys are the Aberth estimates of the roots
+    x = 2^s y (`_estimates`), else None.  cells are the root's `_cells`
+    (k = K) on them when ys are there and 0 is no root, else None.
+
+    The set-up reads no chain, so a caller holding p0 alone asks with
+    n = deg p0 and sqf = p0.  Cells found then prove the count the chain
+    would give: n disjoint cells whose ends carry nonzero signs of
+    opposite sign each hold an odd number of roots, and p0 has n, so each
+    holds one, p0 is squarefree and every root is real.  They are the
+    intervals `_isolate` returns on p0's chain (see there).  When they
+    are not found, nothing is proved and the chain decides.
+    """
+    P, Q = _cauchy_bound(p0)
+    K = _halvings(P, Q, 2, 0, precision)
+    s = _far_exponent(p0)
+    m = len(p0) - 1
+    ys = cells = None
+    if aim and n == len(sqf) - 1 and K \
+            and n * m * m * K ** 3 <= MAX_ISOLATION_WORK:
+        # one level-K cell is hn / hd in units of far; a cell wider than
+        # far aims to far / CELL_TOLERANCE, so the tolerance stays finite
+        PF, QF = _far_units(P, Q, s)
+        hn, hd = PF << 1, QF << K
+        if hn << CELL_RESOLUTION > hd * CELL_TOLERANCE:
+            ys = _estimates(sqf, s, min(hn, hd) / (hd * CELL_TOLERANCE))
+    if ys is not None and p0[0]:
+        cells = _cells(_scaled(sqf, Q), P, Q, s, -1, 1, 0, K, n, ys)
+    return P, Q, K, s, ys, cells
 
 
 def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
@@ -815,11 +880,12 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
     given to `_cells` only when no split there would pass the isolation
     cap; the errors are the tree's.
 
-    The check is asked at three places.  At the root (n = r, k = K) and at
-    both halves of a shifted split, when every root is real (r = deg sqf)
-    and the Aberth estimates of all of them converged; the root is
-    skipped when 0 is a root, since 0 is its first split point and the
-    tree shifts it.  And at every single-root node, aimed by `_aims`.
+    The check is asked at three places.  At the root (n = r, k = K,
+    `_root_cells`) and at both halves of a shifted split, when every root
+    is real (r = deg sqf) and the Aberth estimates of all of them
+    converged; the root is skipped when 0 is a root, since 0 is its first
+    split point and the tree shifts it.  And at every single-root node,
+    aimed by `_aims`.
     A second shortcut needs no floats: a node with n = 2 whose left end
     and split point carry different signs of the squarefree part holds
     an odd number of roots on the left, so one on each side, and the
@@ -828,12 +894,16 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
     choice reads only the input.  In process on a 2-core host, each set
     timed best of 5 or 7, the shortcuts against the tree alone:
 
-        3072 fibers of the seed-1 `flow` psi pool, 10^-12   229 ms   642 ms
+        3072 fibers of the seed-1 `flow` psi pool, 10^-12   231 ms   738 ms
         176 seed-1 `roots` polynomials, 2^-20              100 ms   215 ms
         (x-1)(x-2)...(x-30) at 2^-20, a failed root try     14 ms    11 ms
         (x-1)(x-3)(x-15) at 2^-20, roots on the grid      0.15 ms  0.08 ms
         x^2 - 2 at 10^-12                                 0.06 ms  0.07 ms
         x^256 - 3 x^2 + 1 at 10^-12                        2.4 ms   10 ms
+
+    All 3072 psi fibers take the root's cells.  Asked with no chain
+    (`_root_cells`, as `fan.psi_demo` asks), they take 156 ms in the run
+    of that row, and building the chains first adds 46 ms.
 
     On the `roots` set, 13,792 chain signs at split points and no
     refinement probe against 26,312 and 10,781 before any of these
@@ -843,40 +913,24 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
     and all 448 single-root nodes are aimed into their cells.
     """
     # a tree node (ua, ub, L) is the interval between x = P u / (Q 2^L)
-    # for u = ua and u = ub, with P / Q the Cauchy bound
-    bound = _cauchy_bound(chain[0])
-    P, Q = bound.numerator, bound.denominator
+    # for u = ua and u = ub, with P / Q the Cauchy bound; the estimates ys
+    # of every root, when all are real, serve the cell checks of the root
+    # and of the halves of a shifted split
     v_neg, v_pos = _changes_at_infinity(chain)
     roots, m = v_neg - v_pos, len(chain[0]) - 1
-    # the halvings from the width 2 P / Q to at most the precision
-    K = _halvings(P, Q, 2, 0, precision)
+    sqf = _squarefree(chain)
+    P, Q, K, s, ys, cells = _root_cells(chain[0], sqf, roots, precision,
+                                        shortcuts)
     if roots * m * m * K ** 3 > MAX_ISOLATION_WORK:
         raise ValueError(f"isolating {roots} roots of degree {m} takes {K} "
                          f"halvings each: n*m^2*K^3 exceeds the isolation "
                          f"cap {MAX_ISOLATION_WORK:.0e}")
-
-    sqf = _squarefree(chain)
-    far = _fujiwara_far(chain[0])
-    FN, FD = far.numerator, far.denominator
-    s = FN.bit_length() - FD.bit_length()  # far = 2^s
-    PF, QF = P * FD, Q * FN
-    # estimates of every root when all are real, for the cell checks of
-    # the root and of the halves of a shifted split
-    ys = None
-    if shortcuts and roots == len(sqf) - 1 and K:
-        # one level-K cell is hn / hd in units of far; a cell wider than
-        # far aims to far / CELL_TOLERANCE, so the tolerance stays finite
-        hn, hd = PF << 1, QF << K
-        if hn << CELL_RESOLUTION > hd * CELL_TOLERANCE:
-            ys = _estimates(sqf, s, min(hn, hd) / (hd * CELL_TOLERANCE))
-    scaled = _scaled(sqf, Q)
-    if ys is not None and chain[0][0]:
-        cells = _cells(scaled, P, Q, far, -1, 1, 0, K, roots, ys)
-        if cells is not None:
-            return cells
+    if cells is not None:
+        return _fractions(*cells)
     # no root reaches far, so beyond it the counts and the signs of sqf
-    # are those at infinity; with far = FN / FD, x is at or beyond far iff
-    # P FD |u| >= Q FN 2^L
+    # are those at infinity; x is at or beyond far iff PF |u| >= QF 2^L
+    PF, QF = _far_units(P, Q, s)
+    scaled = _scaled(sqf, Q)
     chain = [_scaled(g, Q) for g in chain]
     s_pos = 1 if scaled[0] > 0 else -1
     s_neg = s_pos if len(scaled) % 2 else -s_pos
@@ -908,7 +962,7 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
         k = _halvings(P, Q, ub - ua, L, precision)
         if va - vb < 2 or too_deep(L + k):
             return None
-        return _cells(scaled, P, Q, far, ua, ub, L, k, va - vb, ys)
+        return _cells(scaled, P, Q, s, ua, ub, L, k, va - vb, ys)
 
     # a node is (ua, ub, L, va, vb, sa): the sign changes of the chain at
     # both ends and the sign of sqf at the left end
@@ -949,7 +1003,7 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
             # grid, but each may hold its roots in cells of its own grid
             cells = k > 1 and ys is not None and half_cells(*half[:5])
             if cells:
-                out += cells
+                out += _fractions(*cells)
             else:
                 stack.append(half)
     # each single-root node takes the cell its aim names, if the signs
@@ -958,7 +1012,8 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
              for ua, ub, L, sa in singles]
     aims = _aims(sqf, s, PF, QF, nodes) if shortcuts else [None] * len(nodes)
     for (ua, ub, L, k, _), y in zip(nodes, aims):
-        cells = y is not None and _cells(scaled, P, Q, far, ua, ub, L, k, 1, [y])
-        out += cells or [_refine(scaled, P, Q, ua, ub, L, precision)]
+        cells = y is not None and _cells(scaled, P, Q, s, ua, ub, L, k, 1, [y])
+        out += _fractions(*cells) if cells else \
+            [_refine(scaled, P, Q, ua, ub, L, precision)]
     out.sort()
     return out

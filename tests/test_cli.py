@@ -597,6 +597,17 @@ def test_div_in_e_modes(capsys):
     assert json.loads(out)["verdict"] == "non_member"
 
 
+def test_div_in_e_failed_proof_refutes(capsys):
+    # the grid passes, and the failed n = 2 proof names the line (1, 1)
+    for grid in ((), ("--grid", "3")):
+        code, out, _ = run(capsys, "div", "in-e", "--poly",
+                           "(x0 - x1)*(x0 - x2)", *grid)
+        data = json.loads(out)
+        assert code == 1
+        assert (data["verdict"], data["mode"], data["witness"]) == \
+            ("non_member", "exact", ["1", "1"])
+
+
 def test_fan_demo_default_and_limit(capsys):
     code, out, _ = run(capsys, "fan", "demo", "--t", "1/10")
     assert code == 0

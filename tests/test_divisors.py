@@ -363,35 +363,89 @@ def _seeded_plane_divisors(rng, d):
 
 def test_in_e_certificate_agrees_with_the_walk(monkeypatch):
     # on grids on both sides of 2^d, in_E's report is the walk's, field
-    # for field: a certified grid is one the walk passes, and a failed
-    # proof leaves the walk's answer as it is
+    # for field, except where a failed proof refutes a grid the walk
+    # passes: a certified grid is one the walk passes, and the line that
+    # refutes after a failed proof has a fiber without d distinct real
+    # roots, by a point verdict and a Sturm count of its own
     tried = []
-    certified = divisors_mod._circle_certified
+    proof = divisors_mod._circle_proof
 
     def recorded(forms):
-        tried.append(certified(forms))
-        return tried[-1]
+        lines = proof(forms)
+        tried.append(lines is None)
+        return lines
 
-    monkeypatch.setattr(divisors_mod, "_circle_certified", recorded)
+    monkeypatch.setattr(divisors_mod, "_circle_proof", recorded)
     rng = random.Random(41)
-    outcomes = set()
+    outcomes, refuted = set(), 0
     for d in range(2, 8):
         for grid_size in (2 ** d - 3, 2 ** d - 2, 3 * 2 ** d):
             for D in _seeded_plane_divisors(rng, d):
                 del tried[:]
                 rep = in_E(D, grid_size)
+                got = (rep.verdict, rep.mode, rep.witness, rep.data)
                 want = _walked_report(D, grid_size)
-                assert (rep.verdict, rep.mode, rep.witness, rep.data) == want, \
-                    (D, grid_size)
                 assert len(tried) <= 1 and (not tried or
                                             _certify_grid(d, grid_size + 2))
                 outcomes.add((tuple(tried), rep.verdict))
-    # certified members, grids passed after a failed proof, refutations
-    # after one, and refutations at the first direction, which try none
-    assert outcomes == {((True,), "evidence_only"),
-                        ((False,), "evidence_only"),
-                        ((False,), "non_member"), ((), "non_member"),
-                        ((), "evidence_only")}
+                if got == want:
+                    continue
+                assert tried == [False] and want[0] == "evidence_only", \
+                    (D, grid_size)
+                assert rep.verdict == "non_member" and rep.mode == "exact"
+                cert = rep.data["certificate"]
+                assert rep.data.keys() == {"certificate", "grid_size"}
+                assert cert["direction"] == [str(c) for c in rep.witness]
+                fiber = _fiber_poly(in_div_prime(D)[1], rep.witness)
+                ints = [int(c * lcm(*(c.denominator for c in fiber.dense_coeffs("x0"))))
+                        for c in fiber.dense_coeffs("x0")]
+                verdict = critical._point_verdict(ints)
+                assert verdict is not RootVerdict.TRUE
+                assert cert["route"] == ("critical" if verdict is RootVerdict.FALSE
+                                         else "critical-degenerate")
+                assert cert["sturm_count"] == \
+                    count_distinct_roots_total(fiber, "x0") < d
+                refuted += 1
+    # certified members, refutations after a failed proof, by the walk or
+    # by a line the proof names, and at the first direction, which tries
+    # none
+    assert outcomes == {((True,), "evidence_only"), ((False,), "non_member"),
+                        ((), "non_member"), ((), "evidence_only")}
+    assert refuted >= 30
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("x0^4 - x1^4 + x2^4", [(1, 0)]),    # the pivot D_{2,0} vanishes
+    ("x0^3 - x2^3", [(0, 1)]),           # M_2 = 0 lacks its degree
+    ("x0^3 - 3*x0*x2^2", [(1, 0)]),      # M_2(0) = 0
+])
+def test_failed_proof_names_refuting_lines(text, lines):
+    D = Divisor(P(text))
+    assert divisors_mod._circle_proof(_FiberChecker(D).forms) == lines
+    for line in lines:
+        assert count_distinct_roots_total(_fiber_poly(D, line), "x0") < D.d
+
+
+def test_failed_proof_refutes_a_passed_grid():
+    # the two lines of the pencil meet over (1, 1), which no grid of 3 or
+    # 2002 directions holds; M_2 = (1 - y)^2 names it
+    D = Divisor(P("(x0 - x1)*(x0 - x2)"))
+    assert _walked_report(D, 3)[0] == "evidence_only"
+    for grid_size in (3, None):
+        rep = in_E(D, grid_size)
+        assert (rep.verdict, rep.mode, rep.witness) == ("non_member", "exact", (1, 1))
+        assert rep.data == {"certificate": {"direction": ["1", "1"],
+                                            "route": "critical-degenerate",
+                                            "sturm_count": 1},
+                            "grid_size": 5 if grid_size else 2002}
+    # tangent only at irrational slopes: the lines beside them pass, and
+    # the grid's answer stands
+    D = Divisor(P("(x0^2 - x1^2 - x2^2)*(x0 - 3*x1 - 1/7*x2)"))
+    lines = divisors_mod._circle_proof(_FiberChecker(D).forms)
+    assert len(lines) == 2
+    assert all(count_distinct_roots_total(_fiber_poly(D, v), "x0") == 3
+               for v in lines)
+    assert in_E(D).verdict == "evidence_only"
 
 
 @pytest.mark.parametrize("k, grid_size", [(1, 2), (2, 14), (3, 300)])

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import rct.fan as fan_mod
 from rct.divisors import Divisor, paper_family, scale_divisor
 from rct.fan import (
     BISECTION_WIDTH,
@@ -493,6 +494,32 @@ def test_psi_demo_json_pinned():
     digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
     assert digest == \
         "85dfa58bab0d9e04bc63da570e693778d896801c1c73d85640071580f2ee1bc8"
+
+
+def test_psi_demo_fibers_build_no_chain(monkeypatch):
+    # the root's cells prove each fiber's d real roots, so the cycles of
+    # test_psi_demo_json_pinned build no Sturm chain
+    calls, chain = [], fan_mod._int_chain
+    monkeypatch.setattr(fan_mod, "_int_chain",
+                        lambda p0: calls.append(p0) or chain(p0))
+    Z, D = default_demo()
+    psi_demo(Z, D, Fraction(1, 7), check_divisor=False)
+    Z3 = ZeroCycle([((Fraction(1), Fraction(2)), 2),
+                    ((Fraction(-3), Fraction(5)), 1),
+                    ((Fraction(7), Fraction(1)), 2)])
+    D3 = scale_divisor(paper_family(2, 3)[0], Fraction(1, 3))
+    psi_demo(Z3, D3, Fraction(1, 50), check_divisor=False)
+    assert calls == []
+    # every fiber of x0 (x0^2 - ...) has the root s = 0, where the root's
+    # cells are not asked: each builds its chain, and the output is the
+    # one recorded when every fiber did
+    D0 = Divisor(parse_poly("x0*(x0^2 - 3/7*x1^2 - 5/11*x2^2)"))
+    got = psi_demo(Z3, D0, Fraction(1, 7), check_divisor=False)
+    assert len(calls) == len(Z3.points)
+    digest = hashlib.sha256(json.dumps(got.to_json_dict(verbose=True),
+                                       sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "754734009286c1969cf7ae74d248ac7620a1593a0d58d21f726d948fb7517dff"
 
 
 def test_psi_demo_certificates():

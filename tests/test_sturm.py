@@ -649,6 +649,77 @@ def test_cells_check_whatever_the_floats_say(monkeypatch):
     assert 5 <= found < tries
 
 
+def _root_cells_or_chain(p0, precision):
+    """(route, answer) for a caller holding the integer p0 alone: the
+    root's cells where they prove deg p0 roots, else the chain route's
+    intervals or error."""
+    *_, cells = sturm._root_cells(p0, p0, len(p0) - 1, precision)
+    if cells is not None:
+        return "cells", sturm._fractions(*cells)
+    return "chain", _isolate_or_error(sturm._int_chain(p0)[0], precision)
+
+
+def _chain_free_route(f, precision):
+    """The route `_root_cells_or_chain` takes on f, after asserting that
+    its answer is the tree's on f's chain."""
+    p0 = sturm._int_dense(f, "x")[0]
+    route, got = _root_cells_or_chain(p0, precision)
+    want = _isolate_or_error(sturm._int_chain(p0)[0], precision, False)
+    assert got == want, (f, precision)
+    return route
+
+
+def test_chain_free_cells_equal_the_chain_route(monkeypatch):
+    rng, x = random.Random(29), SparsePoly.variable("x")
+    products = []
+    for _ in range(30):
+        roots = {Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 7, 10]))
+                 for _ in range(rng.randint(1, 12))} - {0} or {Fraction(1)}
+        f = SparsePoly.constant(1)
+        for r in sorted(roots):
+            f = f * (r.denominator * x - r.numerator)
+        products.append(f)
+    routes = [_chain_free_route(f, p) for f in products
+              for p in CELL_PRECISIONS[1:5]]
+    # 59 of 60 at 1/3 and 2^-20; none at 10^-12 and 2^-60, where a cell
+    # is below far 2^-CELL_RESOLUTION and no estimate runs
+    assert routes.count("cells") >= 55
+    # what the cells cannot prove goes to the chain: a repeated root,
+    # complex pairs, a root at 0, and K = 0 at a precision wider than the
+    # Cauchy interval
+    for text in ("(x - 1)^2*(x + 2)", "(x - 1/3)^3*(x - 2)*(x + 5)",
+                 "(x^2 + 1)*(x - 3)", "(x^2 - 2*x + 5)*(x^2 - 2)*(x + 1/7)",
+                 "x*(x - 1)*(x + 2)", "x*(3*x - 1)*(x^2 - 5)"):
+        for precision in CELL_PRECISIONS[1:5]:
+            assert _chain_free_route(parse_poly(text), precision) == "chain"
+    assert _chain_free_route(parse_poly("(x - 1)*(x + 2)"), Fraction(100)) \
+        == "chain"
+    # past the isolation cap no estimate runs, and the chain route raises
+    calls, estimates = [], sturm._estimates
+    monkeypatch.setattr(sturm, "_estimates",
+                        lambda *a: calls.append(a) or estimates(*a))
+    p0 = [-2, 0, 1]
+    route, got = _root_cells_or_chain(p0, Fraction(1, 2 ** 4998))
+    assert route == "chain" and got[0] is ValueError and "isolation cap" in got[1]
+    assert calls == []
+    assert _chain_free_route(parse_poly("x^2 - 2"), Fraction(1, 2 ** 4998)) \
+        == "chain"
+    # estimates moved off their roots by up to three cells: the signs
+    # prove some fibers and give the rest to the chain
+    rng = random.Random(25)
+
+    def misaimed(sqf, s, tol):
+        ys = estimates(sqf, s, tol)
+        cell = tol * sturm.CELL_TOLERANCE
+        return ys and [y + cell * rng.choice((0, 0, 0.4, -0.6, 1.3, -2.9))
+                       for y in ys]
+
+    monkeypatch.setattr(sturm, "_estimates", misaimed)
+    routes = [_chain_free_route(f, p) for f in products
+              for p in CELL_PRECISIONS[1:3]]
+    assert 5 <= routes.count("cells") < len(routes) - 5
+
+
 def test_estimates_fail_quietly():
     # coinciding starts (x^2 + 1 has no real spread), a coefficient past a
     # double's range and a complex pair end in None, never a float error
