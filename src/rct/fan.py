@@ -352,8 +352,10 @@ def psi_demo(Z: ZeroCycle, D: Divisor, t: Rational,
         q = [as_rational(c) for c in coords]
         p0 = checker.primitive_fiber([t * c for c in q])
         # the intervals as integer ends over one denominator: the root's
-        # cells, when they prove d real roots, else the chain's isolation
-        *_, cells = _root_cells(p0, p0, d, BISECTION_WIDTH)
+        # cells, when they prove d real roots, else the chain's isolation;
+        # a fiber with the root 0 gets no root cells, so it leaves its
+        # estimates to the chain route
+        *_, cells = _root_cells(p0, p0, d, BISECTION_WIDTH, p0[0] != 0)
         if cells is None:
             intervals = _isolate(_int_chain(p0)[0], BISECTION_WIDTH)
             if len(intervals) != d:

@@ -503,11 +503,6 @@ def _far_exponent(cs: Sequence[int]) -> int:
     return e + 1
 
 
-def _fujiwara_far(cs: Sequence[int]) -> Fraction:
-    """far = 2^`_far_exponent`(cs) as a number."""
-    return Fraction(2) ** _far_exponent(cs)
-
-
 def _far_units(P: int, Q: int, s: int) -> tuple:
     """(PF, QF) with PF / QF = (P / Q) / 2^s: the Cauchy bound in units of
     far = 2^s."""

@@ -15,7 +15,7 @@ from rct.sturm import (
     MAX_DEGREE,
     MAX_ISOLATION_WORK,
     EndpointRootError,
-    _fujiwara_far,
+    _far_exponent,
     cauchy_root_bound,
     count_distinct_roots_in,
     count_distinct_roots_total,
@@ -434,8 +434,8 @@ def _oracle_cases():
 def test_isolation_matches_oracle(precision):
     cases = _oracle_cases()
     for _, f in cases[:4]:
-        assert cauchy_root_bound(f, "x") > 1000 * _fujiwara_far(
-            sturm_sequence(f, "x").chain[0])
+        far_exp = _far_exponent(sturm_sequence(f, "x").chain[0])
+        assert cauchy_root_bound(f, "x") > 1000 * Fraction(2) ** far_exp
     for var, f in cases:
         got = isolate_roots_bisection(f, precision, var)
         assert got == _oracle_isolate(f, precision, var), (f, precision)
@@ -458,11 +458,9 @@ def test_fujiwara_far_bounds_every_root():
         for _ in range(rng.randint(0, 2)):
             c = Fraction(rng.randint(1, 10 ** 4), rng.choice([1, 10 ** 6]))
             f, moduli2 = f * (x ** 2 + c), moduli2 + [c]
-        far = _fujiwara_far(sturm_sequence(f, "x").chain[0])
-        assert far > 0 and far.numerator & (far.numerator - 1) == 0
-        assert far.denominator & (far.denominator - 1) == 0
+        far = Fraction(2) ** _far_exponent(sturm_sequence(f, "x").chain[0])
         assert all(m2 < far * far for m2 in moduli2), (f, far)
-    assert _fujiwara_far([0, 0, 0, 5]) == 1  # 5 x^3: the only root is 0
+    assert _far_exponent([0, 0, 0, 5]) == 0  # 5 x^3: the only root is 0
 
 
 def _bisect_node(sqf, P, Q, ua, ub, L, precision):
