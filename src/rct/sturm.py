@@ -33,10 +33,25 @@ root count.
 
 Sign changes are counted after deleting zeros; the difference of the
 counts at two non-root endpoints is the number of distinct real roots
-between them, multiplicities ignored.  Every query reads the integer
-chain, and every value and sign comes from one Horner kernel, `_value`.
-The last chain built is kept, keyed by the polynomial object and the
-variable, so counting and isolating one polynomial builds its chain once.
+between them, multiplicities ignored.  Every value and sign comes from
+one Horner kernel, `_value`.
+
+A polynomial of degree n whose roots are all real and simple needs no
+chain.  From degree _PROOF_DEGREE up, the public count, count-in and
+isolate calls first try to prove that f has n distinct real roots
+(`_proof`): Newton's inequalities, n - 1
+of them in integers, turn away most polynomials with a non-real root;
+Laguerre's method estimates the roots of the rest; and when exact signs
+of f at a point between each two consecutive estimates alternate, each
+of the n intervals those points cut the line into holds a root, so one
+each.  The count is then n, a count in an interval takes one exact sign
+at each endpoint, and isolation takes the root node's cells (below) on
+the same estimates.  The chain is built only when nothing is proved.
+One record is kept, of the last polynomial asked about, keyed by the
+polynomial object and the variable: its primitive integer form, computed
+once and shared with the chain build, the proof or its failure, and the
+chain once it is built.  So the three calls on one polynomial try the
+proof once and build the chain at most once.
 
 Isolation bisects from the Cauchy bound P/Q and splits until every
 interval holds one root.  Every tree point is an integer u at a level L,
@@ -69,9 +84,9 @@ returns exactly those cells (see `_isolate`).  `_cells` names n cells
 from float aims and proves them with exact signs of the squarefree part
 at their ends, counted against the node's Sturm count.  It is asked at
 the root and at both halves of a shifted split of a polynomial whose
-roots are all real, aimed by the Aberth-Ehrlich iteration, and at every
-single-root node, aimed by a bracketed float Newton pass (`_aims`).  The
-floats only aim: a node the signs do not prove runs the tree, and a
+roots are all real, aimed by Laguerre's method (`_estimates`), and at
+every single-root node, aimed by a bracketed float Newton pass (`_aims`).
+The floats only aim: a node the signs do not prove runs the tree, and a
 single root they do not prove is refined.
 
 Isolation runs on the integer chain alone (`_isolate`), so a caller
@@ -130,31 +145,53 @@ ValueError at the first node whose level L makes n m^2 L^3 exceed the cap."""
 
 
 CELL_SWEEPS = 30
-"""Most Aberth sweeps `_estimates` runs before it gives the polynomial to
-the tree, and most Newton steps `_aims` takes for one node.  Over 1893
-attempts on real-rooted products of degree 1-30 at precisions 8 to
-2^-45, 1794 converged within 10 sweeps, 1855 within 30, 9 later and 29
-not in 200.  A failed attempt pays every sweep, m^2 float Horner steps
-each; a Newton step costs m."""
+"""Most Laguerre steps `_estimates` takes for one root before it gives
+the polynomial to the tree, and most Newton steps `_aims` takes for one
+node.  Over 730 attempts on 90 real-rooted products of degree 1-30 at
+the tolerances `_root_cells` asks for precisions 8 to 2^-45, the 8,947
+roots found took 5.0 steps on average; every root converged within 10
+steps in 648 attempts and within 30 in 680, 19 attempts needed more and
+31 had a root that did not converge in 200 (tolerances near the float
+resolution, and repeated roots).  A root costs a step of 3 m float
+Horner steps and one term per root found before it, so a failed attempt
+pays at most CELL_SWEEPS steps past the roots it found; a Newton step
+of `_aims` costs m."""
 
 CELL_TOLERANCE = 16
-"""The estimates stop once every correction of a sweep is below the cell
-width over CELL_TOLERANCE, so each lies in its root's cell or beside it
-on the nearer side, where `_cells` looks second."""
+"""A root's estimate is taken once a Laguerre step is below the cell
+width over CELL_TOLERANCE.  The iteration converges cubically, so the
+estimate then lies in its root's cell or beside it on the nearer side,
+where `_cells` looks second.  Over the root cells of 85 real-rooted
+products of degree 1-30 at 1/3, 2^-20 and 10^-9, 4, 8, 16, 32 and 64
+found 187, 189, 188, 186 and 180 of them."""
 
 CELL_RESOLUTION = 46
-"""The Aberth estimates are not run when the tolerance, the cell width
-over CELL_TOLERANCE, is at most far 2^-CELL_RESOLUTION, for far the
-Fujiwara bound: a double near far resolves 2^-52 far, and finer aims stop
-converging.  Over 63 real-rooted inputs at every tolerance from far
-2^-34 to far 2^-73, none failed to converge down to 2^-42; 5 failed at
-2^-46, 10 at 2^-50, 30 at 2^-54 and most past 2^-56.  Over the inputs of
-tolerances 2^-36 to 2^-55, isolation took 0.84-1.04 times the tree
-alone for every limit from 2^-42 to 2^-52, within the host's noise, so
-the limit guards against wasted sweeps more than it tunes: at 46,
-x^2 - 2 takes the root's cells at 2^-20 but runs the tree at 10^-12.
-There the split at 0 is decided by parity and each root's Newton aim,
-whose guard is the root's own resolution, names its cell."""
+"""The estimates of `_root_cells` are not run when the tolerance, the
+cell width over CELL_TOLERANCE, is at most far 2^-CELL_RESOLUTION, for
+far the Fujiwara bound: a double near far resolves 2^-52 far, and finer
+aims stop converging.  Over 40 real-rooted inputs at every tolerance
+from far 2^-34 to far 2^-60, Laguerre's method failed to converge on 1
+down to 2^-40, on 2 at 2^-42, 4 at 2^-46, 10 at 2^-48, 18 at 2^-52 and
+36 past 2^-56.  Isolating them at 2^-30 to 2^-46 took 0.65 times the
+tree alone with the limit at 40, and 0.39-0.45 times for every limit
+from 42 to 52, within the host's noise, so the limit guards against
+wasted steps more than it tunes: at 46, `_isolate` takes the root's
+cells of x^2 - 2 at 2^-20 but runs the tree at 10^-12.  There the split
+at 0 is decided by parity and each root's Newton aim, whose guard is the
+root's own resolution, names its cell.  `_proof` runs its estimates at
+far 2^-(CELL_RESOLUTION / 2), where they stall on rounding far less
+often, and its isolations try the cells they name at any level."""
+
+
+_PROOF_DEGREE = 8
+"""Least degree for which the public calls try `_proof` before the chain.
+Below it the chain and its signs cost less than the estimates: in
+process, on products of distinct rational roots, count in an interval
+took 32-77 us by the chain against 45-96 us by the proof at degrees 2-6,
+and the `flow` Div'' gates, which count g(t) in (0, 1) at degrees 2, 4
+and 6, read 3-4% slower with the proof.  Count, count-in and isolate
+together gain at every degree, by 27% at degree 8 and 44% at 16, and the
+`roots` ops all have degree 8 or more."""
 
 
 class EndpointRootError(ValueError):
@@ -322,30 +359,50 @@ def _squarefree(chain: Sequence[Sequence[int]]) -> list:
     return list(chain[0]) if len(g) == 1 else _exact_quotient(chain[0], g)
 
 
-# the most recent chain as (f, var, chain); SparsePoly is immutable, so a
-# later call on the same object and variable may return it as it is
-_last_chain = (None, None, None)
+class _Record:
+    """What the queries know of the polynomial f in var: its primitive
+    integer form p0 (ascending) with step0 = (g, den), f = g/den * p0, as
+    `_int_dense` gives them; once tried, the `_proof` of deg p0 distinct
+    real roots, or None; and the chain once it is built."""
+
+    __slots__ = ("f", "var", "p0", "step0", "tried", "proof", "seq")
+
+    def __init__(self, f: SparsePoly, var: str):
+        self.f, self.var = f, var
+        self.p0, self.step0 = _int_dense(f, var)
+        self.tried, self.proof, self.seq = False, None, None
+
+
+# the record of the last polynomial asked about; SparsePoly is immutable,
+# so a later call on the same object and variable may read it as it is
+_last = None
+
+
+def _record(f: SparsePoly, var: str) -> _Record:
+    global _last
+    if _last is None or _last.f is not f or _last.var != var:
+        _last = _Record(f, var)
+    return _last
 
 
 def sturm_sequence(f: SparsePoly, var: str = None) -> SturmSeq:
     """Build the Sturm chain of a non-constant rational polynomial.
 
-    The last chain built is kept, so count, count-in and isolate on one
-    polynomial object build it once.
+    The last polynomial's chain is kept, so count, count-in and isolate
+    on one polynomial object build it once, and only when `_proof` shows
+    nothing.
     """
-    global _last_chain
     var = _main_var(f, var)
-    last_f, last_var, seq = _last_chain
-    if last_f is not f or last_var != var:
-        seq = _build_chain(f, var)
-        _last_chain = (f, var, seq)
-    return seq
+    rec = _record(f, var)
+    if rec.seq is None:
+        rec.seq = _build_chain(f, var)
+    return rec.seq
 
 
 def _build_chain(f: SparsePoly, var: str) -> SturmSeq:
-    ints, step0 = _int_dense(f, var)
-    chain, steps = _int_chain(ints)
-    steps[0] = step0
+    rec = _record(f, var)
+    chain, steps = _int_chain(rec.p0)
+    steps[0] = rec.step0
     return SturmSeq(var=var, chain=tuple(tuple(p) for p in chain),
                     steps=tuple(steps))
 
@@ -474,6 +531,12 @@ def count_distinct_roots_in(f: SparsePoly, a, b, var: str = None) -> int:
     a, b = as_rational(a), as_rational(b)
     if a >= b:
         raise ValueError(f"empty interval: ({a}, {b})")
+    rec = _record(f, var)
+    proof = _proof(rec)
+    if proof is not None:
+        seps = proof[2]
+        below = _roots_below(rec.p0, seps, a, "left")
+        return _roots_below(rec.p0, seps, b, "right") - below
     seq = sturm_sequence(f, var)
     sa, sb = seq.signs_at(a), seq.signs_at(b)
     if sa[0] == 0:
@@ -484,8 +547,113 @@ def count_distinct_roots_in(f: SparsePoly, a, b, var: str = None) -> int:
 
 
 def count_distinct_roots_total(f: SparsePoly, var: str = None) -> int:
-    """Distinct real roots over the whole line, from the signs at both infinities."""
+    """Distinct real roots over the whole line, from the signs at both
+    infinities, or deg f when the signs of `_proof` show that many."""
+    var = _main_var(f, var)
+    rec = _record(f, var)
+    if _proof(rec) is not None:
+        return len(rec.p0) - 1
     return _real_root_count(sturm_sequence(f, var).chain)
+
+
+def _newton_holds(p0: Sequence[int]) -> bool:
+    """Newton's inequalities, strictly: a_k^2 k (n - k) > a_(k-1) a_(k+1)
+    (k + 1) (n - k + 1) for 0 < k < n, on the coefficients a_k of p0
+    (ascending, of degree n), that is a_k^2 C(n, k-1) C(n, k+1) >
+    a_(k-1) a_(k+1) C(n, k)^2.  Every polynomial whose roots are all real
+    satisfies them with >= (Hardy, Littlewood and Polya, Inequalities,
+    2.22), and with > when 0 is no root and the roots are not all equal,
+    repeated roots included.  So a p0 with p0(0) != 0 that fails them has
+    a non-real root or one root of multiplicity n > 1, and n distinct
+    real roots are not there to prove."""
+    n = len(p0) - 1
+    return all(p0[k] * p0[k] * k * (n - k)
+               > p0[k - 1] * p0[k + 1] * (k + 1) * (n - k + 1)
+               for k in range(1, n))
+
+
+def _proof(rec: _Record):
+    """(s, ys, seps) when the signs of rec.p0 prove that it has n = deg p0
+    distinct real roots, else None; tried once per record.
+
+    The proof is tried from degree _PROOF_DEGREE up, when p0 passes
+    `_newton_holds` and 0 is no root (0 is a grid point of every level of
+    the root node, where the tree shifts its split, so no root cells
+    would stand in for it).  Then far = 2^s (`_far_exponent`), ys are the
+    estimates of the roots x = 2^s y (`_estimates`), and seps = (us, e)
+    are n - 1 points x_j = u_j / 2^e, one between each two consecutive
+    estimates, where p0 has the sign of its leading coefficient times -1
+    for each of the n - j roots beyond: `_separators`.  Then each of the
+    n open intervals (-infinity, x_1), (x_1, x_2), ..., (x_(n-1),
+    +infinity) has a change of sign of p0, so an odd number of roots;
+    there are n roots in all, so each interval holds exactly one, simple
+    and real.
+
+    The estimates run to tolerance far 2^-(CELL_RESOLUTION / 2).  The
+    iteration converges cubically, so after a step that small they lie
+    far closer to their roots than any cell a double resolves, and
+    `isolate_roots_bisection` asks `_cells` on them at its precision's
+    level; a finer tolerance stalls on the rounding of p's values more
+    often (see CELL_RESOLUTION).
+    """
+    if not rec.tried:
+        rec.tried = True
+        p0 = rec.p0
+        if len(p0) > _PROOF_DEGREE and p0[0] and _newton_holds(p0):
+            s = _far_exponent(p0)
+            ys = _estimates(p0, s, 1 / (1 << CELL_RESOLUTION // 2))
+            seps = ys and _separators(p0, s, ys)
+            if seps:
+                rec.proof = s, ys, seps
+    return rec.proof
+
+
+def _separators(p0: Sequence[int], s: int, ys: Sequence[float]):
+    """The points (us, e) of `_proof` for the estimates ys of the roots
+    x = 2^s y of p0, or None when p0 does not change sign across them.
+
+    Every float is an integer over a power of two, so the estimates are
+    integers a_j over one 2^D.  Each x_j is the midpoint of y_j and
+    y_(j+1), rounded to the nearest multiple of 2^-L, L the fewest
+    halvings that bring the step below a quarter of the least gap between
+    the estimates: it lies at least three eighths of a gap from both, and
+    has as few bits as that allows.
+    """
+    ratios = [y.as_integer_ratio() for y in ys]
+    den = max(b for _, b in ratios)
+    nums = [a * (den // b) for a, b in ratios]
+    gap = min((v - u for u, v in zip(nums, nums[1:])), default=den)
+    L = (-(-4 * den // gap) - 1).bit_length()
+    # the midpoints (u + v) / (2 den) rounded to level L; x = 2^s u / 2^L
+    us = [(((u + v) << L) + den) // (2 * den) for u, v in zip(nums, nums[1:])]
+    e = L - s
+    if e < 0:
+        us, e = [u << -e for u in us], 0
+    desc = _scaled(p0, 1)
+    want = (1 if p0[-1] > 0 else -1) * (-1) ** len(us)
+    for u in us:
+        if _sign(desc, u, e) != want:
+            return None
+        want = -want
+    return us, e
+
+
+def _roots_below(p0: Sequence[int], seps: tuple, x: Fraction,
+                 side: str) -> int:
+    """The roots of p0 below x, from the `_proof` points (us, e) between
+    them; side names x in the error raised when x is a root.  x lies in
+    one of the intervals (x_i, x_(i+1)] of `_proof`, and one exact sign
+    of p0 tells on which side of x its root lies."""
+    us, e = seps
+    t, q = x.numerator << e, x.denominator
+    i = 0
+    while i < len(us) and us[i] * q < t:
+        i += 1
+    sx = _signs_at((p0,), x)[0]
+    if not sx:
+        raise EndpointRootError(f"{side} endpoint {x} is a root; "
+                                f"nudge endpoints first")
+    return i + (sx == (1 if p0[-1] > 0 else -1) * (-1) ** (len(us) - i))
 
 
 def _far_exponent(cs: Sequence[int]) -> int:
@@ -611,20 +779,36 @@ def _refine(sqf: Sequence[int], P: int, Q: int, ua: int, ub: int, L: int,
 
 def _estimates(sqf: Sequence[int], s: int, tol: float):
     """Float estimates y of the roots x = 2^s y of the real-rooted
-    squarefree integer polynomial sqf (ascending), by the real
-    Aberth-Ehrlich iteration (Aberth 1973), or None.
+    squarefree integer polynomial sqf (ascending), in increasing order,
+    by Laguerre's method, or None.
 
     With far = 2^s above every root's modulus, the monic polynomial p in
     y has its m roots in (-1, 1), so its coefficients are at most
-    binomial coefficients and none overflows.  The estimates start evenly
-    spaced with the mean and variance of the roots, read from the two top
-    coefficients, and are updated in place, y -= N / (1 - N S) with
-    N = p(y) / p'(y) and S the sum of 1 / (y - y') over the estimates
-    y' other than y, added left to right in a plain loop (as sum() adds
-    floats up to 3.11), until every correction of a sweep is below tol
-    or CELL_SWEEPS sweeps have run.  A zero division or an overflow gives
-    None; a NaN or infinite estimate makes a NaN correction, which never
-    passes the test, so converged estimates are finite.
+    binomial coefficients and none overflows.  On a polynomial whose
+    roots are all real, Laguerre's iteration converges monotonically to
+    the largest root from any point right of it (Parlett 1964), cubically
+    near a simple root, and its discriminant (n - 1)(n H - G^2), for G
+    and H the sums of 1 / (y - r) and 1 / (y - r)^2 over the n roots r,
+    is never negative.  Each root is deflated off once found, implicitly:
+    its terms leave G and H, so the iteration runs on the values of p
+    itself and no rounded quotient moves the roots still to find.  The
+    first root is sought from y = +infinity, whose Laguerre step lands on
+    the Laguerre-Samuelson bound mean + sigma sqrt(m - 1), read from the
+    two top coefficients; each later one from the midpoint of the last
+    two roots found, or of the first and 1: right of every root left, and
+    far enough from the found ones that their terms cancel cleanly (from
+    next to the last root found, the rounding of p's values there swamps
+    them).  A root is found once a step is below tol.  The last root is
+    the sum of the roots less the others, polished by one Newton step
+    on p.
+
+    None comes back when the discriminant goes negative (p has a
+    non-real root, or rounding at a repeated one), when a root takes
+    more than CELL_SWEEPS steps, when the floats overflow or divide by
+    zero, or when the estimates are not strictly increasing in [-1, 1].
+    A NaN step never passes the step test, so returned estimates are
+    finite.  Products of G and H with p keep a root hit exactly (p = 0)
+    a finite step of 0.
     """
     m = len(sqf) - 1
     lead = sqf[-1]
@@ -632,35 +816,57 @@ def _estimates(sqf: Sequence[int], s: int, tol: float):
         coeffs = [c / (lead << (s * (m - i))) if s >= 0
                   else (c << (-s * (m - i))) / lead
                   for i, c in enumerate(sqf[:-1])][::-1]
-        # m points evenly spaced with the mean and variance of the roots
-        mean = -coeffs[0] / m
-        if m == 1:
-            ys = [mean]
-        else:
-            var = (coeffs[0] ** 2 - 2 * coeffs[1]) / m - mean * mean
-            step = sqrt(max(var, 0.0) * 3 / (m * m - 1))
-            ys = [mean + step * (2 * i + 1 - m) for i in range(m)]
-        for _ in range(CELL_SWEEPS):
-            done = True
-            for i, y in enumerate(ys):
-                p, dp = 1.0, 0.0
+        s1 = -coeffs[0]  # the sum of the roots not yet found
+        ys = []
+        for n in range(m, 1, -1):
+            if ys:
+                y = (ys[-1] + (ys[-2] if len(ys) > 1 else 1.0)) / 2
+            else:
+                # the step from +infinity, on the sum of squares s1^2 - 2 c_1
+                disc = (n - 1) * (n * (s1 * s1 - 2 * coeffs[1]) - s1 * s1)
+                if disc < 0:
+                    return None
+                y = (s1 + sqrt(disc)) / n
+            for _ in range(CELL_SWEEPS):
+                p, dp, d2 = 1.0, 0.0, 0.0
                 for c in coeffs:
+                    d2 = d2 * y + dp
                     dp = dp * y + p
                     p = p * y + c
-                n = p / dp
-                S = 0.0
-                for z in ys:
-                    if z != y:
-                        S += 1 / (y - z)
-                w = n / (1 - n * S)
-                ys[i] = y - w
-                if done and not abs(w) < tol:
-                    done = False
-            if done:
-                break
-        else:
-            return None
+                # p G and p^2 H of the roots not yet found (d2 is p'' / 2)
+                g, h = dp, dp * dp - 2 * p * d2
+                if ys:
+                    u = v = 0.0
+                    for r in ys:
+                        t = 1 / (y - r)
+                        u += t
+                        v += t * t
+                    g -= p * u
+                    h -= p * p * v
+                disc = (n - 1) * (n * h - g * g)
+                if disc < 0:
+                    return None
+                root = sqrt(disc)
+                step = n * p / (g + root if g >= 0 else g - root)
+                y -= step
+                if abs(step) < tol:
+                    break
+            else:
+                return None
+            ys.append(y)
+            s1 -= y
+        p, dp = 1.0, 0.0
+        for c in coeffs:
+            dp = dp * s1 + p
+            p = p * s1 + c
+        y = s1 - p / dp
     except (ZeroDivisionError, OverflowError):
+        return None
+    # a NaN fails every comparison, and sorted estimates increase
+    # strictly when they are distinct
+    ys.append(y)
+    ys.sort()
+    if not (all(-1.0 <= v <= 1.0 for v in ys) and len(set(ys)) == m):
         return None
     return ys
 
@@ -805,7 +1011,7 @@ def _root_cells(p0: Sequence[int], sqf: Sequence[int], n: int,
     interval from -P / Q to P / Q, K the halvings that bring its width to
     the precision, and far = 2^s (`_far_exponent`).  With aim, when every
     root of sqf is real (n = deg sqf), K > 0, the isolation is under the
-    cap and far resolves a cell, ys are the Aberth estimates of the roots
+    cap and far resolves a cell, ys are the estimates of the roots
     x = 2^s y (`_estimates`), else None.  cells are the root's `_cells`
     (k = K) on them when ys are there and 0 is no root, else None.
 
@@ -841,12 +1047,38 @@ def isolate_roots_bisection(f: SparsePoly, precision, var: str = None) -> list:
     Counting is exact at every stage, so the number of returned intervals
     always equals the total distinct-root count.  A rational root hit
     exactly is returned as a width-zero interval [r, r].
+
+    When `_proof` shows deg f distinct real roots, its estimates are
+    asked for the root node's cells at the precision's level K (`_cells`);
+    found, they are the tree's intervals (see `_isolate`), and no chain
+    is built.  A cell finer than the estimates resolve costs a few exact
+    signs before the tree takes over.
     """
     var = _main_var(f, var)
     precision = as_rational(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
+    rec = _record(f, var)
+    proof = _proof(rec)
+    if proof is not None:
+        s, ys, _ = proof
+        m = len(rec.p0) - 1
+        P, Q = _cauchy_bound(rec.p0)
+        K = _halvings(P, Q, 2, 0, precision)
+        _check_isolation_work(m, m, K)
+        cells = _cells(_scaled(rec.p0, Q), P, Q, s, -1, 1, 0, K, m, ys)
+        if cells:
+            return _fractions(*cells)
     return _isolate(sturm_sequence(f, var).chain, precision)
+
+
+def _check_isolation_work(roots: int, m: int, K: int) -> None:
+    """Refuse an isolation of roots roots of a degree-m polynomial, K
+    halvings each, past MAX_ISOLATION_WORK."""
+    if roots * m * m * K ** 3 > MAX_ISOLATION_WORK:
+        raise ValueError(f"isolating {roots} roots of degree {m} takes {K} "
+                         f"halvings each: n*m^2*K^3 exceeds the isolation "
+                         f"cap {MAX_ISOLATION_WORK:.0e}")
 
 
 def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
@@ -877,7 +1109,7 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
 
     The check is asked at three places.  At the root (n = r, k = K,
     `_root_cells`) and at both halves of a shifted split, when every root
-    is real (r = deg sqf) and the Aberth estimates of all of them
+    is real (r = deg sqf) and the Laguerre estimates of all of them
     converged; the root is skipped when 0 is a root, since 0 is its first
     split point and the tree shifts it.  And at every single-root node,
     aimed by `_aims`.
@@ -889,21 +1121,20 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
     choice reads only the input.  In process on a 2-core host, each set
     timed best of 5 or 7, the shortcuts against the tree alone:
 
-        3072 fibers of the seed-1 `flow` psi pool, 10^-12   231 ms   738 ms
-        176 seed-1 `roots` polynomials, 2^-20              100 ms   215 ms
-        (x-1)(x-2)...(x-30) at 2^-20, a failed root try     14 ms    11 ms
-        (x-1)(x-3)(x-15) at 2^-20, roots on the grid      0.15 ms  0.08 ms
-        x^2 - 2 at 10^-12                                 0.06 ms  0.07 ms
-        x^256 - 3 x^2 + 1 at 10^-12                        2.4 ms   10 ms
+        3072 fibers of the seed-1 `flow` psi pool, 10^-12   209 ms   707 ms
+        176 seed-1 `roots` polynomials, 2^-20              101 ms   252 ms
+        (x-1)(x-2)...(x-30) at 2^-20, a failed root try     20 ms    20 ms
+        (x-1)(x-3)(x-15) at 2^-20, roots on the grid      0.22 ms  0.12 ms
+        x^2 - 2 at 10^-12                                 0.08 ms  0.10 ms
+        x^256 - 3 x^2 + 1 at 10^-12                        4.0 ms   17 ms
 
     All 3072 psi fibers take the root's cells.  Asked with no chain
-    (`_root_cells`, as `fan.psi_demo` asks), they take 156 ms in the run
-    of that row, and building the chains first adds 46 ms.
+    (`_root_cells`, as `fan.psi_demo` asks), they take 169 ms in the run
+    of that row, and building the chains first adds 30 ms.
 
     On the `roots` set, 13,792 chain signs at split points and no
-    refinement probe against 26,312 and 10,781 before any of these
-    shortcuts but the root's cells: parity decides 22% of the splits
-    that would sign the chain (39% of those with two roots), the halves
+    refinement against 45,249 signs and 1,536 refined roots for the tree
+    alone: parity decides splits that would sign the chain, the halves
     of the shifted split at 0 take their cells in 23 real-rooted inputs,
     and all 448 single-root nodes are aimed into their cells.
     """
@@ -916,10 +1147,7 @@ def _isolate(chain: Sequence[Sequence[int]], precision: Fraction,
     sqf = _squarefree(chain)
     P, Q, K, s, ys, cells = _root_cells(chain[0], sqf, roots, precision,
                                         shortcuts)
-    if roots * m * m * K ** 3 > MAX_ISOLATION_WORK:
-        raise ValueError(f"isolating {roots} roots of degree {m} takes {K} "
-                         f"halvings each: n*m^2*K^3 exceeds the isolation "
-                         f"cap {MAX_ISOLATION_WORK:.0e}")
+    _check_isolation_work(roots, m, K)
     if cells is not None:
         return _fractions(*cells)
     # no root reaches far, so beyond it the counts and the signs of sqf

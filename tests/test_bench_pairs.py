@@ -70,3 +70,24 @@ def test_a_row_prints_every_figure():
     line = bench_pairs.format_row("op_ms_p90", "ms", row)
     assert line.split() == ["op_ms_p90", "ms", "2.5", "(2.45-2.55)", "2",
                             "(1.95-2.05)", "-20.0%", "3/0", "yes", "holds"]
+
+
+def test_kind_medians_show_which_kinds_moved():
+    def run(**ms):
+        return {k: {"n": 16, "median_ms": v, "failed": 0} for k, v in ms.items()}
+
+    parent = [run(deg8=0.45, deg16=1.10, deg32=2.9),
+              run(deg8=0.41, deg16=1.00, deg32=3.1),
+              run(deg8=0.43, deg16=1.05, deg32=3.0)]
+    change = [run(deg8=0.40, deg16=0.80, deg32=3.0),
+              run(deg8=0.38, deg16=0.75, deg32=2.9),
+              run(deg8=0.36, deg16=0.70, only_here=1.0)]
+    rows = bench_pairs.kind_rows(parent, change)
+    # a kind run on one side only is left out; deg32 ran twice on the
+    # change's side, so its median is over those two
+    assert [r[0] for r in rows] == ["deg16", "deg32", "deg8"]
+    kind, p, c, rel = rows[0]
+    assert (p, c) == (1.05, 0.75) and math.isclose(rel, -2 / 7)
+    assert rows[1][1:3] == (3.0, 2.95)
+    assert bench_pairs.format_kind_row(rows[2]).split() == [
+        "deg8", "0.43", "0.38", "-11.6%"]

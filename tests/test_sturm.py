@@ -231,7 +231,7 @@ def test_chain_built_once_per_polynomial(monkeypatch):
     with pytest.raises(ValueError, match="not univariate in y"):
         count_distinct_roots_total(h, "y")
     assert len(isolate_roots_bisection(h, Fraction(1, 64), "x")) == 2
-    assert builds[5:] == ["x", "y"]
+    assert builds[5:] == ["x"]
 
 
 def _sqrt_in(a, b, n):
@@ -725,6 +725,162 @@ def test_estimates_fail_quietly():
     assert sturm._estimates([-(10 ** 400), 0, 1], 0, 1e-9) is None
     assert sturm._estimates([1, 1, 0, 1], 1, 1e-9) is None
     assert sturm._estimates([-1, 0, 1], 0, 1e-9) == [-1.0, 1.0]
+
+
+def test_newton_prefilter_admits_every_real_rooted_product():
+    # rational and split quadratic factors, repeated ones included, with
+    # 0 no root: the strict inequalities hold for all of them
+    rng = random.Random(43)
+    x = SparsePoly.variable("x")
+    for _ in range(200):
+        f = _real_rooted(rng, rng.randint(1, 12))
+        for _ in range(rng.randint(0, 3)):
+            f = f * _real_rooted(rng, 1)
+        p0 = sturm._int_dense(f, "x")[0]
+        if p0[0]:
+            assert sturm._newton_holds(p0), f
+    twice = sturm._int_dense(parse_poly("(x - 3)^2*(2*x + 1)^3*(x^2 - 7)"), "x")[0]
+    assert sturm._newton_holds(twice)
+    # one root n times over, and complex pairs: no proof to try; x^3 - 2
+    # meets the inequalities with equality, which no real-rooted cubic does
+    for text in ("(x + 1)^256", "(3*x - 2)^5", "x^2 + 1", "x^4 + x^2 + 7",
+                 "x^3 - 2", "(x^2 + 1)*(x - 3)"):
+        assert not sturm._newton_holds(sturm._int_dense(parse_poly(text), "x")[0])
+    # a complex pair close to the real line passes: the estimates decide
+    near = sturm._int_dense(parse_poly("(x - 3)*(100*x^2 - 200*x + 101)"), "x")[0]
+    assert sturm._newton_holds(near)
+    assert sturm._newton_holds([5, 7]) and sturm._newton_holds([-2, 0, 1])
+
+
+# root cells found on the products of the test below by the real
+# Aberth-Ehrlich iteration that aimed them before Laguerre's method
+# (which finds 362)
+ABERTH_CELLS = 346
+
+
+def test_estimates_prove_as_many_cells_as_aberth():
+    rng = random.Random(44)
+    products = [sturm._int_dense(_real_rooted(rng, d), "x")[0]
+                for d in range(1, 31) for _ in range(6)]
+    products = [p0 for p0 in products if p0[0]]
+    found = sum(sturm._root_cells(p0, p0, len(p0) - 1, precision)[5] is not None
+                for p0 in products
+                for precision in (Fraction(1, 3), Fraction(1, 2 ** 20),
+                                  Fraction(1, 10 ** 9)))
+    assert found >= ABERTH_CELLS
+
+
+def _or_error(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _shape(rng, lin, split, non):
+    """Coefficients of a product shaped like the benchmark's roots ops:
+    lin distinct rational roots but 0, split quadratics with two real
+    roots each and non quadratics with none."""
+    x = SparsePoly.variable("x")
+    f, roots = SparsePoly.constant(1), set()
+    while len(roots) < lin:
+        roots.add(Fraction(rng.randint(-24, 24) or 1, rng.choice((1, 2))))
+    for r in roots:
+        f = f * (r.denominator * x - r.numerator)
+    for want in [True] * split + [False] * non:
+        while True:
+            b, c = rng.randint(-9, 9), rng.randint(-20, 20)
+            if (b * b > 4 * c) == want and math.isqrt(abs(b * b - 4 * c)) ** 2 \
+                    != b * b - 4 * c:
+                break
+        f = f * (x ** 2 + b * x + c)
+    return f.dense_coeffs("x")
+
+
+def _p0(coeffs):
+    return sturm._int_dense(SparsePoly.from_dense("x", coeffs), "x")[0]
+
+
+def _route_cases():
+    """(coefficients, proved, rational roots): inputs on both sides of
+    `_proof`."""
+    rng = random.Random(45)
+    x = SparsePoly.variable("x")
+
+    def product(size):
+        roots = set()
+        while len(roots) < size:
+            roots.add(Fraction(rng.randint(-40, 40) or 5, rng.choice((1, 2, 3, 7))))
+        f = SparsePoly.constant(1)
+        for r in roots:
+            f = f * (r.denominator * x - r.numerator)
+        return f, sorted(roots)
+
+    cases = []
+    for _ in range(10):
+        f, roots = product(rng.randint(sturm._PROOF_DEGREE, 14))
+        r = rng.choice(roots)
+        cases += [(f, True, roots), (x * f, False, [0] + roots),
+                  (f * (r.denominator * x - r.numerator), False, roots),
+                  (f * (x ** 2 + rng.randint(1, 30)), False, roots)]
+    # below _PROOF_DEGREE the chain answers
+    cases += [(f, False, roots) for f, roots in
+              (product(size) for size in range(1, sturm._PROOF_DEGREE))]
+    cases = [(f.dense_coeffs("x"), proved, roots) for f, proved, roots in cases]
+    cases += [(_shape(rng, 6, 1, 0), True, []), (_shape(rng, 10, 3, 0), True, [])]
+    # complex pairs: x^3 - 2 fails the prefilter, and the degree-10 roots
+    # shape often passes it, where the estimates stop on the pair
+    cases.append(([-2, 0, 0, 1], False, []))
+    tens = [c for c in (_shape(rng, 4, 2, 1) for _ in range(12))
+            if sturm._newton_holds(_p0(c))]
+    assert len(tens) >= 4
+    return cases + [(c, False, []) for c in tens]
+
+
+def test_proved_route_equals_the_chain(monkeypatch):
+    # count, count in an interval and isolate read the proof's signs and
+    # cells when they show deg f real roots, and build no chain; every
+    # answer and error is the chain route's
+    builds, build = [], sturm._build_chain
+    monkeypatch.setattr(sturm, "_build_chain",
+                        lambda f, var: builds.append(var) or build(f, var))
+    rng = random.Random(46)
+    precisions = (Fraction(1, 2 ** 20), Fraction(1, 3), Fraction(1, 10 ** 12))
+    proved_cases = root_errors = 0
+    for coeffs, proved, roots in _route_cases():
+        chain = sturm._int_chain(_p0(coeffs))[0]
+        tree = [_isolate_or_error(chain, p, False) for p in precisions]
+        # random endpoints, endpoints 2^-20 from a root, and roots
+        ends = [sorted(Fraction(rng.randint(-1500, 1500), 77) for _ in range(2))
+                for _ in range(4)]
+        for lo, hi in tree[0][:3]:
+            w = hi - lo
+            ends += [(lo + w / 3, Fraction(100)), (Fraction(-100), hi - w / 5)]
+        for r in roots[:2]:
+            ends += [(r, r + 1), (r - 1, r)]
+        f = SparsePoly.from_dense("x", coeffs)
+        builds.clear()
+        got = [count_distinct_roots_total(f)]
+        got += [_or_error(count_distinct_roots_in, f, a, b) for a, b in ends]
+        got.append(_or_error(isolate_roots_bisection, f, precisions[0]))
+        assert builds == ([] if proved else ["x"]), coeffs
+        assert (sturm._proof(sturm._record(f, "x")) is not None) == proved
+        got += [_or_error(isolate_roots_bisection, f, p) for p in precisions[1:]]
+        assert len(builds) <= 1
+        # the chain route: the same calls with no proof
+        with monkeypatch.context() as m:
+            m.setattr(sturm, "_proof", lambda rec: None)
+            g = SparsePoly.from_dense("x", coeffs)
+            want = [count_distinct_roots_total(g)]
+            want += [_or_error(count_distinct_roots_in, g, a, b) for a, b in ends]
+            want += [_or_error(isolate_roots_bisection, g, p) for p in precisions]
+        assert got == want, coeffs
+        assert got[0] == sturm._real_root_count(chain)
+        assert got[-3:] == tree
+        proved_cases += proved
+        root_errors += sum(isinstance(c, tuple) and c[0] is EndpointRootError
+                           for c in got[1:-3])
+    assert proved_cases == 12 and root_errors >= 40
 
 
 def test_real_rooted_fibers_skip_the_refinement(monkeypatch):

@@ -16,6 +16,11 @@ count for neither.  Then two verdicts:
 - bound: the change's median is no worse than the parent's by more than
   the metric's bound, as a share of the parent's median.
 
+Then each op kind's median time on each side, the median over that
+side's runs of the kind's median in run.py's details (`by_kind`), and its
+relative change, so that a percentile's move can be traced to the kinds
+that made it.
+
 Each run's attempted and failed op counts are printed as they finish.  A
 run that exits non-zero or prints no result ends the script with exit
 code 1.  Nothing is written in either checkout by this script; run.py
@@ -74,8 +79,27 @@ def format_row(name: str, unit: str, row: dict) -> str:
             f"{'holds' if row['bound'] else 'FAILS':>6}")
 
 
+def kind_rows(parent, change) -> list:
+    """(kind, parent median, change median, relative change) for each op
+    kind run on both sides, from each run's `by_kind` details (kind ->
+    {"median_ms": ...}): the median over a side's runs of the kind's
+    median time."""
+    rows = []
+    for kind in sorted(set().union(*parent) & set().union(*change)):
+        p = statistics.median(r[kind]["median_ms"] for r in parent if kind in r)
+        c = statistics.median(r[kind]["median_ms"] for r in change if kind in r)
+        rows.append((kind, p, c, (c - p) / p if p else math.nan))
+    return rows
+
+
+def format_kind_row(row: tuple) -> str:
+    kind, p, c, rel = row
+    return f"{kind:28} {p:10.4g} {c:10.4g} {rel:+8.1%}"
+
+
 def run_once(root: str, workload: str, seed: int, seconds) -> dict:
-    """The result object of one benchmark run in the checkout at root."""
+    """The result object of one benchmark run in the checkout at root,
+    with the details' per-kind timings under "by_kind"."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"),
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -85,9 +109,12 @@ def run_once(root: str, workload: str, seed: int, seconds) -> dict:
         raise RuntimeError(f"{root} seed {seed}: exit {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
+        details = json.loads(lines[-2])["details"] if len(lines) > 1 else {}
     except json.JSONDecodeError as err:
         raise RuntimeError(f"{root} seed {seed}: no result line") from err
+    result["by_kind"] = details.get("by_kind", {})
+    return result
 
 
 def main(argv=None) -> int:
@@ -104,6 +131,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     specs = bench["end_to_end"]
     values = {"parent": [], "change": []}
+    kinds = {"parent": [], "change": []}
     try:
         for i in range(args.pairs):
             seed = args.first_seed + i
@@ -112,6 +140,7 @@ def main(argv=None) -> int:
                 result = run_once(getattr(args, side), args.workload, seed,
                                   bench["run_seconds"])
                 values[side].append(result["metrics"])
+                kinds[side].append(result["by_kind"])
                 print(f"pair {i + 1} seed {seed} {side}: "
                       f"{result['attempted']} ops, {result['failed']} failed",
                       flush=True)
@@ -126,6 +155,10 @@ def main(argv=None) -> int:
         row = summarize(spec, [m[name]["value"] for m in values["parent"]],
                         [m[name]["value"] for m in values["change"]])
         print(format_row(name, spec["unit"], row))
+    print("\nop kind: median over runs of the kind's median ms, parent -> "
+          "change")
+    for row in kind_rows(kinds["parent"], kinds["change"]):
+        print(format_kind_row(row))
     return 0
 
 
